@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"twine"
 	"twine/internal/bench"
 	"twine/internal/core"
 	"twine/internal/ipfs"
@@ -58,7 +59,7 @@ func BenchmarkFig3PolyBench(b *testing.B) {
 			}
 			imp := wasm.NewImportObject()
 			polybench.MathImports(imp)
-			in, err := wasm.Instantiate(c, imp, wasm.Config{Engine: wasm.EngineAOT})
+			in, err := wasm.Instantiate(c, imp, wasm.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -183,27 +184,85 @@ func BenchmarkFig7Breakdown(b *testing.B) {
 
 // --- supporting micro-benchmarks (ablations from DESIGN.md) ---
 
-// BenchmarkWasmEngines isolates the interpreter/AoT gap (Table I context).
-func BenchmarkWasmEngines(b *testing.B) {
-	k, _ := polybench.ByName("gemm")
-	bin := k.Build(24)
-	mod, _ := wasm.Decode(bin)
-	c, _ := wasm.Compile(mod)
-	for _, eng := range []wasm.Engine{wasm.EngineInterp, wasm.EngineAOT} {
-		b.Run(eng.String(), func(b *testing.B) {
-			imp := wasm.NewImportObject()
-			polybench.MathImports(imp)
-			in, err := wasm.Instantiate(c, imp, wasm.Config{Engine: eng})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := in.Invoke("run"); err != nil {
+// BenchmarkTierMatrix is the tier x workload matrix behind the choice of
+// zero-value engine (BENCHMARKS.md): the six Fig. 3 kernels and the
+// serving guest of fig-tenants, on every engine, as
+// <workload>/<engine>/{translate,outside,enclave} — deriving the engine's
+// form from a Compiled, one call on a bare wasm.Instance, and one call
+// through core.Instance.Invoke (ECALL, EPC accounting, WASI over the ring).
+func BenchmarkTierMatrix(b *testing.B) {
+	type workload struct {
+		name string
+		bin  []byte
+		args []uint64
+	}
+	workloads := []workload{{"serve", bench.TenantGuest(), []uint64{7}}}
+	for _, name := range fig3Kernels {
+		k, _ := polybench.ByName(name)
+		workloads = append(workloads, workload{name: name, bin: k.Build(32)})
+	}
+	for _, w := range workloads {
+		name, bin, args := w.name, w.bin, w.args
+		mod, err := wasm.Decode(bin)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, eng := range []wasm.Engine{wasm.EngineSuperblock, wasm.EngineRegister, wasm.EngineAOT, wasm.EngineInterp} {
+			b.Run(fmt.Sprintf("%s/%v/translate", name, eng), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					c, err := wasm.Compile(mod)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if err := c.Translate(eng, true); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("%s/%v/outside", name, eng), func(b *testing.B) {
+				c, err := wasm.Compile(mod)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				imp := wasm.NewImportObject()
+				polybench.MathImports(imp)
+				imp.AddFunc(wasm.HostFunc{Module: "wasi_snapshot_preview1", Name: "fd_write",
+					Type: wasm.FuncType{Params: []wasm.ValueType{wasm.I32, wasm.I32, wasm.I32, wasm.I32}, Results: []wasm.ValueType{wasm.I32}},
+					Fn:   func(in *wasm.Instance, _ []uint64) ([]uint64, error) { return in.Ret1(0), nil }})
+				in, err := wasm.Instantiate(c, imp, wasm.Config{Engine: eng})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := in.Invoke("run", args...); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("%s/%v/enclave", name, eng), func(b *testing.B) {
+				rt, err := core.NewRuntime(core.Config{PlatformSeed: "matrix", SGX: benchSGX(), Engine: eng, Stdout: twine.Discard})
+				if err != nil {
+					b.Fatal(err)
+				}
+				m, err := rt.LoadModule(bin)
+				if err != nil {
+					b.Fatal(err)
+				}
+				inst, err := rt.NewInstance(m)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := inst.Invoke("run", args...); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -5,7 +5,10 @@
 //
 // Usage:
 //
-//	polybench [-n size] [-kernels a,b,c] [-memsweep kernel] [-engine aot|reg|super|interp]
+//	polybench [-n size] [-kernels a,b,c] [-memsweep kernel] [-engine super|reg|aot|interp]
+//
+// Without -engine the kernels run on the zero-value engine, the tier every
+// front door runs with no option set.
 package main
 
 import (
@@ -24,23 +27,12 @@ func main() {
 	n := flag.Int("n", 48, "problem size per kernel")
 	names := flag.String("kernels", "", "comma-separated kernel subset (default: all 30)")
 	memsweep := flag.String("memsweep", "", "report the memory floor sweep for one kernel (paper §V-B)")
-	engineName := flag.String("engine", "aot", "Wasm execution tier: aot (fused, default), reg (PR 4 register IR), super (PR 7 superblock traces), interp")
-	flag.Parse()
-
 	var engine wasm.Engine
-	switch *engineName {
-	case "aot":
-		engine = wasm.EngineAOT
-	case "reg":
-		engine = wasm.EngineRegister
-	case "super":
-		engine = wasm.EngineSuperblock
-	case "interp":
-		engine = wasm.EngineInterp
-	default:
-		fmt.Fprintf(os.Stderr, "polybench: unknown engine %q\n", *engineName)
-		os.Exit(1)
-	}
+	flag.Func("engine", "Wasm execution tier: super, reg, aot or interp (default: the zero-value engine)", func(name string) (err error) {
+		engine, err = wasm.ParseEngine(name)
+		return err
+	})
+	flag.Parse()
 
 	if *memsweep != "" {
 		if err := runMemSweep(*memsweep, *n); err != nil {

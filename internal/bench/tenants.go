@@ -70,11 +70,11 @@ type TenantsResult struct {
 	WorstP99 time.Duration
 }
 
-// tenantGuest builds the per-request serving kernel: run(x) folds a
+// TenantGuest builds the per-request serving kernel: run(x) folds a
 // 256-byte data segment into a checksum seeded by x, writes a 16-byte
 // response through fd_write (one host call per request — ring traffic),
 // and returns the checksum.
-func tenantGuest() []byte {
+func TenantGuest() []byte {
 	m := wasmgen.NewModule()
 	fdWrite := m.ImportFunc("wasi_snapshot_preview1", "fd_write",
 		wasmgen.Sig(wasmgen.I32, wasmgen.I32, wasmgen.I32, wasmgen.I32).Returns(wasmgen.I32))
@@ -142,7 +142,7 @@ func RunTenants(cfg TenantsConfig) (TenantsResult, error) {
 
 	reg := rt.NewRegistry(core.RegistryConfig{})
 	defer reg.Close()
-	bin := tenantGuest()
+	bin := TenantGuest()
 	tenants := make([]*core.Tenant, cfg.Tenants)
 	for i := range tenants {
 		tcfg := core.TenantConfig{Workers: 1, ColdStart: cfg.Cold}

@@ -190,7 +190,7 @@ func wamrShim(cachePages int, imp *wasm.ImportObject) (*wasm.Instance, litedb.Pa
 	if err != nil {
 		return nil, nil, err
 	}
-	in, err := wasm.Instantiate(c, imp, wasm.Config{Engine: wasm.EngineAOT})
+	in, err := wasm.Instantiate(c, imp, wasm.Config{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"twine/internal/hostfs"
+	"twine/internal/prof"
 	"twine/internal/sgx"
 	"twine/internal/wasm"
 	"twine/wasmgen"
@@ -302,19 +303,47 @@ func TestMathImports(t *testing.T) {
 	}
 }
 
+// TestEngineSelection: every engine a Config can name loads and runs, and
+// an unset or out-of-range one resolves to the zero value.
 func TestEngineSelection(t *testing.T) {
-	for _, eng := range []wasm.Engine{wasm.EngineInterp, wasm.EngineAOT} {
-		rt, err := NewRuntime(testConfig(func(c *Config) { c.Engine = eng }))
+	for _, tc := range []struct{ set, want wasm.Engine }{
+		{wasm.EngineSuperblock, wasm.EngineSuperblock},
+		{wasm.EngineInterp, wasm.EngineInterp},
+		{wasm.EngineRegister, wasm.EngineRegister},
+		{wasm.EngineAOT, wasm.EngineAOT},
+		{Config{}.Engine, 0},
+		{wasm.Engine(-1), 0},
+		{wasm.Engine(4), 0},
+	} {
+		reg := prof.NewRegistry()
+		rt, err := NewRuntime(testConfig(func(c *Config) { c.Engine = tc.set; c.Prof = reg }))
 		if err != nil {
-			t.Fatalf("NewRuntime(%v): %v", eng, err)
+			t.Fatalf("NewRuntime(%v): %v", tc.set, err)
 		}
-		mod, _ := rt.LoadModule(helloModule("x", 0))
+		if rt.cfg.Engine != tc.want {
+			t.Errorf("engine %v resolved to %v, want %v", tc.set, rt.cfg.Engine, tc.want)
+		}
+		mod, err := rt.LoadModule(helloModule("x", 0))
+		if err != nil {
+			t.Fatalf("LoadModule(%v): %v", tc.set, err)
+		}
+		// The load profile names the tier that was translated.
+		var wantSuper, wantReg int64
+		switch tc.want {
+		case wasm.EngineSuperblock:
+			wantSuper = 1
+		case wasm.EngineRegister:
+			wantReg = 1
+		}
+		if s, r := reg.Counter("wasm.super.funcs"), reg.Counter("wasm.reg.funcs"); s != wantSuper || r != wantReg {
+			t.Errorf("engine %v: load profile super.funcs=%d reg.funcs=%d, want %d and %d", tc.set, s, r, wantSuper, wantReg)
+		}
 		inst, err := rt.NewInstance(mod)
 		if err != nil {
-			t.Fatalf("NewInstance(%v): %v", eng, err)
+			t.Fatalf("NewInstance(%v): %v", tc.set, err)
 		}
 		if code, err := inst.Run(); err != nil || code != 0 {
-			t.Errorf("engine %v: run = %d, %v", eng, code, err)
+			t.Errorf("engine %v: run = %d, %v", tc.set, code, err)
 		}
 	}
 }

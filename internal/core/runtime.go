@@ -68,7 +68,8 @@ type Config struct {
 	PlatformSeed string
 	// SGX configures the enclave; zero value = sgx.DefaultConfig().
 	SGX sgx.Config
-	// Engine is the Wasm execution engine (default AoT, like TWINE).
+	// Engine is the Wasm execution tier. The zero value is wasm's zero
+	// value, the superblock tier; out-of-range values run it too.
 	Engine wasm.Engine
 	// FS selects trusted (IPFS) or untrusted (host POSIX) file routing.
 	FS FSKind
@@ -165,14 +166,9 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if cfg.Preopens == nil {
 		cfg.Preopens = map[string]string{"/": ""}
 	}
-	// Normalize out-of-range engine values; EngineAOT is already the zero
-	// value, so only an explicit EngineInterp or EngineRegister selects
-	// another tier. The register tier (PR 4) is wired like Switchless: a
-	// plain Config knob, with the fused AoT path as the bit-identical
-	// default.
-	if cfg.Engine != wasm.EngineInterp && cfg.Engine != wasm.EngineRegister &&
-		cfg.Engine != wasm.EngineSuperblock {
-		cfg.Engine = wasm.EngineAOT
+	// An out-of-range engine runs the zero value, like an unset one.
+	if !cfg.Engine.Valid() {
+		cfg.Engine = 0
 	}
 
 	rt := &Runtime{cfg: cfg, Host: cfg.HostFS, prof: cfg.Prof}
@@ -280,17 +276,25 @@ func (rt *Runtime) LoadModule(wasmBytes []byte) (*Module, error) {
 		if err != nil {
 			return err
 		}
+		// Translate the configured tier's form here, once per Compiled
+		// (AoT, like wamrc): LoadTime carries it and no first request
+		// does. Instances run the guarded form exactly when the EPC-TLB
+		// is on, so that is the one form translated.
+		if err := c.Translate(rt.cfg.Engine, !rt.cfg.NoEPCTLB); err != nil {
+			return err
+		}
 		mod = &Module{Compiled: c, WasmBytes: int64(len(wasmBytes)), AotIns: c.NumInstructions()}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// The register tier translates at load time (AoT, like wamrc); its
-	// translation counters are part of the load profile. Instances run
-	// the guarded (touch-hook) form exactly when the EPC-TLB is on, so
-	// report that form — not a second translation that never executes.
-	if rt.cfg.Engine == wasm.EngineRegister {
+	// The translation counters are part of the load profile. The
+	// superblock tier stacks on the register form: its counters say how
+	// many innermost loops became idiom or step traces, and how many
+	// bailed back to the register interpreter.
+	switch rt.cfg.Engine {
+	case wasm.EngineRegister:
 		st := mod.Compiled.RegStats(!rt.cfg.NoEPCTLB)
 		rt.prof.Add("wasm.reg.funcs", st.Funcs)
 		rt.prof.Add("wasm.reg.bailouts", st.Bailouts)
@@ -299,12 +303,7 @@ func (rt *Runtime) LoadModule(wasmBytes []byte) (*Module, error) {
 		rt.prof.Add("wasm.reg.deadstores", st.DeadStores)
 		rt.prof.Add("wasm.reg.fused", st.Fused)
 		rt.prof.Add("wasm.reg.hoists", st.Hoists)
-	}
-	// The superblock tier (PR 7) stacks on the register form: its
-	// translation counters describe how many innermost loops became
-	// idiom or step traces, and how many bailed back to the register
-	// interpreter. Same guarded/unguarded reporting rule as above.
-	if rt.cfg.Engine == wasm.EngineSuperblock {
+	case wasm.EngineSuperblock:
 		st := mod.Compiled.SuperStats(!rt.cfg.NoEPCTLB)
 		rt.prof.Add("wasm.super.funcs", int64(st.Funcs))
 		rt.prof.Add("wasm.super.regbail", int64(st.RegBail))

@@ -11,7 +11,9 @@ import (
 
 // TestAllKernelsAgree is the central validation of the Figure 3 pipeline:
 // for every one of the 30 kernels, the native Go implementation and the
-// Wasm module (under both engines) must produce matching checksums.
+// Wasm module (under the interpreter and the zero-value engine, the tier
+// Figure 3 runs on) must produce matching checksums. TestTierDifferential
+// holds all four tiers bit-identical to each other.
 func TestAllKernelsAgree(t *testing.T) {
 	const n = 18
 	for _, k := range All() {
@@ -21,7 +23,7 @@ func TestAllKernelsAgree(t *testing.T) {
 			if math.IsNaN(want) || math.IsInf(want, 0) {
 				t.Fatalf("native checksum not finite: %v", want)
 			}
-			for _, eng := range []wasm.Engine{wasm.EngineInterp, wasm.EngineAOT} {
+			for _, eng := range []wasm.Engine{wasm.EngineInterp, wasm.Engine(0)} {
 				got, _, err := RunWasm(k, n, eng)
 				if err != nil {
 					t.Fatalf("%v: %v", eng, err)
@@ -119,12 +121,12 @@ func TestWasmIsSlowerThanNative(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	// Directional sanity for Figure 3: interpreting Wasm costs more than
-	// native execution on a compute-bound kernel.
+	// Directional sanity for Figure 3: Wasm, even on the zero-value
+	// engine, costs more than native execution on a compute-bound kernel.
 	k, _ := ByName("gemm")
 	const n = 64
 	_, tn := RunNative(k, n)
-	_, tw, err := RunWasm(k, n, wasm.EngineAOT)
+	_, tw, err := RunWasm(k, n, wasm.Engine(0))
 	if err != nil {
 		t.Fatal(err)
 	}

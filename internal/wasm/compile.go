@@ -135,6 +135,31 @@ func (c *Compiled) super(guarded bool) []compiledFunc {
 	return c.superFuncs[v]
 }
 
+// code returns the function bodies engine e executes, translating them on
+// first use; guarded selects the form with hoisted EPC-TLB guards (see
+// regOnce).
+func (c *Compiled) code(e Engine, guarded bool) ([]compiledFunc, error) {
+	switch e {
+	case EngineSuperblock:
+		return c.super(guarded), nil
+	case EngineInterp:
+		return c.Funcs, nil
+	case EngineRegister:
+		return c.reg(guarded), nil
+	case EngineAOT:
+		return c.aot(), nil
+	}
+	return nil, fmt.Errorf("wasm: unknown %v", e)
+}
+
+// Translate derives the form engine e executes, so that a loader pays for
+// translation (AoT, like wamrc) and no first instantiation does. Pass the
+// guarded value the instances will run with (Config.TouchGen != nil).
+func (c *Compiled) Translate(e Engine, guarded bool) error {
+	_, err := c.code(e, guarded)
+	return err
+}
+
 // SuperStats reports the superblock-tier translation counters of the
 // guarded or unguarded form — pass the same guarded value the instances
 // run with (Config.TouchGen != nil). Forces the translation if it has not

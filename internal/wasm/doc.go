@@ -8,7 +8,13 @@
 // into a basic-block register IR with constant folding, copy propagation
 // and hoisted bounds checks, and a third AoT stage (PR 7,
 // EngineSuperblock) that compiles the register IR's innermost self-loops
-// into single Go closures.
+// into single Go closures. The superblock tier is the zero-value Engine:
+// it is the fastest of the four on every workload measured (BENCHMARKS.md,
+// "Tier × workload matrix"), so it is what runs when no option is set. The
+// fused form stays as its per-function fallback and as a selectable tier,
+// and the interpreter as the oracle the differential tests compare
+// against. Compiled.Translate derives a tier's form ahead of time; the
+// enclave loader calls it, so translation is load time, never request time.
 //
 // TWINE embeds this runtime inside the SGX enclave simulator; the runtime
 // itself is host-agnostic and reports linear-memory accesses through an

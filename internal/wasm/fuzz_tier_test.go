@@ -2,8 +2,10 @@ package wasm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"twine/wasmgen"
@@ -14,12 +16,15 @@ import (
 // FuzzTierDifferential decodes the fuzz input as a little program spec,
 // builds a structured module from it (counted loops over affine f64
 // walks, i32/i64 arithmetic with tee/set chains, br_table ladders,
-// masked and deliberately-wild memory accesses), and runs it under all
-// four engines against a fake EPC pager. Every observable must agree
-// bit-for-bit with the interpreter: result slots, trap kind AND message,
-// final linear memory, globals, the exact touch-hook call sequence, and
-// the pager's fault/eviction counters. InsRetired is the one observable
-// that legitimately differs per tier and is not compared.
+// masked and deliberately-wild memory accesses, serve-shaped byte folds
+// that end in a host call), and runs it under all four engines against a
+// fake EPC pager — twice per engine, with a warm ResetFromSnapshot in
+// between, the way Registry.Submit serves a FreshState tenant. Every
+// observable of both calls must agree bit-for-bit with the interpreter:
+// result slots, trap kind AND message, final linear memory, globals, the
+// exact touch-hook call sequence, what the host function saw, and the
+// pager's fault/eviction counters. InsRetired is the one observable that
+// legitimately differs per tier and is not compared.
 //
 // The generator is deliberately biased toward the superblock tier's
 // attack surface: innermost self-loops that the idiom matcher accepts
@@ -86,11 +91,12 @@ func (r *progReader) u16() uint16 {
 func (r *progReader) done() bool { return r.i >= len(r.b) }
 
 // buildTierModule turns a program spec into module bytes. The module
-// exports "run" () -> i64 over a 64 KiB memory seeded with
-// deterministic pseudo-random f64s in its first 24 KiB.
+// imports env.host (i32) -> i32 and exports "run" () -> i64 over a 64 KiB
+// memory seeded with deterministic pseudo-random f64s in its first 24 KiB.
 func buildTierModule(data []byte) []byte {
 	r := &progReader{b: data}
 	m := wasmgen.NewModule()
+	host := m.ImportFunc("env", "host", wasmgen.Sig(wasmgen.I32).Returns(wasmgen.I32))
 	m.Memory(1, 1)
 	gI := m.Global(wasmgen.I64, true, 7)
 	gF := m.Global(wasmgen.F64, true, 0x3FF8000000000000) // 1.5
@@ -119,6 +125,7 @@ func buildTierModule(data []byte) []byte {
 	acc := f.AddLocal(wasmgen.I64)
 	facc := f.AddLocal(wasmgen.F64)
 	ftmp := f.AddLocal(wasmgen.F64)
+	bsum := f.AddLocal(wasmgen.I32)
 
 	// forLoop emits the canonical counted-loop shape the register tier
 	// lowers to a brcmp header and the superblock tier traces.
@@ -532,6 +539,39 @@ func buildTierModule(data []byte) []byte {
 		f.LocalSet(acc)
 	}
 
+	// stmtServeLoop is the shape of the guest behind Registry.Submit: an
+	// i32.load8_u byte fold (sub-word loads never match an f64 idiom, so
+	// this is step-trace territory), then an iovec written to memory and
+	// one host call outside the loop that reads it back.
+	stmtServeLoop := func() {
+		n := int32(r.u8()) + 1
+		base := uint32(r.u16() % 24000)
+		if r.u8()&3 == 0 {
+			base = uint32(r.u8()%5+1)*4096 - uint32(r.u8()%64) // straddle a page
+		}
+		f.LocalGet(L[1])
+		f.LocalSet(bsum)
+		forLoop(L[0], func() { f.I32Const(n) }, 1, func() {
+			f.LocalGet(bsum)
+			f.LocalGet(L[0])
+			f.I32Load8U(base)
+			f.I32Add()
+			f.LocalSet(bsum)
+		})
+		f.I32Const(0)
+		f.I32Const(int32(base))
+		f.I32Store(0)
+		f.I32Const(4)
+		f.LocalGet(bsum)
+		f.I32Store(0)
+		f.LocalGet(bsum)
+		f.Call(host)
+		f.I64ExtendI32U()
+		f.LocalGet(acc)
+		f.I64Xor()
+		f.LocalSet(acc)
+	}
+
 	// stmtWild: one unmasked access — out-of-bounds trap parity, with
 	// the faulting address (and so the trap message) input-controlled.
 	stmtWild := func() {
@@ -560,6 +600,8 @@ func buildTierModule(data []byte) []byte {
 				stmtWild()
 			case 1:
 				stmtStencilLoop()
+			case 2:
+				stmtServeLoop()
 			default:
 				stmtAffineLoop()
 			}
@@ -581,7 +623,7 @@ func buildTierModule(data []byte) []byte {
 	return m.Bytes()
 }
 
-// tierOutcome is everything a tier run observes.
+// tierOutcome is everything one call under a tier observes.
 type tierOutcome struct {
 	res     []uint64
 	trap    *Trap
@@ -590,13 +632,17 @@ type tierOutcome struct {
 	faults  int64
 	evicts  int64
 	log     [][2]int64
+	host    [][3]uint32 // per env.host call: argument and the iovec it read
 }
 
 // runTierOnce executes the compiled module under one engine with a
-// fresh fake pager. mode: 0 = no hook, 1 = plain hook (NoEPCTLB
-// ablation), 2 = hook + generation word (the production EPC-TLB shape).
-func runTierOnce(c *Compiled, eng Engine, mode byte, capPages int) (tierOutcome, error) {
-	var out tierOutcome
+// fresh fake pager: a cold call, a warm ResetFromSnapshot to the
+// instantiation state, and a second call (which runs whether or not the
+// first trapped — reset is also the quarantine repair). mode: 0 = no
+// hook, 1 = plain hook (NoEPCTLB ablation), 2 = hook + generation word
+// (the production EPC-TLB shape).
+func runTierOnce(c *Compiled, eng Engine, mode byte, capPages int) ([2]tierOutcome, error) {
+	var outs [2]tierOutcome
 	p := &fakePager{gen: 1, capPages: capPages}
 	cfg := Config{Engine: eng}
 	switch mode {
@@ -607,23 +653,45 @@ func runTierOnce(c *Compiled, eng Engine, mode byte, capPages int) (tierOutcome,
 		cfg.Touch = p.touch
 		cfg.TouchGen = &p.gen
 	}
-	in, err := Instantiate(c, nil, cfg)
+	var host [][3]uint32
+	imp := NewImportObject()
+	imp.AddFunc(HostFunc{
+		Module: "env", Name: "host",
+		Type: FuncType{Params: []ValueType{I32}, Results: []ValueType{I32}},
+		Fn: func(in *Instance, a []uint64) ([]uint64, error) {
+			d := in.mem.data
+			call := [3]uint32{uint32(a[0]), binary.LittleEndian.Uint32(d[0:]), binary.LittleEndian.Uint32(d[4:])}
+			host = append(host, call)
+			return in.Ret1(uint64(call[0]*31 + call[1] ^ call[2])), nil
+		},
+	})
+	in, err := Instantiate(c, imp, cfg)
 	if err != nil {
-		return out, err
+		return outs, err
 	}
-	res, err := in.Invoke("run")
-	if err != nil {
-		var tr *Trap
-		if !errors.As(err, &tr) {
-			return out, err
+	snap := in.Snapshot()
+	for i := range outs {
+		out := &outs[i]
+		if i > 0 {
+			if err := in.ResetFromSnapshot(snap); err != nil {
+				return outs, err
+			}
 		}
-		out.trap = tr
+		p.log, host = nil, nil
+		res, err := in.Invoke("run")
+		if err != nil {
+			var tr *Trap
+			if !errors.As(err, &tr) {
+				return outs, err
+			}
+			out.trap = tr
+		}
+		out.res = res
+		out.mem = append([]byte(nil), in.mem.data...)
+		out.globals = append([]uint64(nil), in.globals...)
+		out.faults, out.evicts, out.log, out.host = p.faults, p.evicts, p.log, host
 	}
-	out.res = res
-	out.mem = in.mem.data
-	out.globals = in.globals
-	out.faults, out.evicts, out.log = p.faults, p.evicts, p.log
-	return out, nil
+	return outs, nil
 }
 
 // diffOutcome reports the first observable on which b diverges from a,
@@ -662,6 +730,9 @@ func diffOutcome(a, b tierOutcome) string {
 			return fmt.Sprintf("touch[%d]: %v vs %v", i, a.log[i], b.log[i])
 		}
 	}
+	if !slices.Equal(a.host, b.host) {
+		return fmt.Sprintf("host calls: %v vs %v", a.host, b.host)
+	}
 	return ""
 }
 
@@ -692,8 +763,10 @@ func checkTierDifferential(t *testing.T, data []byte) {
 		if err != nil {
 			t.Fatalf("%v: %v", eng, err)
 		}
-		if d := diffOutcome(base, got); d != "" {
-			t.Errorf("%v diverged from interp (mode=%d cap=%d): %s", eng, mode, capPages, d)
+		for call := range base {
+			if d := diffOutcome(base[call], got[call]); d != "" {
+				t.Errorf("%v diverged from interp (mode=%d cap=%d call=%d): %s", eng, mode, capPages, call, d)
+			}
 		}
 	}
 }
@@ -708,6 +781,7 @@ func FuzzTierDifferential(f *testing.F) {
 	f.Add([]byte(seedTeeSetChain))
 	f.Add([]byte(seedCopyCycle))
 	f.Add([]byte(seedStencilCopyTail))
+	f.Add([]byte(seedServeLoop))
 	// Broad structured seeds: every statement kind, all pager modes.
 	f.Add([]byte{2, 4, 0, 10, 0, 0, 0x40, 0, 0x40, 0, 1, 2, 0, 0, 3, 7})
 	f.Add([]byte{1, 2, 3, 30, 9, 9, 4, 4, 5, 5, 2, 1, 0, 3, 0xFF, 0x10})
@@ -734,13 +808,21 @@ const (
 	// whose LVN'd back-edge is "copy L, src" instead of addimm — the
 	// superblock copy-tail idiom path (PR 7).
 	seedStencilCopyTail = "\x02\x05\x07\x01\x16\x10\x00\x40\x00\x01\x00"
+	// seedServeLoop drives stmtServeLoop twice around a stmtIntLoop (so
+	// the second fold is seeded by a non-zero local): a 256-byte fold
+	// from address 64, then one that straddles a page, each ending in a
+	// host call — the default path of Registry.Submit, under the
+	// production EPC-TLB shape with a 3-page pager.
+	seedServeLoop = "\x02\x01\x07\x02\xff\x40\x00\x01" +
+		"\x03\x08\x01\x00\x01\x00\x11\x00" +
+		"\x07\x02\x7f\x00\x00\x00\x01\x21"
 )
 
 // TestTierDifferentialSeeds pins the seed corpus into the plain test
 // run (go test executes f.Add seeds, but not files added later to
 // testdata; this keeps both paths exercised without -fuzz).
 func TestTierDifferentialSeeds(t *testing.T) {
-	for i, s := range []string{seedAffineAlias, seedTeeSetChain, seedCopyCycle, seedStencilCopyTail} {
+	for i, s := range []string{seedAffineAlias, seedTeeSetChain, seedCopyCycle, seedStencilCopyTail, seedServeLoop} {
 		t.Run(fmt.Sprintf("regression%d", i), func(t *testing.T) {
 			checkTierDifferential(t, []byte(s))
 		})
@@ -764,8 +846,7 @@ func TestStencilSeedProducesCopyTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	funcs := c.reg(false)
-	fn := &funcs[mod.NumImportedFuncs]
+	fn := &c.reg(false)[0] // module-defined functions only: "run"
 	if !fn.reg {
 		t.Fatal("stencil seed bailed to fused form")
 	}
@@ -782,5 +863,33 @@ func TestStencilSeedProducesCopyTail(t *testing.T) {
 	st := c.SuperStats(false)
 	if st.Idioms < copyTails {
 		t.Fatalf("copy-tail loops fell off the idiom path: %d copy tails but stats %+v", copyTails, st)
+	}
+}
+
+// TestServeSeedReachesHostCall pins the generator side of seedServeLoop
+// the way TestStencilSeedProducesCopyTail does for the stencil: both
+// folds must be traced by the superblock tier and both host calls must
+// happen, cold and after the warm reset, or the fuzzer has silently lost
+// the serving shape.
+func TestServeSeedReachesHostCall(t *testing.T) {
+	mod, err := Decode(buildTierModule([]byte(seedServeLoop)[2:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := runTierOnce(c, EngineSuperblock, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call, out := range outs {
+		if out.trap != nil || len(out.host) != 2 {
+			t.Errorf("call %d: trap %v, %d host calls, want none and 2", call, out.trap, len(out.host))
+		}
+	}
+	if st := c.SuperStats(true); st.RegBail != 0 || st.Idioms+st.StepLoops < 3 || st.Bailouts != 0 {
+		t.Errorf("serve seed loops fell off the trace path: %+v", st)
 	}
 }

@@ -54,7 +54,7 @@ func hostLoopModule(t testing.TB, n int32) (*Compiled, *ImportObject) {
 // the only tolerated allocations are Invoke's own result slice and
 // incidental runtime noise — anything growing with the call count fails.
 func TestHostCallAllocs(t *testing.T) {
-	for _, eng := range []Engine{EngineInterp, EngineAOT, EngineRegister} {
+	for _, eng := range []Engine{EngineInterp, EngineAOT, EngineRegister, EngineSuperblock} {
 		c, imp := hostLoopModule(t, 1000)
 		in, err := Instantiate(c, imp, Config{Engine: eng})
 		if err != nil {

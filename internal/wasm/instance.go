@@ -2,47 +2,67 @@ package wasm
 
 import (
 	"fmt"
+	"strings"
 )
 
-// Engine selects the execution mode, mirroring WAMR's interpreter and
-// ahead-of-time modes (paper Table I / §IV-B: TWINE executes AoT only).
+// Engine selects the execution tier. The paper's WAMR has an interpreter
+// and an ahead-of-time mode (Table I / §IV-B: TWINE executes AoT only);
+// this runtime stacks two further AoT stages on top. All four tiers are
+// bit-identical in results, traps and EPC fault/eviction counts.
 type Engine int
 
 const (
-	// EngineAOT executes a pre-translated form with fused
-	// superinstructions — the stand-in for wamrc's AoT compilation step.
-	// It is the zero value, so an unset Config.Engine runs AoT: TWINE
-	// executes AoT only (paper §IV-B), and a zero value that silently
-	// selected the interpreter once cost the twine benchmarks 2x.
-	EngineAOT Engine = iota
-	// EngineInterp executes the lowered code directly.
-	EngineInterp
-	// EngineRegister executes the second AoT stage (PR 4): per-function
-	// register IR with constant folding, copy propagation and hoisted
-	// bounds checks. Semantics are bit-identical to the other engines
-	// (same results, traps, and EPC fault/eviction counts); functions
-	// the translator cannot prove run in their fused AoT form.
-	EngineRegister
 	// EngineSuperblock executes the third AoT stage (PR 7): the register
 	// IR with innermost self-loops compiled into single Go closures —
 	// idiom templates whose bounds/EPC-TLB guards are amortised to once
-	// per loop trip, or generic per-instruction step traces. Semantics
-	// are bit-identical to the other engines; loops the translator
-	// cannot prove stay under the register interpreter.
-	EngineSuperblock
+	// per loop trip, or generic per-instruction step traces. Loops the
+	// translator cannot prove stay under the register interpreter, and
+	// functions it cannot prove run in their fused form.
+	//
+	// It is the zero value, so an unset Config.Engine runs the fastest
+	// tier on every workload measured (BENCHMARKS.md, "Tier × workload
+	// matrix"): a slower zero value silently taxes every caller that
+	// sets no option.
+	EngineSuperblock Engine = iota
+	// EngineInterp executes the lowered code directly. It is the oracle
+	// the differential tests compare every other tier against.
+	EngineInterp
+	// EngineRegister executes the second AoT stage (PR 4): per-function
+	// register IR with constant folding, copy propagation and hoisted
+	// bounds checks; functions the translator cannot prove run in their
+	// fused form.
+	EngineRegister
+	// EngineAOT executes a pre-translated form with fused
+	// superinstructions — the stand-in for wamrc's AoT compilation step,
+	// and the per-function fallback of the two tiers above.
+	EngineAOT
 )
 
+var engineNames = [...]string{
+	EngineSuperblock: "super",
+	EngineInterp:     "interp",
+	EngineRegister:   "reg",
+	EngineAOT:        "aot",
+}
+
+// Valid reports whether e is one of the four tiers.
+func (e Engine) Valid() bool { return e >= 0 && int(e) < len(engineNames) }
+
 func (e Engine) String() string {
-	switch e {
-	case EngineAOT:
-		return "aot"
-	case EngineRegister:
-		return "reg"
-	case EngineSuperblock:
-		return "super"
-	default:
-		return "interp"
+	if !e.Valid() {
+		return fmt.Sprintf("engine(%d)", int(e))
 	}
+	return engineNames[e]
+}
+
+// ParseEngine is the inverse of Engine.String for the four tiers.
+func ParseEngine(name string) (Engine, error) {
+	for e, n := range engineNames {
+		if n == name {
+			return Engine(e), nil
+		}
+	}
+	return 0, fmt.Errorf("wasm: unknown engine %q (want %s)", name, strings.Join(engineNames[:], ", "))
 }
 
 // HostFunc is a native function exposed to guest code.
@@ -78,7 +98,7 @@ func (io *ImportObject) Func(module, name string) (HostFunc, bool) {
 
 // Config tunes an instance.
 type Config struct {
-	// Engine selects interpreter or AoT execution.
+	// Engine selects the execution tier (zero value: EngineSuperblock).
 	Engine Engine
 	// MaxMemoryPages caps linear memory below the module's own limit
 	// (0 = module limit). Used by the PolyBench memory sweep.
@@ -165,23 +185,16 @@ func newInstance(c *Compiled, imports *ImportObject, cfg Config) (*Instance, err
 		}
 	}
 
-	// Functions: the AoT and register forms are translated once per
-	// Compiled and shared across instances.
-	switch cfg.Engine {
-	case EngineAOT:
-		in.funcs = c.aot()
-	case EngineRegister:
-		// The guarded form pays one guard dispatch per hoisted window to
-		// skip per-access EPC-TLB probes; worth it only when the TLB is
-		// live (a guard can never pass without a generation to validate
-		// against, so a touch hook without TouchGen — the NoEPCTLB
-		// ablation — takes the unguarded form).
-		in.funcs = c.reg(cfg.TouchGen != nil)
-	case EngineSuperblock:
-		in.funcs = c.super(cfg.TouchGen != nil)
-	default:
-		in.funcs = c.Funcs
+	// The guarded forms pay one guard dispatch per hoisted window to skip
+	// per-access EPC-TLB probes; worth it only when the TLB is live (a
+	// guard can never pass without a generation to validate against, so
+	// a touch hook without TouchGen — the NoEPCTLB ablation — takes the
+	// unguarded form).
+	funcs, err := c.code(cfg.Engine, cfg.TouchGen != nil)
+	if err != nil {
+		return nil, err
 	}
+	in.funcs = funcs
 
 	// Memory.
 	if len(m.Memories) > 0 {

@@ -109,14 +109,15 @@ func TestSnapshotModuleMismatch(t *testing.T) {
 }
 
 // TestConcurrentInstancesSharedCompiled: many instances of one Compiled
-// (sharing the lazily fused AoT code) must run concurrently and compute
-// what a sequential instance computes — the immutable/mutable module
-// split this PR introduces.
+// (racing to translate, then sharing, the zero-value engine's code) must
+// run concurrently and compute what a sequential instance computes — the
+// immutable/mutable module split.
 func TestConcurrentInstancesSharedCompiled(t *testing.T) {
 	c := compile(t, statefulModule())
 
-	// Sequential reference: fresh instance, three calls.
-	ref, err := wasm.Instantiate(c, nil, wasm.Config{Engine: wasm.EngineAOT})
+	// Sequential reference: fresh instance, three calls, on the
+	// interpreter so that the workers find nothing translated yet.
+	ref, err := wasm.Instantiate(c, nil, wasm.Config{Engine: wasm.EngineInterp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestConcurrentInstancesSharedCompiled(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			in, err := wasm.Instantiate(c, nil, wasm.Config{Engine: wasm.EngineAOT})
+			in, err := wasm.Instantiate(c, nil, wasm.Config{})
 			if err != nil {
 				errs[w] = err
 				return

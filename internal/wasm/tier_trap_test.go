@@ -361,7 +361,9 @@ func TestTierTeeSetNoopDSE(t *testing.T) {
 // all four engines and requires identical kind, message and exit code.
 // Trapping sites sit inside counted self-loops where possible, so the
 // superblock tier reaches them through its traces (idiom checked
-// fallback or step runner) rather than through untraced code.
+// fallback or step runner) rather than through untraced code. Each
+// engine traps twice, with a warm ResetFromSnapshot in between: the
+// repair a quarantined worker gets, and the second trap must not move.
 func TestSuperTrapParityAllKinds(t *testing.T) {
 	// loopBody wraps a body in the canonical counted loop over local 0.
 	loopMod := func(n int32, mem bool, build func(f *wasmgen.Func, i uint32)) []byte {
@@ -383,6 +385,35 @@ func TestSuperTrapParityAllKinds(t *testing.T) {
 		f.End()
 		f.End()
 		f.LocalGet(acc)
+		f.End()
+		m.Export("run", f)
+		return m.Bytes()
+	}
+
+	// serveMod is the shape of the guest behind Registry.Submit: an
+	// i32.load8_u fold over n bytes from off, an iovec stored to memory,
+	// then one call to the imported host function outside the loop with
+	// the fold as its argument.
+	serveMod := func(host string, off uint32, n int32) []byte {
+		m := wasmgen.NewModule()
+		call := m.ImportFunc("env", host, wasmgen.Sig(wasmgen.I32).Returns(wasmgen.I64))
+		m.Memory(1, 1)
+		m.Data(64, []byte{1, 2, 3, 4})
+		f := m.Func(wasmgen.Sig().Returns(wasmgen.I64))
+		i := f.AddLocal(wasmgen.I32)
+		sum := f.AddLocal(wasmgen.I32)
+		f.I32Const(0).LocalSet(i)
+		f.Block(wasmgen.BlockVoid)
+		f.Loop(wasmgen.BlockVoid)
+		f.LocalGet(i).I32Const(n).I32GeS().BrIf(1)
+		f.LocalGet(sum).LocalGet(i).I32Load8U(off).I32Add().LocalSet(sum)
+		f.LocalGet(i).I32Const(1).I32Add().LocalSet(i)
+		f.Br(0)
+		f.End()
+		f.End()
+		f.I32Const(0).I32Const(int32(off)).I32Store(0)
+		f.I32Const(4).LocalGet(sum).I32Store(0)
+		f.LocalGet(sum).Call(call)
 		f.End()
 		m.Export("run", f)
 		return m.Bytes()
@@ -539,6 +570,13 @@ func TestSuperTrapParityAllKinds(t *testing.T) {
 			m.Export("run", f)
 			return m.Bytes()
 		}()},
+		// The fold walks off the end of memory mid-loop; the host call
+		// is never reached.
+		{name: "serve-oob-load8", kind: TrapOOB, imports: failImports, bytes: serveMod("fail", 0xFF00, 512)},
+		// The fold completes (1+2+3+4 = 10) and the host call after it
+		// fails, or exits with the fold as its code.
+		{name: "serve-host-error", kind: TrapHostError, imports: failImports, bytes: serveMod("fail", 64, 256)},
+		{name: "serve-exit", kind: TrapExit, imports: exitImports, bytes: serveMod("exit", 64, 256)},
 	}
 
 	for _, tc := range cases {
@@ -551,7 +589,7 @@ func TestSuperTrapParityAllKinds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var traps [4]*Trap
+			var traps [8]*Trap // engine-major, two calls each
 			for ei, eng := range []Engine{EngineInterp, EngineAOT, EngineRegister, EngineSuperblock} {
 				cfg := Config{Engine: eng}
 				if tc.cfg != nil {
@@ -561,24 +599,30 @@ func TestSuperTrapParityAllKinds(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v: %v", eng, err)
 				}
-				_, err = in.Invoke("run")
-				if err == nil {
-					t.Fatalf("%v: expected a %v trap", eng, tc.kind)
+				snap := in.Snapshot()
+				for call := 0; call < 2; call++ {
+					_, err = in.Invoke("run")
+					if err == nil {
+						t.Fatalf("%v call %d: expected a %v trap", eng, call, tc.kind)
+					}
+					var tr *Trap
+					if !errors.As(err, &tr) {
+						t.Fatalf("%v call %d: non-trap error %v", eng, call, err)
+					}
+					traps[2*ei+call] = tr
+					if err := in.ResetFromSnapshot(snap); err != nil {
+						t.Fatalf("%v: reset: %v", eng, err)
+					}
 				}
-				var tr *Trap
-				if !errors.As(err, &tr) {
-					t.Fatalf("%v: non-trap error %v", eng, err)
-				}
-				traps[ei] = tr
 			}
 			if traps[0].Kind != tc.kind {
 				t.Fatalf("kind = %v, want %v", traps[0].Kind, tc.kind)
 			}
-			for i := 1; i < 4; i++ {
+			for i := 1; i < len(traps); i++ {
 				if traps[i].Kind != traps[0].Kind || traps[i].Msg != traps[0].Msg || traps[i].Code != traps[0].Code {
-					t.Fatalf("trap divergence: interp={%v %q code=%d} engine[%d]={%v %q code=%d}",
+					t.Fatalf("trap divergence: interp={%v %q code=%d} engine[%d] call %d={%v %q code=%d}",
 						traps[0].Kind, traps[0].Msg, traps[0].Code,
-						i, traps[i].Kind, traps[i].Msg, traps[i].Code)
+						i/2, i%2, traps[i].Kind, traps[i].Msg, traps[i].Code)
 				}
 			}
 		})

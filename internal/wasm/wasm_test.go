@@ -10,7 +10,7 @@ import (
 	"twine/wasmgen"
 )
 
-var engines = []wasm.Engine{wasm.EngineInterp, wasm.EngineAOT}
+var engines = []wasm.Engine{wasm.EngineInterp, wasm.EngineAOT, wasm.EngineRegister, wasm.EngineSuperblock}
 
 // instantiate builds, decodes, compiles and instantiates a module under
 // the given engine.
@@ -31,7 +31,7 @@ func instantiate(t *testing.T, m *wasmgen.Module, e wasm.Engine, imp *wasm.Impor
 	return in
 }
 
-// eachEngine runs a subtest under both engines; behaviour must match.
+// eachEngine runs a subtest under every engine; behaviour must match.
 func eachEngine(t *testing.T, fn func(t *testing.T, e wasm.Engine)) {
 	t.Helper()
 	for _, e := range engines {
@@ -679,7 +679,7 @@ func TestUnresolvedImportFails(t *testing.T) {
 
 // TestEnginesAgree is the engine-equivalence property: for random
 // coefficient sets, a compiled polynomial-with-loop kernel must produce
-// bit-identical results under interpreter and AoT execution.
+// bit-identical results under the interpreter and every other engine.
 func TestEnginesAgree(t *testing.T) {
 	build := func() *wasmgen.Module {
 		m := wasmgen.NewModule()
@@ -707,19 +707,24 @@ func TestEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	interp, _ := wasm.Instantiate(c, nil, wasm.Config{Engine: wasm.EngineInterp})
-	aot, _ := wasm.Instantiate(c, nil, wasm.Config{Engine: wasm.EngineAOT})
+	var ins []*wasm.Instance // interpreter first
+	for _, e := range engines {
+		in, err := wasm.Instantiate(c, nil, wasm.Config{Engine: e})
+		if err != nil {
+			t.Fatalf("%v: %v", e, err)
+		}
+		ins = append(ins, in)
+	}
 
 	check := func(a, b uint64, n uint8) bool {
-		r1, err1 := interp.Invoke("poly", a, b, uint64(n))
-		r2, err2 := aot.Invoke("poly", a, b, uint64(n))
-		if (err1 == nil) != (err2 == nil) {
-			return false
+		r1, err1 := ins[0].Invoke("poly", a, b, uint64(n))
+		for _, in := range ins[1:] {
+			r2, err2 := in.Invoke("poly", a, b, uint64(n))
+			if (err1 == nil) != (err2 == nil) || (err1 == nil && r1[0] != r2[0]) {
+				return false
+			}
 		}
-		if err1 != nil {
-			return true
-		}
-		return r1[0] == r2[0]
+		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

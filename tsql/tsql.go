@@ -26,7 +26,6 @@ import (
 	"twine/internal/litedb"
 	"twine/internal/prof"
 	"twine/internal/sgx"
-	"twine/internal/wasm"
 )
 
 // Value is a SQL value.
@@ -63,10 +62,6 @@ type Config struct {
 	StandardIPFS bool
 	// SGX overrides the enclave geometry (zero = paper defaults).
 	SGX sgx.Config
-	// Engine selects the in-enclave Wasm execution tier (default: the
-	// fused AoT path; wasm.EngineRegister enables the PR 4 register
-	// tier). All tiers are bit-identical in results and SGX accounting.
-	Engine wasm.Engine
 	// Prof receives counters and timers.
 	Prof *prof.Registry
 
@@ -98,7 +93,6 @@ func Open(cfg Config) (*DB, error) {
 	rt, err := core.NewRuntime(core.Config{
 		PlatformSeed: cfg.PlatformSeed,
 		SGX:          cfg.SGX,
-		Engine:       cfg.Engine,
 		FS:           core.FSIPFS,
 		IPFSMode:     mode,
 		HostFS:       cfg.HostFS,

@@ -83,17 +83,17 @@ import (
 // Re-exported kinds and modes.
 type (
 	// Config assembles a runtime; the zero value is a working default
-	// (fresh in-memory host, IPFS-backed trusted storage, AoT engine,
-	// switchless OCALLs, paper-testbed SGX geometry).
+	// (fresh in-memory host, IPFS-backed trusted storage, superblock
+	// engine, switchless OCALLs, paper-testbed SGX geometry).
 	Config = core.Config
 	// Runtime is a live TWINE enclave: it loads modules (LoadModule,
 	// FetchModule), instantiates them (NewInstance), opens trusted
 	// databases (OpenDB) and exposes the enclave for stats and
 	// attestation.
 	Runtime = core.Runtime
-	// Module is a loaded, AoT-translated application, together with its
-	// artefact metrics (binary size, translated instruction count, load
-	// time — Table IIIb).
+	// Module is a loaded application, translated ahead of time for the
+	// runtime's engine, together with its artefact metrics (binary size,
+	// translated instruction count, load time — Table IIIb).
 	Module = core.Module
 	// Instance is an instantiated module whose linear memory is charged
 	// against the enclave's EPC; Run executes its WASI start routine and
@@ -189,19 +189,23 @@ const (
 	IPFSOptimized = ipfs.ModeOptimized
 )
 
-// Engines (Config.Engine).
+// Engines (Config.Engine). All four are bit-identical in results, traps
+// and SGX accounting; they differ only in speed.
 const (
-	// EngineAOT runs the pre-translated, fused instruction stream — the
-	// default, matching TWINE's ahead-of-time compiled modules.
-	EngineAOT = wasm.EngineAOT
-	// EngineInterp runs the plain interpreter (Table I's slower mode).
+	// EngineSuperblock runs the superblock tier (PR 7): register IR
+	// with innermost loops compiled to single Go closures. It is the
+	// zero value — the fastest tier is what an unset Config.Engine runs.
+	EngineSuperblock = wasm.EngineSuperblock
+	// EngineInterp runs the plain interpreter (Table I's slower mode),
+	// the reference the other tiers are tested against.
 	EngineInterp = wasm.EngineInterp
 	// EngineRegister runs the register-IR tier (PR 4): per-function
 	// register code with folding, propagation and hoisted guards.
 	EngineRegister = wasm.EngineRegister
-	// EngineSuperblock runs the superblock tier (PR 7): register IR
-	// with innermost loops compiled to single Go closures.
-	EngineSuperblock = wasm.EngineSuperblock
+	// EngineAOT runs the pre-translated, fused instruction stream, the
+	// stand-in for TWINE's ahead-of-time compiled modules and the
+	// per-function fallback of the two tiers above.
+	EngineAOT = wasm.EngineAOT
 )
 
 // Serving-pool admission errors (PR 6).
