@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"twine/internal/wasm"
+	"twine/wasmgen"
 )
 
 // TestTenantFidelity is the PR 8 acceptance guard: one tenant on one TCS
@@ -320,5 +321,56 @@ func TestRegistryAdmissionErrors(t *testing.T) {
 	}
 	if _, err := reg.Submit("x"); !errors.Is(err, ErrPoolClosed) {
 		t.Errorf("submit after close = %v, want ErrPoolClosed", err)
+	}
+}
+
+// serveModule is the serving-benchmark guest in miniature: run(x) writes
+// a 16-byte body to stdout through one fd_write and returns x + 1.
+func serveModule() []byte {
+	m := wasmgen.NewModule()
+	fdWrite := m.ImportFunc("wasi_snapshot_preview1", "fd_write",
+		wasmgen.Sig(wasmgen.I32, wasmgen.I32, wasmgen.I32, wasmgen.I32).Returns(wasmgen.I32))
+	m.Memory(1, 1)
+	m.Data(64, []byte("twine-serve-ok!\n"))
+	f := m.Func(wasmgen.Sig(wasmgen.I32).Returns(wasmgen.I32))
+	f.I32Const(0).I32Const(64).I32Store(0)
+	f.I32Const(4).I32Const(16).I32Store(0)
+	f.I32Const(1).I32Const(0).I32Const(1).I32Const(32).Call(fdWrite).Drop()
+	f.LocalGet(0).I32Const(1).I32Add()
+	f.End()
+	m.Export("run", f)
+	m.ExportMemory("memory")
+	return m.Bytes()
+}
+
+// TestSubmitAllocs guards the front door's steady-state garbage. The
+// enclave arena puts the GC goal far above what a serving window
+// allocates, so per-request garbage is never collected within one and is
+// resident memory that grows with the requests served; one request
+// through the default front door (ECALL, warm reset, one fd_write ring
+// ride) may allocate its result slice and nothing else.
+func TestSubmitAllocs(t *testing.T) {
+	rt, err := NewRuntime(testConfig())
+	if err != nil {
+		t.Fatalf("NewRuntime: %v", err)
+	}
+	defer rt.Enclave.Destroy()
+	reg := rt.NewRegistry(RegistryConfig{})
+	defer reg.Close()
+	if _, err := reg.Register("solo", serveModule(), TenantConfig{}); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	submit := func() {
+		out, err := reg.Submit("solo", 41)
+		if err != nil || len(out) != 1 || out[0] != 42 {
+			t.Fatalf("Submit = %v, %v; want [42]", out, err)
+		}
+	}
+	submit() // spawn the ring worker, size the per-instance buffers
+	if allocs := testing.AllocsPerRun(200, submit); allocs > 1 {
+		t.Errorf("Registry.Submit allocates %.1f objects per request, want at most 1", allocs)
+	}
+	if s := rt.Enclave.Stats(); s.SwitchlessCalls == 0 {
+		t.Errorf("no fd_write rode the ring (%+v): the guard is not measuring the serving path", s)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func newConcEnclave(t *testing.T, tcs int) *Enclave {
@@ -231,5 +232,159 @@ func TestConcurrentTouchConservation(t *testing.T) {
 	if m.Faults()-m.Evictions() != int64(m.Resident()) {
 		t.Errorf("conservation violated: faults %d - evictions %d != resident %d",
 			m.Faults(), m.Evictions(), m.Resident())
+	}
+}
+
+// TestSaturatedPoolRejectsNestingAndAdmitsParked fills every TCS, has
+// each holder attempt a nested ECall (which must be rejected, not parked
+// behind itself), and checks that one more goroutine parks and is
+// admitted as soon as a holder leaves.
+func TestSaturatedPoolRejectsNestingAndAdmitsParked(t *testing.T) {
+	const tcs = 4
+	e := newConcEnclave(t, tcs)
+	defer e.Destroy()
+
+	var entered, holders sync.WaitGroup
+	release := make(chan struct{})
+	for g := 0; g < tcs; g++ {
+		entered.Add(1)
+		holders.Add(1)
+		go func() {
+			defer holders.Done()
+			err := e.ECall("holder", func() error {
+				entered.Done()
+				entered.Wait() // every TCS is bound from here on
+				if nerr := e.ECall("nested", func() error { return nil }); !errors.Is(nerr, ErrInsideEnclave) {
+					t.Errorf("nested ECall on a saturated pool = %v, want ErrInsideEnclave", nerr)
+				}
+				<-release
+				return nil
+			})
+			if err != nil {
+				t.Errorf("holder: %v", err)
+			}
+		}()
+	}
+	entered.Wait()
+
+	parked := make(chan error, 1)
+	go func() { parked <- e.ECall("parked", func() error { return nil }) }()
+	for e.Stats().TCSWaits == 0 {
+		select {
+		case err := <-parked:
+			t.Fatalf("extra caller completed while every TCS was held (err=%v)", err)
+		default:
+			runtime.Gosched()
+		}
+	}
+	close(release)
+	if err := <-parked; err != nil {
+		t.Errorf("parked caller = %v, want nil", err)
+	}
+	holders.Wait()
+
+	s := e.Stats()
+	if s.TCSWaits != 1 {
+		t.Errorf("TCSWaits = %d, want 1 (nested calls must not park)", s.TCSWaits)
+	}
+	if s.ECalls != tcs+1 {
+		t.Errorf("ECalls = %d, want %d (rejected nestings are not entries)", s.ECalls, tcs+1)
+	}
+	if s.TCSMaxBusy != tcs || s.TCSBusy != 0 {
+		t.Errorf("TCSMaxBusy/TCSBusy = %d/%d, want %d/0", s.TCSMaxBusy, s.TCSBusy, tcs)
+	}
+}
+
+// TestNestedECallOnOneTCSDoesNotPark: with a single TCS a nested call
+// that reached the semaphore would deadlock on its own slot.
+func TestNestedECallOnOneTCSDoesNotPark(t *testing.T) {
+	e := newConcEnclave(t, 1)
+	defer e.Destroy()
+	err := e.ECall("outer", func() error {
+		return e.ECall("inner", func() error { return nil })
+	})
+	if !errors.Is(err, ErrInsideEnclave) {
+		t.Errorf("nested ECall = %v, want ErrInsideEnclave", err)
+	}
+	if w := e.Stats().TCSWaits; w != 0 {
+		t.Errorf("TCSWaits = %d, want 0", w)
+	}
+}
+
+// TestReentryAfterReturn: leaving the enclave clears the caller's
+// identity, so the same goroutine can enter again, and so can the many
+// short-lived goroutines for which the runtime recycles one g.
+func TestReentryAfterReturn(t *testing.T) {
+	e := newConcEnclave(t, 2)
+	defer e.Destroy()
+	nop := func() error { return nil }
+	for i := 0; i < 2; i++ {
+		if err := e.ECall("again", nop); err != nil {
+			t.Fatalf("entry %d on one goroutine: %v", i, err)
+		}
+	}
+	for i := 0; i < 10000; i++ {
+		done := make(chan error)
+		go func() { done <- e.ECall("short-lived", nop) }()
+		if err := <-done; err != nil {
+			t.Fatalf("goroutine %d: %v", i, err)
+		}
+	}
+}
+
+// TestGoroutineTokens holds both identity providers (the one ECall uses
+// on this architecture and the portable fallback) to the gate's
+// contract: stable on one goroutine, distinct across live goroutines,
+// never the free-TCS marker.
+func TestGoroutineTokens(t *testing.T) {
+	for name, tok := range map[string]func() uintptr{"gtoken": gtoken, "stackToken": stackToken} {
+		mine := tok()
+		if mine == 0 || tok() != mine {
+			t.Errorf("%s: two calls on one goroutine gave %#x then %#x", name, mine, tok())
+		}
+		other := make(chan uintptr)
+		go func() { other <- tok() }() // blocked in the send, so still live when compared
+		if theirs := <-other; theirs == 0 || theirs == mine {
+			t.Errorf("%s: a second live goroutine got %#x, this one has %#x", name, theirs, mine)
+		}
+	}
+}
+
+//go:noinline
+func atDepth(n int, fn func()) {
+	if n > 0 {
+		atDepth(n-1, fn)
+		return
+	}
+	fn()
+}
+
+// TestEmptyECallCost pins the rule in doc.go: with TransitionCost 0 an
+// entry is bookkeeping only, so it must not allocate and must not depend
+// on how deep the caller's stack is (the stack-dump identity cost 12 µs
+// at a third of this depth).
+func TestEmptyECallCost(t *testing.T) {
+	e := newConcEnclave(t, 0)
+	defer e.Destroy()
+	nop := func() error { return nil }
+	if allocs := testing.AllocsPerRun(1000, func() { _ = e.ECall("empty", nop) }); allocs != 0 {
+		t.Errorf("empty ECall allocates %.0f objects per call, want 0", allocs)
+	}
+	const calls = 20000
+	best := time.Duration(1 << 62)
+	atDepth(32, func() {
+		for batch := 0; batch < 5; batch++ {
+			start := time.Now()
+			for i := 0; i < calls; i++ {
+				_ = e.ECall("empty", nop)
+			}
+			if d := time.Since(start) / calls; d < best {
+				best = d
+			}
+		}
+	})
+	t.Logf("empty ECall, 32 frames deep: %v", best)
+	if best > 2*time.Microsecond && !raceEnabled {
+		t.Errorf("empty ECall costs %v 32 frames deep, want under 2µs", best)
 	}
 }

@@ -78,7 +78,19 @@
 //
 // Same-goroutine re-entry is still rejected (TWINE exposes a single entry
 // point, §IV-C); nested ECALLs require distinct goroutines, each paying
-// its own TCS.
+// its own TCS; the pool keeps an owner word per TCS (tcs.go), so the
+// check is a scan of at most TCSNum words for the caller's own identity.
+//
+// # The simulator's own cost of a crossing
+//
+// Every Registry.Submit, tsql.DB.Query/Exec and tsql.Service request is
+// one ECALL, and whatever the simulator spends on bookkeeping there is
+// measured as if it were the machine's. The rule: an empty crossing at
+// TransitionCost 0 costs at most 10 % of the modelled round trip (0.34 µs
+// of 2 × 1.7 µs) at any stack depth and allocates nothing; it measures
+// ~0.1 µs (TestEmptyECallCost). Identifying the caller from a
+// runtime.Stack dump broke it (11.8 µs twelve frames deep; the
+// benchmark's sgx.ecall_ns read 12 618 ns, now 3 847, for 3 400 modelled).
 //
 // # Fault containment (PR 6)
 //

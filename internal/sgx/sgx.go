@@ -210,8 +210,7 @@ type Enclave struct {
 	sealMu   sync.RWMutex
 	sealKeys map[string][32]byte
 
-	tcs  *tcsPool
-	gate goroutineGate // rejects same-goroutine ECALL re-entry
+	tcs *tcsPool // bounds concurrent ECALLs and rejects same-goroutine re-entry
 
 	inside    int64 // atomic: logical threads currently inside the enclave
 	destroyed int32 // atomic flag; destroyCh is closed alongside it
@@ -307,7 +306,7 @@ func (e *Enclave) Stats() Stats {
 }
 
 // TCSCount returns the size of the enclave's TCS pool.
-func (e *Enclave) TCSCount() int { return e.tcs.size }
+func (e *Enclave) TCSCount() int { return len(e.tcs.owners) }
 
 // Inside reports whether any logical thread is currently executing inside
 // the enclave. (With concurrent ECALLs this is a global property, not a
@@ -326,15 +325,15 @@ func (e *Enclave) ECall(name string, fn func() error) error {
 	if e.isDestroyed() {
 		return ErrDestroyed
 	}
-	id := goid()
-	if !e.gate.enter(id) {
+	tok := gtoken()
+	if e.tcs.holds(tok) {
 		return fmt.Errorf("%w: %s", ErrInsideEnclave, name)
 	}
-	defer e.gate.exit(id)
-	if err := e.tcs.acquire(e.destroyCh, e.cfg.TCSWaitTimeout); err != nil {
+	slot, err := e.tcs.acquire(tok, e.destroyCh, e.cfg.TCSWaitTimeout)
+	if err != nil {
 		return err
 	}
-	defer e.tcs.release()
+	defer e.tcs.release(slot)
 	if e.isDestroyed() {
 		// Destroy won the race while we were parked on the TCS pool.
 		return ErrDestroyed
@@ -343,7 +342,7 @@ func (e *Enclave) ECall(name string, fn func() error) error {
 	e.cfg.Prof.Incr("sgx.ecall")
 	e.transition()
 	atomic.AddInt64(&e.inside, 1)
-	err := fn()
+	err = fn()
 	atomic.AddInt64(&e.inside, -1)
 	e.transition()
 	return err

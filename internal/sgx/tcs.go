@@ -2,7 +2,6 @@ package sgx
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -28,10 +27,14 @@ import (
 // one — the follow-up paper's multi-threaded runtime configuration.
 const DefaultTCSNum = 8
 
-// tcsPool is the bounded entry gate of one enclave.
+// tcsPool is the bounded entry gate of one enclave: a semaphore over the
+// TCS indices plus, per TCS, the identity of the goroutine bound to it.
+// The owner words are what rejects re-entry on the same logical thread
+// (TWINE exposes a single entry point and does not re-enter, §IV-C) while
+// independent goroutines enter freely through their own TCS.
 type tcsPool struct {
-	slots chan struct{} // send = acquire, receive = release
-	size  int
+	free   chan int         // indices of unbound TCS: receive = acquire, send = release
+	owners []atomic.Uintptr // owners[i] is the gtoken bound to TCS i, 0 when free
 
 	busy     int64 // currently bound TCS (atomic)
 	maxBusy  int64 // high-water mark (atomic)
@@ -43,17 +46,36 @@ func newTCSPool(n int) *tcsPool {
 	if n <= 0 {
 		n = DefaultTCSNum
 	}
-	return &tcsPool{slots: make(chan struct{}, n), size: n}
+	p := &tcsPool{free: make(chan int, n), owners: make([]atomic.Uintptr, n)}
+	for i := 0; i < n; i++ {
+		p.free <- i
+	}
+	return p
 }
 
-// acquire binds a TCS, blocking while all are busy. destroyed is closed
-// when the enclave is torn down so parked callers fail with ErrDestroyed
-// instead of waiting forever; timeout > 0 additionally bounds the wait
-// (Config.TCSWaitTimeout), failing the caller with ErrTCSTimeout so a
-// saturated enclave surfaces backpressure instead of unbounded latency.
-func (p *tcsPool) acquire(destroyed <-chan struct{}, timeout time.Duration) error {
+// holds reports whether the goroutine identified by tok is bound to a
+// TCS. A goroutine only looks for its own token, which only it stores
+// and clears, so the scan needs no lock; ECall runs it before acquire so
+// a nested call on a saturated pool is rejected, not parked behind itself.
+func (p *tcsPool) holds(tok uintptr) bool {
+	for i := range p.owners {
+		if p.owners[i].Load() == tok {
+			return true
+		}
+	}
+	return false
+}
+
+// acquire binds a TCS to tok and returns its index, blocking while all
+// are busy. destroyed is closed when the enclave is torn down so parked
+// callers fail with ErrDestroyed instead of waiting forever; timeout > 0
+// additionally bounds the wait (Config.TCSWaitTimeout), failing the
+// caller with ErrTCSTimeout so a saturated enclave surfaces backpressure
+// instead of unbounded latency.
+func (p *tcsPool) acquire(tok uintptr, destroyed <-chan struct{}, timeout time.Duration) (int, error) {
+	var slot int
 	select {
-	case p.slots <- struct{}{}:
+	case slot = <-p.free:
 	default:
 		atomic.AddInt64(&p.waits, 1)
 		var expire <-chan time.Time
@@ -63,14 +85,15 @@ func (p *tcsPool) acquire(destroyed <-chan struct{}, timeout time.Duration) erro
 			expire = t.C
 		}
 		select {
-		case p.slots <- struct{}{}:
+		case slot = <-p.free:
 		case <-expire:
 			atomic.AddInt64(&p.timeouts, 1)
-			return ErrTCSTimeout
+			return 0, ErrTCSTimeout
 		case <-destroyed:
-			return ErrDestroyed
+			return 0, ErrDestroyed
 		}
 	}
+	p.owners[slot].Store(tok)
 	busy := atomic.AddInt64(&p.busy, 1)
 	for {
 		max := atomic.LoadInt64(&p.maxBusy)
@@ -78,68 +101,46 @@ func (p *tcsPool) acquire(destroyed <-chan struct{}, timeout time.Duration) erro
 			break
 		}
 	}
-	return nil
+	return slot, nil
 }
 
-func (p *tcsPool) release() {
+func (p *tcsPool) release(slot int) {
 	atomic.AddInt64(&p.busy, -1)
-	<-p.slots
+	p.owners[slot].Store(0)
+	p.free <- slot
 }
 
 // drain claims every TCS, waiting for in-flight ECALLs to exit. Used by
 // Destroy so memory is never scrubbed under a running enclave thread.
 // The slots are deliberately not released: the enclave is dead.
 func (p *tcsPool) drain() {
-	for i := 0; i < p.size; i++ {
-		p.slots <- struct{}{}
+	for range p.owners {
+		<-p.free
 	}
 }
 
-// goroutineGate tracks which goroutines are currently executing an ECALL,
-// so re-entry on the same logical thread can be rejected (TWINE exposes a
-// single entry point and does not re-enter, §IV-C) while independent
-// goroutines enter freely through their own TCS.
-type goroutineGate struct {
-	mu sync.Mutex
-	in map[uint64]struct{}
-}
-
-// enter registers the calling goroutine; it reports false when the
-// goroutine is already inside the enclave.
-func (g *goroutineGate) enter(id uint64) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.in == nil {
-		g.in = make(map[uint64]struct{})
-	}
-	if _, ok := g.in[id]; ok {
-		return false
-	}
-	g.in[id] = struct{}{}
-	return true
-}
-
-func (g *goroutineGate) exit(id uint64) {
-	g.mu.Lock()
-	delete(g.in, id)
-	g.mu.Unlock()
-}
-
-// goid returns the current goroutine's id. The runtime does not expose
-// it, so it is parsed from the first stack-trace line ("goroutine N [...")
-// — the standard trick, paid once per ECALL (not per OCALL: entry is the
-// rare edge, host calls are the hot one).
-func goid() uint64 {
+// Goroutine identity: the gate needs a word that differs between any two
+// goroutines inside the enclave at the same time, and is never 0 (a free
+// TCS). gtoken supplies it. On amd64 and arm64 it is the address of the
+// running g, read by a three-instruction stub (gtoken_*.s): a live g is
+// unique and never moves, and a token is compared only while its
+// goroutine is inside an ECALL, so a recycled g cannot alias. No runtime.g
+// field offset is involved, so the stub does not track Go versions.
+//
+// stackToken is gtoken on every other GOARCH: the goroutine id parsed from
+// the first line of a stack dump ("goroutine N [..."). runtime.Stack walks
+// and symbolises every frame although only that line fits the buffer,
+// ~10 µs at serving depth, three times the modelled crossing.
+func stackToken() uintptr {
 	var buf [32]byte
 	n := runtime.Stack(buf[:], false)
-	// Skip "goroutine ".
-	var id uint64
-	for i := 10; i < n; i++ {
+	var id uintptr
+	for i := len("goroutine "); i < n; i++ {
 		c := buf[i]
 		if c < '0' || c > '9' {
 			break
 		}
-		id = id*10 + uint64(c-'0')
+		id = id*10 + uintptr(c-'0')
 	}
 	return id
 }

@@ -29,13 +29,14 @@ var (
 func (s *System) Register(imp *wasm.ImportObject) {
 	reg := func(name string, params []wasm.ValueType, results []wasm.ValueType,
 		fn func(s *System, in *wasm.Instance, a []uint64) (Errno, error)) {
+		key := "wasi." + name
 		imp.AddFunc(wasm.HostFunc{
 			Module: ModuleName,
 			Name:   name,
 			Type:   wasm.FuncType{Params: params, Results: results},
 			Fn: func(in *wasm.Instance, a []uint64) ([]uint64, error) {
 				sys := s.forInstance(in)
-				sp := sys.count(name)
+				sp := sys.count(key)
 				errno, err := fn(sys, in, a)
 				sp.Stop()
 				if err != nil {
@@ -567,12 +568,10 @@ func (s *System) fdWrite(in *wasm.Instance, a []uint64) Errno {
 			if w == nil {
 				return len(buf), false, ErrnoSuccess
 			}
-			var n int
-			err := s.ocallN("stdout", len(buf), func() error {
-				var werr error
-				n, werr = w.Write(buf)
-				return werr
-			})
+			s.out = stdioWrite{w: w, buf: buf}
+			err := s.ocallN("stdout", len(buf), s.outFn)
+			n := s.out.n
+			s.out = stdioWrite{}
 			if err != nil {
 				return n, true, ErrnoIo
 			}

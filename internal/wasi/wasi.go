@@ -166,6 +166,25 @@ type System struct {
 
 	exited   bool
 	exitCode uint32
+
+	// out is the stdio write in flight and outFn its bound run method:
+	// the host call crosses to the ring worker, so a per-call closure
+	// would be heap-allocated per iovec. A System serves one guest entry
+	// at a time, so one record is enough.
+	out   stdioWrite
+	outFn func() error
+}
+
+// stdioWrite carries one stdout/stderr write across the boundary.
+type stdioWrite struct {
+	w   io.Writer
+	buf []byte
+	n   int
+}
+
+func (c *stdioWrite) run() (err error) {
+	c.n, err = c.w.Write(c.buf)
+	return err
 }
 
 type fdKind int
@@ -198,6 +217,7 @@ func NewSystem(cfg Config) (*System, error) {
 		cfg.Clock = hostfs.NewRealClock()
 	}
 	s := &System{cfg: cfg, fds: make(map[int32]*fdEntry), nextFD: 3}
+	s.outFn = s.out.run
 	s.fds[0] = &fdEntry{kind: kindStdin, rights: RightFdRead}
 	s.fds[1] = &fdEntry{kind: kindStdout, rights: RightFdWrite}
 	s.fds[2] = &fdEntry{kind: kindStderr, rights: RightFdWrite}
@@ -437,8 +457,9 @@ func (e Errno) String() string {
 	return fmt.Sprintf("errno(%d)", uint16(e))
 }
 
-// count instruments one WASI call.
-func (s *System) count(name string) prof.Span {
-	s.cfg.Prof.Incr("wasi." + name)
+// count instruments one WASI call under its counter key ("wasi.<name>",
+// built once per function by Register).
+func (s *System) count(key string) prof.Span {
+	s.cfg.Prof.Incr(key)
 	return s.cfg.Prof.Start("wasi.time")
 }
