@@ -116,9 +116,7 @@ func (rt *Runtime) openEmbedded(mod *Module, cfg DBConfig) (*EmbeddedDB, error) 
 			_ = mem.Touch(base+off, n)
 		}
 		vfs = mv
-		if cfg.Journal == litedb.JournalDelete {
-			cfg.Journal = litedb.JournalMemory
-		}
+		cfg.Journal = litedb.JournalMemory
 	} else {
 		wvfs, err := litedb.NewWASIVFS(rt.Imports, inst.In, 0, scratchBytes)
 		if err != nil {

@@ -48,7 +48,6 @@ func TestPagerInitAndReopen(t *testing.T) {
 		t.Fatalf("Alloc: %v", err)
 	}
 	pg.data[100] = 0xAB
-	pg.dirty = true
 	no := pg.no
 	p.Unpin(pg)
 	mustCommit(t, p)

@@ -130,6 +130,7 @@ func decodeIndexDef(s string) ([]string, bool, error) {
 
 // loadCatalog scans the catalog tree into the schema cache.
 func (db *DB) loadCatalog() error {
+	db.dropParsed()
 	db.tables = make(map[string]*TableSchema)
 	db.indexes = make(map[string]*IndexSchema)
 	cur, err := db.catalog.Cursor()
@@ -199,6 +200,13 @@ func (db *DB) loadCatalog() error {
 	return nil
 }
 
+// schemaChanged marks a catalog write: the schema cookie moves and the
+// statements parsed against the old schema go.
+func (db *DB) schemaChanged() error {
+	db.dropParsed()
+	return db.pager.BumpCookie()
+}
+
 // catalogInsert appends one schema record and returns its rowid.
 func (db *DB) catalogInsert(kind, name, tbl string, root uint32, def string) (int64, error) {
 	max, err := db.catalog.MaxRowid()
@@ -212,7 +220,7 @@ func (db *DB) catalogInsert(kind, name, tbl string, root uint32, def string) (in
 	if err := db.catalog.Insert(rowid, rec); err != nil {
 		return 0, err
 	}
-	return rowid, db.pager.BumpCookie()
+	return rowid, db.schemaChanged()
 }
 
 // catalogUpdate rewrites a schema record in place.
@@ -223,7 +231,7 @@ func (db *DB) catalogUpdate(rowid int64, kind, name, tbl string, root uint32, de
 	if err := db.catalog.Insert(rowid, rec); err != nil {
 		return err
 	}
-	return db.pager.BumpCookie()
+	return db.schemaChanged()
 }
 
 // catalogDelete removes a schema record.
@@ -231,5 +239,5 @@ func (db *DB) catalogDelete(rowid int64) error {
 	if _, err := db.catalog.Delete(rowid); err != nil {
 		return err
 	}
-	return db.pager.BumpCookie()
+	return db.schemaChanged()
 }

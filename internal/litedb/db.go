@@ -17,8 +17,11 @@ type Options struct {
 	Store PageStore
 	// Sync is the PRAGMA synchronous default (normal, like the paper).
 	Sync SyncMode
-	// Journal is the journal mode (delete, like the paper; memory for
-	// in-memory databases).
+	// Journal is the journal mode: truncate (one journal file per open
+	// database, emptied at each commit, deleted at Close; a departure
+	// from the paper's stock SQLite, which deletes it per transaction)
+	// or memory (forced for in-memory databases). See JournalMode for
+	// the lifecycle and the recovery rule.
 	Journal JournalMode
 	// Prof receives pager and execution counters.
 	Prof *prof.Registry
@@ -40,7 +43,53 @@ type DB struct {
 	lastInsert  int64
 	rng         *rand.Rand
 	prof        *prof.Registry
+
+	// parsed remembers the statements of the last few distinct SQL texts
+	// (see parse); parsedNext is the slot the next miss overwrites.
+	parsed     [parseCacheSize]parsedSQL
+	parsedNext int
 }
+
+// parseCacheSize is how many SQL texts a handle keeps parsed, and
+// parseCacheMaxLen the longest text it keeps: enough for the handful of
+// parameterised statements a serving loop repeats, too little for a bulk
+// load's literal-laden one-offs to pin memory.
+const (
+	parseCacheSize   = 8
+	parseCacheMaxLen = 1024
+)
+
+type parsedSQL struct {
+	sql   string
+	stmts []Stmt
+}
+
+// parse is ParseAll behind the handle's cache, so a repeated statement
+// text is parsed once. Running a Stmt binds its column references to the
+// schema it first ran against and changes nothing else, which makes a
+// rerun on this handle safe for as long as that schema stands; the cache
+// is dropped whole by every schema change (dropParsed).
+func (db *DB) parse(sql string) ([]Stmt, error) {
+	for i := range db.parsed {
+		// An empty slot answers "" with no statements, as ParseAll does.
+		if db.parsed[i].sql == sql {
+			return db.parsed[i].stmts, nil
+		}
+	}
+	stmts, err := ParseAll(sql)
+	if err != nil || len(sql) > parseCacheMaxLen {
+		return stmts, err
+	}
+	db.parsed[db.parsedNext] = parsedSQL{sql, stmts}
+	db.parsedNext = (db.parsedNext + 1) % parseCacheSize
+	return stmts, nil
+}
+
+// dropParsed forgets every cached statement. Called wherever the schema
+// may have changed under their bound column references: the catalog
+// writes behind all DDL (which bump the schema cookie) and the catalog
+// reload that follows a rollback.
+func (db *DB) dropParsed() { db.parsed = [parseCacheSize]parsedSQL{} }
 
 // MemoryDBName opens a purely in-memory database when used with a MemVFS.
 const MemoryDBName = ":memory:"
@@ -49,9 +98,7 @@ const MemoryDBName = ":memory:"
 func Open(vfs VFS, name string, opts Options) (*DB, error) {
 	if name == MemoryDBName {
 		vfs = NewMemVFS()
-		if opts.Journal == JournalDelete {
-			opts.Journal = JournalMemory
-		}
+		opts.Journal = JournalMemory
 	}
 	seed := opts.RandSeed
 	if seed == 0 {
@@ -119,7 +166,7 @@ func (db *DB) LastInsertRowid() int64 { return db.lastInsert }
 // Exec runs one or more statements, returning the affected-row count of
 // the last one. Positional ? parameters bind to args.
 func (db *DB) Exec(sql string, args ...Value) (int64, error) {
-	stmts, err := ParseAll(sql)
+	stmts, err := db.parse(sql)
 	if err != nil {
 		return 0, err
 	}
@@ -136,7 +183,7 @@ func (db *DB) Exec(sql string, args ...Value) (int64, error) {
 
 // Query runs a single SELECT (or PRAGMA) and returns its rows.
 func (db *DB) Query(sql string, args ...Value) (*Rows, error) {
-	stmts, err := ParseAll(sql)
+	stmts, err := db.parse(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -556,15 +603,15 @@ func (db *DB) execPragma(st *PragmaStmt) (*Rows, int64, error) {
 	case "journal_mode":
 		if st.Value != nil {
 			switch strings.ToLower(st.Value.Text()) {
-			case "delete":
-				db.pager.opt.Journal = JournalDelete
+			case "truncate":
+				db.pager.opt.Journal = JournalTruncate
 			case "memory":
 				db.pager.opt.Journal = JournalMemory
 			default:
 				return nil, 0, errEval("unsupported journal_mode")
 			}
 		}
-		mode := "delete"
+		mode := "truncate"
 		if db.pager.opt.Journal == JournalMemory {
 			mode = "memory"
 		}

@@ -465,6 +465,102 @@ func TestPragmas(t *testing.T) {
 		t.Errorf("page_count = %v", rows.All()[0][0])
 	}
 	mustQuery(t, db, `PRAGMA unknown_pragma`) // ignored
+
+	// Two journal modes, named as SQLite names them; the per-transaction
+	// delete mode is gone, not hidden.
+	for _, step := range []struct{ set, want string }{
+		{"", "truncate"}, {"memory", "memory"}, {"TRUNCATE", "truncate"},
+	} {
+		if step.set != "" {
+			mustExec(t, db, `PRAGMA journal_mode = `+step.set)
+		}
+		if got := mustQuery(t, db, `PRAGMA journal_mode`).All()[0][0].Text(); got != step.want {
+			t.Errorf("journal_mode after %q = %q, want %q", step.set, got, step.want)
+		}
+	}
+	if _, err := db.Exec(`PRAGMA journal_mode = delete`); err == nil {
+		t.Error("journal_mode = delete was accepted")
+	}
+}
+
+// TestParseCache: a statement text is parsed once per handle and rerun
+// from the cached AST with identical results, and no schema change, by
+// DDL or by rollback, can leave a cached statement bound to columns that
+// moved.
+func TestParseCache(t *testing.T) {
+	cached := func(db *DB, sql string) []Stmt {
+		for _, e := range db.parsed {
+			if e.sql == sql {
+				return e.stmts
+			}
+		}
+		return nil
+	}
+	db := openTestDB(t)
+	mustExec(t, db, `CREATE TABLE t (a INTEGER, b TEXT)`)
+	const ins, sel, agg = `INSERT INTO t (a, b) VALUES (?, ?)`, `SELECT b FROM t WHERE a = ?`, `SELECT COUNT(*), SUM(a) FROM t`
+	for i := 1; i <= 5; i++ {
+		mustExec(t, db, ins, IntVal(int64(i)), TextVal(fmt.Sprint("v", i)))
+	}
+	first := cached(db, ins)
+	if first == nil {
+		t.Fatal("a repeated statement is not cached")
+	}
+	for i := 1; i <= 5; i++ {
+		if got := rowsAsText(mustQuery(t, db, sel, IntVal(int64(i)))); len(got) != 1 || got[0] != fmt.Sprint("v", i) {
+			t.Fatalf("cached SELECT, run %d: %v", i, got)
+		}
+		if got := rowsAsText(mustQuery(t, db, agg)); got[0] != "5|15" {
+			t.Fatalf("cached aggregate, run %d: %v", i, got)
+		}
+	}
+	it, err := db.QueryIter(sel, IntVal(3))
+	if err != nil || !it.Next() || it.Row()[0].Text() != "v3" {
+		t.Fatalf("QueryIter through the cache: %v", err)
+	}
+	it.Close()
+	if s := cached(db, ins); len(s) != 1 || s[0] != first[0] {
+		t.Error("the INSERT was parsed again")
+	}
+
+	// DDL: the same text must now bind b to its new position.
+	mustExec(t, db, `DROP TABLE t`)
+	if cached(db, sel) != nil {
+		t.Error("DDL left parsed statements behind")
+	}
+	mustExec(t, db, `CREATE TABLE t (b TEXT, pad TEXT, a INTEGER)`)
+	mustExec(t, db, ins, IntVal(1), TextVal("moved"))
+	if got := rowsAsText(mustQuery(t, db, sel, IntVal(1))); len(got) != 1 || got[0] != "moved" {
+		t.Fatalf("SELECT after the table was rebuilt: %v", got)
+	}
+
+	// A rolled-back ALTER: statements parsed inside the transaction saw a
+	// column that no longer exists.
+	const selC = `SELECT c FROM t WHERE a = 1`
+	mustExec(t, db, `BEGIN`)
+	mustExec(t, db, `ALTER TABLE t ADD COLUMN c TEXT`)
+	mustQuery(t, db, selC)
+	mustExec(t, db, `ROLLBACK`)
+	if cached(db, selC) != nil {
+		t.Error("ROLLBACK left parsed statements behind")
+	}
+	if _, err := db.Query(selC); err == nil {
+		t.Error("a column rolled back with its ALTER is still selectable")
+	}
+
+	// The bound is fixed: texts beyond it displace the oldest, and a text
+	// too long to keep is parsed every time.
+	for i := 0; i < 3*parseCacheSize; i++ {
+		mustQuery(t, db, fmt.Sprintf(`SELECT %d`, i))
+	}
+	if cached(db, sel) != nil {
+		t.Error("the cache outgrew its bound")
+	}
+	long := `SELECT '` + strings.Repeat("x", parseCacheMaxLen) + `'`
+	mustQuery(t, db, long)
+	if cached(db, long) != nil {
+		t.Error("an over-long statement text was kept")
+	}
 }
 
 func TestHostVFSDatabase(t *testing.T) {

@@ -3,6 +3,7 @@ package litedb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -171,9 +172,12 @@ func TestCrashRecoveryAtSQLLevel(t *testing.T) {
 }
 
 // TestLargeTransactionSpillsCleanly exceeds the page cache inside one
-// transaction, forcing dirty-page spills, and checks full integrity.
+// transaction, forcing dirty-page spills, and checks full integrity, and
+// that the commit then writes only what is still dirty: at most a cache's
+// worth of pages, each once, in ascending order.
 func TestLargeTransactionSpillsCleanly(t *testing.T) {
-	db, err := Open(NewMemVFS(), "spill.db", Options{CachePages: 16})
+	vfs := newRecVFS()
+	db, err := Open(vfs, "spill.db", Options{CachePages: 16})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -183,7 +187,18 @@ func TestLargeTransactionSpillsCleanly(t *testing.T) {
 	for i := 0; i < 300; i++ { // ~300 KiB of payload through a 64 KiB cache
 		mustExec(t, db, `INSERT INTO big (d) VALUES (zeroblob(1024))`)
 	}
+	if spilled := len(pageWrites(t, vfs.log, "spill.db")); spilled < 50 {
+		t.Fatalf("only %d pages spilled before the commit", spilled)
+	}
+	vfs.log = nil
 	mustExec(t, db, `COMMIT`)
+	flushed := pageWrites(t, vfs.log, "spill.db")
+	if len(flushed) == 0 || len(flushed) > 16 {
+		t.Errorf("commit wrote %d pages through a 16-page cache", len(flushed))
+	}
+	if !slices.IsSorted(flushed) || len(slices.Compact(slices.Clone(flushed))) != len(flushed) {
+		t.Errorf("commit's page writes are not ascending and distinct: %v", flushed)
+	}
 	row, err := db.QueryRow(`SELECT COUNT(*), SUM(length(d)) FROM big`)
 	if err != nil || row[0].Int() != 300 || row[1].Int() != 300*1024 {
 		t.Fatalf("after spill: %v, %v", row, err)

@@ -48,7 +48,7 @@ type RowIter struct {
 // DISTINCT and ORDER BY fall back to the materialising executor behind
 // the same interface.
 func (db *DB) QueryIter(sql string, args ...Value) (*RowIter, error) {
-	stmts, err := ParseAll(sql)
+	stmts, err := db.parse(sql)
 	if err != nil {
 		return nil, err
 	}

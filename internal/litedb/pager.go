@@ -1,10 +1,12 @@
 package litedb
 
 import (
+	"cmp"
 	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"twine/internal/prof"
 )
@@ -31,6 +33,19 @@ var dbMagic = [16]byte{'L', 'i', 't', 'e', 'D', 'B', ' ', 'f', 'o', 'r', 'm', 'a
 
 var journalMagic = [8]byte{'L', 'D', 'B', 'J', 'R', 'N', 'L', '1'}
 
+// Journal file layout: a header (magic, then the database size in pages
+// when the transaction began) followed by one record per journaled page
+// (page number, original image).
+const (
+	journalHdrSize = 16
+	journalRecSize = 4 + PageSize
+)
+
+// maxFreeRecords bounds the journal-record buffers a pager keeps between
+// transactions (1 MiB); a larger transaction allocates the excess and the
+// collector takes it back.
+const maxFreeRecords = 256
+
 // SyncMode mirrors PRAGMA synchronous.
 type SyncMode int
 
@@ -41,12 +56,33 @@ const (
 	SyncFull
 )
 
-// JournalMode mirrors PRAGMA journal_mode (delete or memory).
+// JournalMode mirrors PRAGMA journal_mode (truncate or memory).
+//
+// In truncate mode a pager owns one journal file, "<db>-journal", for its
+// whole life: it is opened, and emptied, when the first page is journaled,
+// every transaction writes a header and its records from offset 0, and
+// commit (or rollback) truncates it back to zero length. The truncate is
+// the commit point. Pager.Close closes and deletes the file, so a clean
+// shutdown leaves none behind. This is SQLite's journal_mode=TRUNCATE,
+// not its default DELETE: creating, sealing and unlinking a protected file
+// per transaction costs ten boundary crossings and four node writes here,
+// and the paper's own closing remark (§V-F) is that such penalties are
+// removed by adapting the library, as it does for stock IPFS.
+//
+// Recovery rule: a journal found at open is hot iff it starts with a
+// valid header and holds at least one complete record. A hot journal is
+// replayed, the database synced and the journal removed. A cold one
+// (absent, empty, short, bad magic) is left exactly as found, because
+// another pager may hold it open: a tsql.Service replica opens the shard
+// file while the shard's writer owns that journal.
+//
+// In memory mode original images are kept only in memory: rollback works,
+// crash recovery does not.
 type JournalMode int
 
 // Journal modes.
 const (
-	JournalDelete JournalMode = iota
+	JournalTruncate JournalMode = iota
 	JournalMemory
 )
 
@@ -84,7 +120,7 @@ func (p *Page) No() uint32 { return p.no }
 func (p *Page) Data() []byte { return p.data }
 
 // Pager provides transactional page access over a VFS file, with a fixed
-// page cache and a rollback journal (delete mode), following SQLite's
+// page cache and a rollback journal (see JournalMode), following SQLite's
 // pager design.
 type Pager struct {
 	vfs   VFS
@@ -96,14 +132,24 @@ type Pager struct {
 	cache map[uint32]*Page
 	lru   *list.List // clean, unpinned pages (eviction candidates)
 	free  []int      // free cache slots
+	// dirty lists every page whose dirty bit went from false to true since
+	// the last flush, so a flush costs what was dirtied, not what is
+	// cached. An entry that has lost its bit since (spilled by evictOne,
+	// dropped) is stale and skipped.
+	dirty []*Page
 
 	nPages uint32
 
 	inTxn      bool
 	origNPages uint32
-	journaled  map[uint32][]byte // original images (JournalMemory)
-	jFile      DBFile            // journal file (JournalDelete)
-	jCount     int
+	// journaled maps each page the open transaction touched to its journal
+	// record (page number, original image), or to nil for a page the
+	// transaction created. Empty outside a transaction.
+	journaled map[uint32][]byte
+	recFree   [][]byte // record buffers retired by earlier transactions
+	jFile     DBFile   // the journal, nil until the first journaled page (JournalTruncate)
+	jCount    int      // records the open transaction has written to jFile
+	jHdr      [journalHdrSize]byte
 }
 
 // OpenPager opens or creates the database file.
@@ -127,6 +173,7 @@ func OpenPager(vfs VFS, name string, opt PagerOptions) (*Pager, error) {
 	p := &Pager{
 		vfs: vfs, name: name, file: f, opt: opt, store: opt.Store,
 		cache: make(map[uint32]*Page), lru: list.New(),
+		journaled: make(map[uint32][]byte),
 	}
 	for i := opt.CachePages - 1; i >= 0; i-- {
 		p.free = append(p.free, i)
@@ -170,7 +217,7 @@ func (p *Pager) initialize() error {
 	clearBytes(hdr.data)
 	copy(hdr.data[hdrMagicOff:], dbMagic[:])
 	binary.BigEndian.PutUint32(hdr.data[hdrPageCountOff:], 1)
-	hdr.dirty = true
+	p.markDirty(hdr)
 	p.unpinInternal(hdr)
 	// Flush immediately so the file is well-formed.
 	return p.flushAll()
@@ -245,7 +292,6 @@ func (p *Pager) evictOne() error {
 			if err := p.writePage(pg); err != nil {
 				return err
 			}
-			pg.dirty = false
 			p.dropPage(pg)
 			return nil
 		}
@@ -253,7 +299,11 @@ func (p *Pager) evictOne() error {
 	return ErrCacheFull
 }
 
+// dropPage removes pg from the cache. It also clears the dirty bit, which
+// is what retires the page's entry in the dirty list: its slot is about
+// to hold another page.
 func (p *Pager) dropPage(pg *Page) {
+	pg.dirty = false
 	if pg.elem != nil {
 		p.lru.Remove(pg.elem)
 		pg.elem = nil
@@ -327,8 +377,15 @@ func (p *Pager) Write(pg *Page) error {
 			return err
 		}
 	}
-	pg.dirty = true
+	p.markDirty(pg)
 	return nil
+}
+
+func (p *Pager) markDirty(pg *Page) {
+	if !pg.dirty {
+		pg.dirty = true
+		p.dirty = append(p.dirty, pg)
+	}
 }
 
 func (p *Pager) notJournaled(no uint32) bool {
@@ -345,12 +402,19 @@ func (p *Pager) journalPage(pg *Page) error {
 		p.journaled[pg.no] = nil
 		return nil
 	}
-	orig := append([]byte(nil), pg.data...)
-	p.journaled[pg.no] = orig
-	if p.opt.Journal == JournalDelete {
-		if err := p.appendJournal(pg.no, orig); err != nil {
-			return err
-		}
+	// One buffer serves as the record written to the journal file and as
+	// the image Rollback restores from.
+	var rec []byte
+	if n := len(p.recFree); n > 0 {
+		rec, p.recFree = p.recFree[n-1], p.recFree[:n-1]
+	} else {
+		rec = make([]byte, journalRecSize)
+	}
+	binary.BigEndian.PutUint32(rec, pg.no)
+	copy(rec[4:], pg.data)
+	p.journaled[pg.no] = rec
+	if p.opt.Journal == JournalTruncate {
+		return p.appendJournal(rec)
 	}
 	return nil
 }
@@ -408,7 +472,7 @@ func (p *Pager) Alloc() (*Page, error) {
 	}
 	clearBytes(pg.data)
 	p.journaled[no] = nil // fresh page
-	pg.dirty = true
+	p.markDirty(pg)
 	if err := p.updatePageCount(); err != nil {
 		return nil, err
 	}
@@ -514,51 +578,55 @@ func (p *Pager) Begin() error {
 	}
 	p.inTxn = true
 	p.origNPages = p.nPages
-	p.journaled = make(map[uint32][]byte)
-	p.jCount = 0
 	return nil
 }
 
 func (p *Pager) journalName() string { return p.name + "-journal" }
 
-func (p *Pager) appendJournal(no uint32, data []byte) error {
+// appendJournal writes one record to the journal file, after the header
+// if it is the transaction's first. Each record leaves in one WriteAt.
+func (p *Pager) appendJournal(rec []byte) error {
+	sp := p.opt.Prof.Start("pager.journal")
+	defer sp.Stop()
 	if p.jFile == nil {
 		f, err := p.vfs.Open(p.journalName(), true)
 		if err != nil {
 			return err
 		}
+		// A cold journal left at this path may hold anything; records are
+		// counted by file size, so it must start empty.
+		if err := f.Truncate(0); err != nil {
+			f.Close()
+			return err
+		}
 		p.jFile = f
-		var hdr [16]byte
-		copy(hdr[:8], journalMagic[:])
-		binary.BigEndian.PutUint32(hdr[8:], p.origNPages)
-		if _, err := f.WriteAt(hdr[:], 0); err != nil {
+	}
+	if p.jCount == 0 {
+		copy(p.jHdr[:8], journalMagic[:])
+		binary.BigEndian.PutUint32(p.jHdr[8:], p.origNPages)
+		if _, err := p.jFile.WriteAt(p.jHdr[:], 0); err != nil {
 			return err
 		}
 	}
-	sp := p.opt.Prof.Start("pager.journal")
-	defer sp.Stop()
-	off := int64(16) + int64(p.jCount)*(4+PageSize)
-	var noBuf [4]byte
-	binary.BigEndian.PutUint32(noBuf[:], no)
-	if _, err := p.jFile.WriteAt(noBuf[:], off); err != nil {
-		return err
-	}
-	if _, err := p.jFile.WriteAt(data, off+4); err != nil {
+	off := journalHdrSize + int64(p.jCount)*journalRecSize
+	if _, err := p.jFile.WriteAt(rec, off); err != nil {
 		return err
 	}
 	p.jCount++
 	return nil
 }
 
-// Commit flushes dirty pages and finalises the journal, with sync points
-// per the configured synchronous mode.
+// Commit flushes dirty pages and retires the journal, with sync points
+// per the configured synchronous mode: the journal is durable before the
+// first page overwrites its original, and the database is durable before
+// the journal is emptied.
 func (p *Pager) Commit() error {
 	if !p.inTxn {
 		return fmt.Errorf("%w: commit without begin", ErrTxn)
 	}
 	sp := p.opt.Prof.Start("pager.commit")
 	defer sp.Stop()
-	if p.jFile != nil && p.opt.Sync >= SyncNormal {
+	if p.jCount > 0 && p.opt.Sync >= SyncNormal {
 		if err := p.jFile.Sync(); err != nil {
 			return err
 		}
@@ -566,28 +634,23 @@ func (p *Pager) Commit() error {
 	if err := p.flushAll(); err != nil {
 		return err
 	}
-	if p.opt.Sync >= SyncNormal {
-		if err := p.file.Sync(); err != nil {
-			return err
-		}
-	}
-	if err := p.discardJournal(); err != nil {
-		return err
-	}
-	p.inTxn = false
-	p.journaled = nil
-	return nil
+	return p.endTxn()
 }
 
+// flushAll writes every dirty page, in ascending page order.
 func (p *Pager) flushAll() error {
-	for _, pg := range p.cache {
-		if pg.dirty {
-			if err := p.writePage(pg); err != nil {
-				return err
-			}
-			pg.dirty = false
+	slices.SortFunc(p.dirty, func(a, b *Page) int { return cmp.Compare(a.no, b.no) })
+	for _, pg := range p.dirty {
+		if !pg.dirty {
+			continue
 		}
+		if err := p.writePage(pg); err != nil {
+			return err
+		}
+		pg.dirty = false
 	}
+	clear(p.dirty)
+	p.dirty = p.dirty[:0]
 	return nil
 }
 
@@ -600,17 +663,43 @@ func (p *Pager) writePage(pg *Page) error {
 	return err
 }
 
-func (p *Pager) discardJournal() error {
-	if p.jFile != nil {
-		if err := p.jFile.Close(); err != nil {
-			return err
-		}
-		p.jFile = nil
-		if err := p.vfs.Delete(p.journalName()); err != nil {
+// endTxn ends a transaction whose pages have all been written (the new
+// images by Commit, the original ones by Rollback): the database reaches
+// the host, then the journal is truncated, which is the commit point, and
+// that reaches the host too before the caller hears of success.
+func (p *Pager) endTxn() error {
+	durable := p.opt.Sync >= SyncNormal
+	if durable {
+		if err := p.file.Sync(); err != nil {
 			return err
 		}
 	}
-	p.jCount = 0
+	if p.jCount > 0 {
+		if err := p.jFile.Truncate(0); err != nil {
+			return err
+		}
+		p.jCount = 0
+		if durable {
+			if err := p.jFile.Sync(); err != nil {
+				return err
+			}
+		}
+	}
+	for _, rec := range p.journaled {
+		if len(p.recFree) == maxFreeRecords {
+			break
+		}
+		if rec != nil {
+			p.recFree = append(p.recFree, rec)
+		}
+	}
+	if len(p.journaled) > maxFreeRecords {
+		// clear costs what the map once held; start small again.
+		p.journaled = make(map[uint32][]byte)
+	} else {
+		clear(p.journaled)
+	}
+	p.inTxn = false
 	return nil
 }
 
@@ -619,11 +708,10 @@ func (p *Pager) Rollback() error {
 	if !p.inTxn {
 		return fmt.Errorf("%w: rollback without begin", ErrTxn)
 	}
-	for no, orig := range p.journaled {
-		if orig == nil {
+	for no, rec := range p.journaled {
+		if rec == nil {
 			// Page created this transaction: drop it from cache.
 			if pg, ok := p.cache[no]; ok && pg.pins == 0 {
-				pg.dirty = false
 				p.dropPage(pg)
 			}
 			continue
@@ -644,14 +732,13 @@ func (p *Pager) Rollback() error {
 			pg.elem = p.lru.PushFront(pg)
 		}
 		pg.data = p.store.Page(pg.slot)
-		copy(pg.data, orig)
-		pg.dirty = true
+		copy(pg.data, rec[4:])
+		p.markDirty(pg)
 	}
 	p.nPages = p.origNPages
 	// Drop cached pages beyond the restored size.
 	for no, pg := range p.cache {
 		if no > p.nPages && pg.pins == 0 {
-			pg.dirty = false
 			p.dropPage(pg)
 		}
 	}
@@ -661,15 +748,11 @@ func (p *Pager) Rollback() error {
 	if err := p.file.Truncate(int64(p.nPages) * PageSize); err != nil {
 		return err
 	}
-	if err := p.discardJournal(); err != nil {
-		return err
-	}
-	p.inTxn = false
-	p.journaled = nil
-	return nil
+	return p.endTxn()
 }
 
-// recoverJournal replays a hot journal left by a crash.
+// recoverJournal replays a hot journal left by a crash and removes it. A
+// cold journal is left untouched (see JournalMode for the rule and why).
 func (p *Pager) recoverJournal() error {
 	ok, err := p.vfs.Exists(p.journalName())
 	if err != nil || !ok {
@@ -680,23 +763,28 @@ func (p *Pager) recoverJournal() error {
 		return err
 	}
 	defer jf.Close()
-	var hdr [16]byte
-	if n, err := jf.ReadAt(hdr[:], 0); err != nil || n < 16 {
-		// Empty/garbage journal: discard it.
-		return p.vfs.Delete(p.journalName())
+	var hdr [journalHdrSize]byte
+	n, err := jf.ReadAt(hdr[:], 0)
+	if err != nil {
+		return err // unreadable is not cold: the database may be mid-transaction
 	}
-	if [8]byte(hdr[:8]) != journalMagic {
-		return p.vfs.Delete(p.journalName())
+	if n < len(hdr) || [8]byte(hdr[:8]) != journalMagic {
+		return nil
 	}
 	origNPages := binary.BigEndian.Uint32(hdr[8:12])
 	size, err := jf.Size()
 	if err != nil {
 		return err
 	}
-	entries := (size - 16) / (4 + PageSize)
-	buf := make([]byte, 4+PageSize)
+	// The journal is truncated when a transaction ends, so its size counts
+	// the records of the interrupted transaction and no other.
+	entries := (size - journalHdrSize) / journalRecSize
+	if entries < 1 {
+		return nil
+	}
+	buf := make([]byte, journalRecSize)
 	for i := int64(0); i < entries; i++ {
-		off := 16 + i*(4+PageSize)
+		off := journalHdrSize + i*journalRecSize
 		if n, err := jf.ReadAt(buf, off); err != nil || n < len(buf) {
 			break // torn tail: restore what we have
 		}
@@ -714,7 +802,8 @@ func (p *Pager) recoverJournal() error {
 	return p.vfs.Delete(p.journalName())
 }
 
-// Close flushes (committing is the caller's job) and closes the file.
+// Close flushes (committing is the caller's job), closes and deletes the
+// journal this pager opened, if any, and closes the file.
 func (p *Pager) Close() error {
 	if p.inTxn {
 		if err := p.Rollback(); err != nil {
@@ -723,6 +812,15 @@ func (p *Pager) Close() error {
 	}
 	if err := p.flushAll(); err != nil {
 		return err
+	}
+	if p.jFile != nil {
+		if err := p.jFile.Close(); err != nil {
+			return err
+		}
+		p.jFile = nil
+		if err := p.vfs.Delete(p.journalName()); err != nil {
+			return err
+		}
 	}
 	return p.file.Close()
 }
