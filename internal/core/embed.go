@@ -12,7 +12,9 @@ import (
 // a Wasm module (§V). The reproduction's database engine executes against
 // the runtime's sandboxed linear memory and WASI layer (DESIGN.md §1): the
 // page cache lives inside guest memory, and all file I/O passes through
-// the registered wasi_snapshot_preview1 host functions.
+// the registered wasi_snapshot_preview1 host functions. A handle lives as
+// long as its instance: when another enclave commits to the same sealed
+// file the handle is revalidated in place (Refresh), never rebuilt.
 
 // EmbeddedDB bundles the shim instance and the database handle.
 type EmbeddedDB struct {
@@ -20,8 +22,6 @@ type EmbeddedDB struct {
 	inst *Instance
 	In   *wasm.Instance
 	DB   *litedb.DB
-	mod  *Module
-	cfg  DBConfig
 }
 
 // guestECall enters the enclave for database work and flushes the shim
@@ -79,13 +79,6 @@ func (rt *Runtime) OpenDB(cfg DBConfig) (*EmbeddedDB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("twine: shim module: %w", err)
 	}
-	return rt.openEmbedded(mod, cfg)
-}
-
-// openEmbedded instantiates the (already loaded) shim module and opens
-// the database over it. Split from OpenDB so Reopen can rebuild a handle
-// without loading another module copy into the enclave's reserved region.
-func (rt *Runtime) openEmbedded(mod *Module, cfg DBConfig) (*EmbeddedDB, error) {
 	inst, err := rt.NewInstance(mod)
 	if err != nil {
 		return nil, err
@@ -125,7 +118,7 @@ func (rt *Runtime) openEmbedded(mod *Module, cfg DBConfig) (*EmbeddedDB, error) 
 		vfs = wvfs
 	}
 
-	edb := &EmbeddedDB{rt: rt, inst: inst, In: inst.In, mod: mod, cfg: cfg}
+	edb := &EmbeddedDB{rt: rt, inst: inst, In: inst.In}
 	var db *litedb.DB
 	err = edb.guestECall("twine_db_open", func() error {
 		var oerr error
@@ -145,23 +138,16 @@ func (rt *Runtime) openEmbedded(mod *Module, cfg DBConfig) (*EmbeddedDB, error) 
 	return edb, nil
 }
 
-// Reopen closes the handle and rebuilds it from the sealed file, reusing
-// the cached shim module: a fresh instance arena, page store and VFS, but
-// no new reserved-region load. Snapshot-cloned read replicas refresh this
-// way after each group commit advances the shard epoch.
-func (e *EmbeddedDB) Reopen() error {
-	if err := e.guestECall("twine_db_close", func() error { return e.DB.Close() }); err != nil {
-		return err
-	}
-	if err := e.inst.Release(); err != nil {
-		return err
-	}
-	ne, err := e.rt.openEmbedded(e.mod, e.cfg)
-	if err != nil {
-		return err
-	}
-	*e = *ne
-	return nil
+// Refresh brings the handle up to date with commits another handle (in
+// another enclave of the same platform) made to the same sealed file, in
+// ONE enclave crossing and in place: same instance, arena, page store,
+// VFS and descriptor. The protected file re-authenticates its metadata
+// node and diffs the Merkle tree against what it has cached, the pager
+// drops the pages that changed, the catalog reloads if the schema moved
+// (litedb.DB.Refresh). Snapshot-cloned read replicas call it when their
+// shard's commit epoch has moved.
+func (e *EmbeddedDB) Refresh() error {
+	return e.guestECall("twine_db_refresh", func() error { return e.DB.Refresh() })
 }
 
 // Exec runs SQL inside the enclave.

@@ -34,8 +34,31 @@
 // residency is charged against the enclave memory arena, so protected-file
 // working sets larger than the EPC page exactly like the paper's Figure 5.
 //
+// # Refreshing a handle another handle wrote behind
+//
+// A reader that keeps a file open while another handle (another enclave
+// of the same platform) commits to it calls File.Refresh instead of
+// closing and re-opening. The rule: a refresh with an unchanged root costs
+// one metadata read; a refresh after a commit that changed c pages
+// re-reads only the MHT nodes on those pages' paths and evicts only those
+// pages, independent of file size and of how full either cache is. It
+// rests on two properties of the format. The metadata node authenticates
+// the root entry under the file key, so it is the one node a reader can
+// trust without a parent; and every write seals its node under a fresh
+// random key stored in the parent's entry, so two equal (key, tag) entries
+// name the same bytes, and a cached node under an unchanged entry is
+// still the node the new root vouches for. Refresh therefore diffs each
+// changed MHT node against its cached old plaintext and follows only the
+// entries that differ (refresh.go). Where the old plaintext is gone from
+// the cache there is nothing to diff, and the whole subtree is dropped
+// and reported. Every node read on the way is authenticated as on any
+// other read, and a failure empties the cache. What Refresh cannot see is
+// what Open cannot see either: a host that serves the previous metadata
+// node is replaying an older file (TestRollbackNotDetected), and the
+// reader keeps its old, authenticated snapshot.
+//
 // Time spent is attributed to the prof registry under "ipfs.memset",
 // "sgx.ocall" (including the edge copy), "sgx.switchless" (ring rides),
-// "ipfs.crypto" and "ipfs.read" / "ipfs.write", from which the Figure 7
-// breakdown is reconstructed.
+// "ipfs.crypto", "ipfs.refresh" and "ipfs.read" / "ipfs.write", from
+// which the Figure 7 breakdown is reconstructed.
 package ipfs

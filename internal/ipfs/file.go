@@ -113,32 +113,53 @@ func (f *File) loadMeta() error {
 	if hostSize < NodeSize {
 		return fmt.Errorf("%w: truncated metadata node", ErrIntegrity)
 	}
-	var meta [NodeSize]byte
-	if err := f.readPhys(0, meta[:]); err != nil {
+	rootKey, rootTag, size, err := f.readMeta()
+	if err != nil {
 		return err
 	}
+	f.setRoot(rootKey, rootTag, size)
+	return nil
+}
+
+// readMeta reads the metadata node (one boundary ride) and authenticates
+// it under the file key and name, returning the root entry and the file
+// size it seals. A node that is short, torn or absent fails here: only
+// loadMeta, which has seen a zero-length host file, may call a file fresh.
+func (f *File) readMeta() (rootKey, rootTag [16]byte, size int64, err error) {
+	var meta [NodeSize]byte
+	if err = f.readPhys(0, meta[:]); err != nil {
+		return
+	}
 	if [8]byte(meta[0:8]) != metaMagic {
-		return fmt.Errorf("%w: bad magic", ErrIntegrity)
+		err = fmt.Errorf("%w: bad magic", ErrIntegrity)
+		return
 	}
 	if binary.LittleEndian.Uint32(meta[8:12]) != metaVersion {
-		return fmt.Errorf("%w: unsupported version", ErrIntegrity)
+		err = fmt.Errorf("%w: unsupported version", ErrIntegrity)
+		return
 	}
 	nonce := meta[12:24]
 	ct := meta[24 : 24+40+16] // rootKey(16) rootTag(16) size(8) + GCM tag(16)
 	aead, err := newAEAD(f.key)
 	if err != nil {
-		return err
+		return
 	}
 	pt, err := aead.Open(nil, nonce, ct, []byte(f.name))
 	if err != nil {
-		return fmt.Errorf("%w: metadata authentication (wrong key or renamed file?)", ErrBadName)
+		err = fmt.Errorf("%w: metadata authentication (wrong key or renamed file?)", ErrBadName)
+		return
 	}
-	copy(f.rootKey[:], pt[0:16])
-	copy(f.rootTag[:], pt[16:32])
-	f.size = int64(binary.LittleEndian.Uint64(pt[32:40]))
-	f.haveRoot = f.size > 0
-	f.dataNodes = (f.size + NodeSize - 1) / NodeSize
-	return nil
+	copy(rootKey[:], pt[0:16])
+	copy(rootTag[:], pt[16:32])
+	size = int64(binary.LittleEndian.Uint64(pt[32:40]))
+	return
+}
+
+// setRoot adopts an authenticated metadata node's content.
+func (f *File) setRoot(rootKey, rootTag [16]byte, size int64) {
+	f.rootKey, f.rootTag, f.size = rootKey, rootTag, size
+	f.haveRoot = size > 0
+	f.dataNodes = (size + NodeSize - 1) / NodeSize
 }
 
 func (f *File) writeMeta() error {
@@ -290,21 +311,27 @@ func (f *File) evictOne() error {
 	if err != nil {
 		return err
 	}
-	f.lru.Remove(back)
-	delete(f.cache, victim.phys)
+	f.release(victim)
+	return nil
+}
+
+// release removes a node that holds nothing unwritten from the cache and
+// recycles its slot and buffers.
+func (f *File) release(n *node) {
+	f.lru.Remove(n.elem)
+	delete(f.cache, n.phys)
 	if f.fs.opt.Mode == ModeStandard {
 		// Intel clears the plaintext buffer before releasing the node.
 		sp := f.fs.opt.Prof.Start("ipfs.memset")
-		f.touchSlot(victim, 0)
-		clear(victim.plain)
+		f.touchSlot(n, 0)
+		clear(n.plain)
 		sp.Stop()
 	}
-	if victim.slot >= 0 {
-		f.freeSlots = append(f.freeSlots, victim.slot)
+	if n.slot >= 0 {
+		f.freeSlots = append(f.freeSlots, n.slot)
 	}
-	f.putBuf(victim.plain)
-	f.putBuf(victim.cipher)
-	return nil
+	f.putBuf(n.plain)
+	f.putBuf(n.cipher)
 }
 
 // writeBack encrypts a dirty node with a fresh key, stores the (key, tag)
@@ -425,6 +452,8 @@ func (f *File) loadMHT(k int64) (*node, error) {
 		return n, nil
 	}
 	if err := f.decryptInto(n, key, tag); err != nil {
+		// Not authenticated: it must not be found in the cache by a retry.
+		f.release(n)
 		return nil, err
 	}
 	return n, nil
@@ -466,6 +495,8 @@ func (f *File) loadData(d int64) (*node, error) {
 		return n, nil
 	}
 	if err := f.decryptInto(n, key, tag); err != nil {
+		// Not authenticated: it must not be found in the cache by a retry.
+		f.release(n)
 		return nil, err
 	}
 	return n, nil

@@ -197,7 +197,8 @@ func (db *DB) loadCatalog() error {
 		ts.Indexes = append(ts.Indexes, p.idx)
 		db.indexes[strings.ToLower(p.idx.Name)] = p.idx
 	}
-	return nil
+	db.cookie, err = db.pager.Cookie()
+	return err
 }
 
 // schemaChanged marks a catalog write: the schema cookie moves and the

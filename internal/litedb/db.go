@@ -38,6 +38,9 @@ type DB struct {
 	catalog *Tree
 	tables  map[string]*TableSchema
 	indexes map[string]*IndexSchema
+	// cookie is the schema cookie the catalog was last loaded under;
+	// Refresh compares it with the header's to see another handle's DDL.
+	cookie uint32
 
 	explicitTxn bool
 	lastInsert  int64
@@ -156,6 +159,35 @@ func Open(vfs VFS, name string, opts Options) (*DB, error) {
 
 // Close releases the database.
 func (db *DB) Close() error { return db.pager.Close() }
+
+// Refresh brings the handle up to date with commits another handle made
+// to the same file, in place: the pager drops exactly the pages that
+// changed (Pager.Refresh), and the catalog is reloaded, and the parse
+// cache with it, only when the schema cookie or the schema root moved. It
+// must be called outside a transaction, on a file that is a Refresher. A
+// failed Refresh leaves no cached page behind and may be retried.
+func (db *DB) Refresh() error {
+	if err := db.pager.Refresh(); err != nil {
+		return err
+	}
+	cookie, err := db.pager.Cookie()
+	if err != nil {
+		return err
+	}
+	root, err := db.pager.SchemaRoot()
+	if err != nil {
+		return err
+	}
+	if cookie == db.cookie && root == db.catalog.Root() {
+		// Same schema, but the other handle may have inserted.
+		for _, ts := range db.tables {
+			ts.lastRowid = 0
+		}
+		return nil
+	}
+	db.catalog = OpenTree(db.pager, root, false)
+	return db.loadCatalog()
+}
 
 // Pager exposes the pager for instrumentation (page counts, cache stats).
 func (db *DB) Pager() *Pager { return db.pager }
@@ -616,6 +648,19 @@ func (db *DB) execPragma(st *PragmaStmt) (*Rows, int64, error) {
 			mode = "memory"
 		}
 		return oneRow("journal_mode", TextVal(mode)), 0, nil
+	case "integrity_check":
+		problems, err := db.integrityCheck()
+		if err != nil {
+			return nil, 0, err
+		}
+		if len(problems) == 0 {
+			problems = []string{"ok"}
+		}
+		rows := &Rows{Cols: []string{"integrity_check"}}
+		for _, p := range problems {
+			rows.rows = append(rows.rows, []Value{TextVal(p)})
+		}
+		return rows, 0, nil
 	case "table_count":
 		return oneRow("table_count", IntVal(int64(len(db.tables)))), 0, nil
 	default:

@@ -644,9 +644,14 @@ func evalCall(x *Call, ctx *evalCtx) (Value, error) {
 			}
 		}
 		return best, nil
-	case "random":
-		return IntVal(ctx.rng.Int63() - ctx.rng.Int63()), nil
-	case "randomblob":
+	case "random", "randomblob":
+		if ctx.rng == nil {
+			// EvalConst: a fresh draw per evaluation is not a constant.
+			return Value{}, errEval("%s() is not a constant expression", x.Name)
+		}
+		if x.Name == "random" {
+			return IntVal(ctx.rng.Int63() - ctx.rng.Int63()), nil
+		}
 		n := int(args[0].Int())
 		if n < 1 {
 			n = 1

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"slices"
 
+	"twine/internal/ipfs"
 	"twine/internal/prof"
 )
 
@@ -353,6 +354,57 @@ func (p *Pager) Get(no uint32) (*Page, error) {
 	return pg, nil
 }
 
+// Refresh revalidates the cache after another pager may have committed
+// to the same file: the file says which byte spans may have changed (see
+// Refresher), exactly the cached pages inside them are dropped, and the
+// header fields are read again. Page p is bytes [(p-1)*PageSize,
+// p*PageSize), so a commit that changed c pages costs c evictions however
+// large the file or full the cache. It must be called outside a
+// transaction with no page pinned. On error every page is dropped, so
+// nothing stale is served and a later Refresh starts over.
+func (p *Pager) Refresh() error {
+	if p.inTxn || len(p.dirty) > 0 || p.lru.Len() != len(p.cache) {
+		return fmt.Errorf("%w: refresh with a transaction open or a page pinned", ErrTxn)
+	}
+	r, ok := p.file.(Refresher)
+	if !ok {
+		return ErrNoRefresh
+	}
+	spans, err := r.Refresh()
+	if err == nil {
+		for _, s := range spans {
+			p.dropSpan(s)
+		}
+		err = p.loadHeader()
+	}
+	if err != nil {
+		for _, pg := range p.cache {
+			p.dropPage(pg)
+		}
+	}
+	return err
+}
+
+// dropSpan drops the cached, unpinned pages that overlap s, by page
+// number when the span is shorter than the cache and by cache entry when
+// it is not.
+func (p *Pager) dropSpan(s ipfs.Span) {
+	first, last := s.Off/PageSize+1, (s.Off+s.Len-1)/PageSize+1
+	if last-first < int64(len(p.cache)) {
+		for no := first; no <= last; no++ {
+			if pg, ok := p.cache[uint32(no)]; ok {
+				p.dropPage(pg)
+			}
+		}
+		return
+	}
+	for no, pg := range p.cache {
+		if first <= int64(no) && int64(no) <= last {
+			p.dropPage(pg)
+		}
+	}
+}
+
 // Unpin releases a pinned page.
 func (p *Pager) Unpin(pg *Page) { p.unpinInternal(pg) }
 
@@ -535,6 +587,16 @@ func (p *Pager) SchemaRoot() (uint32, error) {
 	}
 	defer p.Unpin(hdr)
 	return binary.BigEndian.Uint32(hdr.data[hdrSchemaRootOff:]), nil
+}
+
+// Cookie reads the schema cookie from the header.
+func (p *Pager) Cookie() (uint32, error) {
+	hdr, err := p.Get(1)
+	if err != nil {
+		return 0, err
+	}
+	defer p.Unpin(hdr)
+	return binary.BigEndian.Uint32(hdr.data[hdrCookieOff:]), nil
 }
 
 // SetSchemaRoot stores the catalog root page number.

@@ -1,9 +1,6 @@
 package litedb
 
-import (
-	"math/rand"
-	"strings"
-)
+import "strings"
 
 // Statement-level execution and expression helpers for coordinators that
 // parse once and route pre-built statements — the tsql shard service
@@ -36,14 +33,16 @@ func NewRows(cols []string, rows [][]Value) *Rows {
 }
 
 // EvalConst evaluates a row-independent expression (literals, parameters,
-// operators, scalar functions) against args. Column references fail to
-// bind, which is exactly the signal routers use to reject non-constant
-// keys.
+// operators, deterministic scalar functions) against args. Column
+// references fail to bind and random()/randomblob() fail to evaluate (the
+// context carries no generator: the value a router drew would not be the
+// one the executing handle stores), which is exactly the signal routers
+// use to reject non-constant keys.
 func EvalConst(e Expr, args []Value) (Value, error) {
 	if err := bindExpr(e, &bindScope{}); err != nil {
 		return Value{}, err
 	}
-	return eval(e, &evalCtx{args: args, rng: rand.New(rand.NewSource(1))})
+	return eval(e, &evalCtx{args: args})
 }
 
 // ApplyAffinity coerces v under the column affinity rules (the same

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"twine/internal/hostfs"
+	"twine/internal/ipfs"
 )
 
 // VFS is litedb's virtual file system, mirroring SQLite's VFS layer: the
@@ -28,8 +29,20 @@ type DBFile interface {
 	Close() error
 }
 
+// Refresher is an optional DBFile capability: a file whose store another
+// handle may have written revalidates itself in place and reports the
+// byte spans that may have changed since this handle last looked (nil:
+// none did). Pager.Refresh is built on it.
+type Refresher interface {
+	Refresh() ([]ipfs.Span, error)
+}
+
 // ErrNotFound is returned by VFS.Open(create=false) for missing files.
 var ErrNotFound = errors.New("litedb: file not found")
+
+// ErrNoRefresh is returned by Refresh on a database whose file is not a
+// Refresher.
+var ErrNoRefresh = errors.New("litedb: file cannot be refreshed in place")
 
 // --- in-memory VFS ---
 

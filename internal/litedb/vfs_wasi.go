@@ -3,6 +3,7 @@ package litedb
 import (
 	"fmt"
 
+	"twine/internal/ipfs"
 	"twine/internal/wasi"
 	"twine/internal/wasm"
 )
@@ -295,6 +296,16 @@ func (f *wasiDBFile) Size() (int64, error) {
 	// filestat.size is at offset 32.
 	size, err := f.v.in.Memory().ReadU64(f.v.base + wvResult + 64 + 32)
 	return int64(size), err
+}
+
+// Refresh implements Refresher through the descriptor's own handle: the
+// System serving this instance revalidates whatever fd names.
+func (f *wasiDBFile) Refresh() ([]ipfs.Span, error) {
+	sys, ok := f.v.in.HostCtx().(*wasi.System)
+	if !ok {
+		return nil, ErrNoRefresh
+	}
+	return sys.RefreshFile(int32(f.fd))
 }
 
 // Close implements DBFile.

@@ -26,6 +26,15 @@ type FileHandle interface {
 	Close() error
 }
 
+// Refresher is an optional FileHandle capability: a handle over a store
+// that another handle may have written can revalidate itself in place and
+// say which byte spans may have changed (ipfs.File.Refresh has the
+// contract). It is reached through System.RefreshFile, not through a WASI
+// import: the embedder that owns the descriptor asks, never the guest.
+type Refresher interface {
+	Refresh() ([]ipfs.Span, error)
+}
+
 // Backend is the file-system surface the WASI layer routes path and fd
 // operations to. TWINE wires an IPFS-backed implementation (trusted); the
 // plain host backend reproduces WAMR's original forward-to-POSIX design.
@@ -561,3 +570,6 @@ func (h *ipfsHandle) Truncate(size int64) error {
 }
 func (h *ipfsHandle) Sync() error  { return h.f.Flush() }
 func (h *ipfsHandle) Close() error { return h.f.Close() }
+
+// Refresh implements Refresher.
+func (h *ipfsHandle) Refresh() ([]ipfs.Span, error) { return h.f.Refresh() }

@@ -374,6 +374,20 @@ func (s *System) getWithRights(fd int32, need Rights) (*fdEntry, Errno) {
 	return e, ErrnoSuccess
 }
 
+// RefreshFile revalidates the open file fd names (see Refresher). A
+// descriptor whose handle cannot do that reports ErrnoNotsup.
+func (s *System) RefreshFile(fd int32) ([]ipfs.Span, error) {
+	e, errno := s.get(fd)
+	if errno != ErrnoSuccess {
+		return nil, fmt.Errorf("wasi: refresh of fd %d: %v", fd, errno)
+	}
+	r, ok := e.handle.(Refresher)
+	if !ok {
+		return nil, fmt.Errorf("wasi: refresh of fd %d: %v", fd, ErrnoNotsup)
+	}
+	return r.Refresh()
+}
+
 // resolvePath joins a directory descriptor with a guest-relative path,
 // confined to the preopened subtree (chroot-like, §IV "capabilities
 // offered by chroot").

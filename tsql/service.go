@@ -103,7 +103,7 @@ type ServiceStats struct {
 	GroupCommits     int64 // batches committed
 	GroupedStmts     int64 // statements carried by those batches
 	GroupFallbacks   int64 // batches re-run statement-by-statement
-	ReplicaRefreshes int64 // stale replicas reopened from sealed files
+	ReplicaRefreshes int64 // stale replicas revalidated in place against their sealed file
 }
 
 type serviceCounters struct {
@@ -155,7 +155,7 @@ type shard struct {
 	// under storageMu's write lock.
 	epoch atomic.Int64
 	// storageMu serialises sealed-file mutation (commit flushes) against
-	// replica reads and reopens of the same untrusted file.
+	// replica reads and refreshes of the same untrusted file.
 	storageMu sync.RWMutex
 	wq        chan *writeReq
 	done      chan struct{}
@@ -186,9 +186,9 @@ func OpenService(cfg ShardConfig) (*Service, error) {
 		base.HostFS = hostfs.NewMemFS()
 	}
 	if cfg.Replicas > 1 {
-		// Snapshot clones refresh by re-opening the sealed file while the
-		// writer stays live, so every commit must reach the host bytes —
-		// not just the writer's in-enclave caches — when it completes.
+		// Snapshot clones refresh from the sealed file while the writer
+		// stays live, so every commit must reach the host bytes — not
+		// just the writer's in-enclave caches — when it completes.
 		base.sync = litedb.SyncNormal
 	}
 	s := &Service{cfg: cfg, base: base}
@@ -289,11 +289,14 @@ func (sh *shard) checkin(h *servHandle) {
 	sh.handles <- h
 }
 
-// ensureFresh lazily opens a snapshot clone, or refreshes a stale one
-// from the sealed file. The caller must hold storageMu.RLock: the
-// staleness decision and the read it licenses have to sit under the same
-// lock hold, or a commit can re-key the sealed file in between and the
-// replica's open cursors fail integrity checks.
+// ensureFresh lazily opens a snapshot clone, or revalidates a stale one
+// against the sealed file in place (core.EmbeddedDB.Refresh: one enclave
+// crossing, and only what the commits changed is read again). The caller
+// must hold storageMu.RLock: the staleness decision and the read it
+// licenses have to sit under the same lock hold, or a commit can re-key
+// the sealed file in between and the replica's open cursors fail
+// integrity checks. A refresh that fails leaves the handle's epoch stale,
+// so the next read tries again before it serves anything.
 func (sh *shard) ensureFresh(h *servHandle) error {
 	if h.db == nil {
 		cfg := sh.svc.base
@@ -306,7 +309,7 @@ func (sh *shard) ensureFresh(h *servHandle) error {
 		return nil
 	}
 	if !h.writer && h.epoch != sh.epoch.Load() {
-		if err := h.db.edb.Reopen(); err != nil {
+		if err := h.db.edb.Refresh(); err != nil {
 			return err
 		}
 		h.epoch = sh.epoch.Load()

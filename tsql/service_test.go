@@ -10,6 +10,7 @@ import (
 
 	"twine/internal/hostfs"
 	"twine/internal/litedb"
+	"twine/internal/sgx"
 )
 
 // svcCfg is the small shard geometry the service tests run on (the PR 3
@@ -28,11 +29,29 @@ type fidOp struct {
 	args  []Value
 }
 
+// parkInvariant is the view of sgx.Stats that does not depend on when the
+// switchless ring's worker happened to be parked. The worker parks after
+// 50 ms without work, and a request that finds it parked leaves as a
+// classic OCALL (FallbackOCalls, counted in OCalls) and wakes it
+// (WorkerWakeups); one that finds it spinning rides the ring
+// (SwitchlessCalls). Which of the two a request takes is decided by the
+// host scheduler, not by the program: a 50 ms stall on one side of a
+// comparison moves one request from one column to the other. What the
+// program decides is that the request crossed the boundary, so the two
+// columns are compared as one count and the park bookkeeping is left out.
+// Every other field is compared as it stands.
+func parkInvariant(s sgx.Stats) sgx.Stats {
+	s.OCalls += s.SwitchlessCalls
+	s.SwitchlessCalls, s.FallbackOCalls, s.WorkerWakeups = 0, 0, 0
+	return s
+}
+
 // TestServiceFidelitySequential is the ISSUE's fidelity bar: a service
-// with Shards=1, Replicas=1 and NoGroupCommit=true must be bit-identical
-// to a sequential DB — same results, same error strings, and the same
-// enclave counters (ECalls, OCalls, faults, evictions) for the same
-// statement script.
+// with Shards=1, Replicas=1 and NoGroupCommit=true must be identical to a
+// sequential DB — same results, same error strings, and the same enclave
+// counters (ECalls, boundary requests, faults, evictions, TCS use) for
+// the same statement script. See parkInvariant for the one split that is
+// timing and not behaviour.
 func TestServiceFidelitySequential(t *testing.T) {
 	const seed = "fidelity-platform"
 	seq, err := Open(svcCfg(hostfs.NewMemFS(), seed))
@@ -91,9 +110,9 @@ func TestServiceFidelitySequential(t *testing.T) {
 		}
 	}
 
-	// Bit-identical enclave accounting, live and after close.
+	// Identical enclave accounting, live and after close.
 	rtA, rtB := seq.Runtime(), svc.Shard(0).Runtime()
-	if a, b := rtA.Enclave.Stats(), rtB.Enclave.Stats(); !reflect.DeepEqual(a, b) {
+	if a, b := parkInvariant(rtA.Enclave.Stats()), parkInvariant(rtB.Enclave.Stats()); a != b {
 		t.Fatalf("live enclave stats diverge:\n sequential %+v\n service    %+v", a, b)
 	}
 	if err := seq.Close(); err != nil {
@@ -102,7 +121,7 @@ func TestServiceFidelitySequential(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatalf("Close (service): %v", err)
 	}
-	if a, b := rtA.Enclave.Stats(), rtB.Enclave.Stats(); !reflect.DeepEqual(a, b) {
+	if a, b := parkInvariant(rtA.Enclave.Stats()), parkInvariant(rtB.Enclave.Stats()); a != b {
 		t.Fatalf("post-close enclave stats diverge:\n sequential %+v\n service    %+v", a, b)
 	}
 }

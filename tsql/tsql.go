@@ -67,7 +67,7 @@ type Config struct {
 
 	// sync overrides the pager's sync mode (zero: SyncOff, the paper's
 	// benchmark setting). The shard service raises it on writers whose
-	// sealed files are re-opened by live replicas: a snapshot clone can
+	// sealed files are read by live replicas: a snapshot clone can
 	// only refresh from commits that were made durable on the host.
 	sync litedb.SyncMode
 }
