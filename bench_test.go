@@ -17,6 +17,7 @@ import (
 	"twine/internal/polybench"
 	"twine/internal/sgx"
 	"twine/internal/wasm"
+	"twine/wasmgen"
 )
 
 // benchSGX is a scaled-down enclave so benchmarks finish quickly while
@@ -182,11 +183,50 @@ func BenchmarkFig7Breakdown(b *testing.B) {
 	}
 }
 
-// --- supporting micro-benchmarks (ablations from DESIGN.md) ---
+// --- supporting micro-benchmarks (ablations beyond the paper's figures) ---
+
+// serveGuest builds the per-request serving kernel, the same guest the
+// serve_tenants workload of benchmark/ submits: run(x) folds a 256-byte
+// data segment into a checksum seeded by x, writes a 16-byte response
+// through fd_write (one host call per request) and returns the checksum.
+func serveGuest() []byte {
+	m := wasmgen.NewModule()
+	fdWrite := m.ImportFunc("wasi_snapshot_preview1", "fd_write",
+		wasmgen.Sig(wasmgen.I32, wasmgen.I32, wasmgen.I32, wasmgen.I32).Returns(wasmgen.I32))
+	m.Memory(1, 1)
+	seg := make([]byte, 256)
+	for i := range seg {
+		seg[i] = byte(i*13 + 5)
+	}
+	m.Data(64, seg)
+	m.Data(512, []byte("response-body-ok"))
+
+	f := m.Func(wasmgen.Sig(wasmgen.I32).Returns(wasmgen.I32))
+	i, s := f.AddLocal(wasmgen.I32), f.AddLocal(wasmgen.I32)
+	f.LocalGet(0).LocalSet(s)
+	f.I32Const(0).LocalSet(i)
+	f.Block(wasmgen.BlockVoid)
+	f.Loop(wasmgen.BlockVoid)
+	f.LocalGet(i).I32Const(int32(len(seg))).I32GeS().BrIf(1)
+	f.LocalGet(s).LocalGet(i).I32Const(64).I32Add().I32Load8U(0).I32Add().LocalSet(s)
+	f.LocalGet(i).I32Const(1).I32Add().LocalSet(i)
+	f.Br(0)
+	f.End()
+	f.End()
+	// iovec at 0: base 512, len 16; fd_write(stdout, iovec, 1, nwritten@32)
+	f.I32Const(0).I32Const(512).I32Store(0)
+	f.I32Const(4).I32Const(16).I32Store(0)
+	f.I32Const(1).I32Const(0).I32Const(1).I32Const(32).Call(fdWrite).Drop()
+	f.LocalGet(s)
+	f.End()
+	m.Export("run", f)
+	m.ExportMemory("memory")
+	return m.Bytes()
+}
 
 // BenchmarkTierMatrix is the tier x workload matrix behind the choice of
 // zero-value engine (BENCHMARKS.md): the six Fig. 3 kernels and the
-// serving guest of fig-tenants, on every engine, as
+// serving guest above, on every engine, as
 // <workload>/<engine>/{translate,outside,enclave} — deriving the engine's
 // form from a Compiled, one call on a bare wasm.Instance, and one call
 // through core.Instance.Invoke (ECALL, EPC accounting, WASI over the ring).
@@ -196,7 +236,7 @@ func BenchmarkTierMatrix(b *testing.B) {
 		bin  []byte
 		args []uint64
 	}
-	workloads := []workload{{"serve", bench.TenantGuest(), []uint64{7}}}
+	workloads := []workload{{"serve", serveGuest(), []uint64{7}}}
 	for _, name := range fig3Kernels {
 		k, _ := polybench.ByName(name)
 		workloads = append(workloads, workload{name: name, bin: k.Build(32)})

@@ -1,19 +1,11 @@
 // Command microbench regenerates the paper's Figure 5 (insertion,
 // sequential and random reading against database size, with the EPC-full
 // annotation) and Table II (run times normalised to native, split at the
-// EPC limit). With -warmcold it instead prints the PR 8 instance-
-// provisioning microbenchmark: the cost of readying one instance by full
-// Instantiate, by InstantiateFromSnapshot, and by in-place
-// ResetFromSnapshot (the serving pool's warm free-list hot path), plus
-// the snapshot:reset ratio quoted in BENCHMARKS.md. With -sealsnap it
-// prints the PR 9 seal+unseal round-trip cost against snapshot size —
-// the swap tier's per-suspend price as the sealed delta grows.
+// EPC limit).
 //
 // Usage:
 //
 //	microbench [-max records] [-step n] [-reads n] [-epc MiB] [-table2]
-//	microbench -warmcold [-warmcold-pages n] [-warmcold-iters n]
-//	microbench -sealsnap
 package main
 
 import (
@@ -31,40 +23,7 @@ func main() {
 	reads := flag.Int("reads", 300, "random reads per point")
 	epcMiB := flag.Int("epc", 24, "usable EPC in MiB (paper testbed: 93)")
 	table2 := flag.Bool("table2", false, "print Table II instead of the Figure 5 series")
-	warmCold := flag.Bool("warmcold", false, "print the PR 8 warm-vs-cold instance-provisioning micro instead")
-	wcPages := flag.Int("warmcold-pages", 16, "warm-vs-cold guest memory pages")
-	wcIters := flag.Int("warmcold-iters", 100, "warm-vs-cold iterations per strategy")
-	sealSnap := flag.Bool("sealsnap", false, "print the PR 9 seal+unseal round-trip cost vs snapshot size instead")
 	flag.Parse()
-
-	if *sealSnap {
-		pts, err := bench.RunSealSnap(nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "microbench: sealsnap: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("Seal/unseal round trip vs snapshot size (mean ns/op)")
-		fmt.Printf("%-12s %14s %14s %12s\n", "size", "seal-ns", "unseal-ns", "seal-MB/s")
-		for _, p := range pts {
-			fmt.Printf("%-12s %14.0f %14.0f %12.1f\n",
-				fmt.Sprintf("%dKiB", p.Size>>10), p.SealNs, p.UnsealNs, p.MBPerSec)
-		}
-		return
-	}
-
-	if *warmCold {
-		wc, err := bench.RunWarmCold(*wcPages, *wcIters)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "microbench: warmcold: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("Instance provisioning (%d pages, %d iters, mean ns/op)\n", *wcPages, *wcIters)
-		fmt.Printf("%-24s %12.0f\n", "full-instantiate", wc.FullNs)
-		fmt.Printf("%-24s %12.0f\n", "snapshot-instantiate", wc.SnapshotNs)
-		fmt.Printf("%-24s %12.0f\n", "warm-reset", wc.ResetNs)
-		fmt.Printf("warm reset is %.1fx cheaper than snapshot instantiation\n", wc.ColdWarmRatio())
-		return
-	}
 
 	cfg := bench.MicroConfig{MaxRecords: *max, Step: *step, RandReads: *reads}
 	cfg.Options.SGX = sgx.DefaultConfig()

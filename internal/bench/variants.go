@@ -81,18 +81,6 @@ type Options struct {
 	SGXMode sgx.Mode
 	// IPFSMode selects the standard or optimised protected FS (§V-F).
 	IPFSMode ipfs.Mode
-	// IPFSCacheNodes overrides the protected-FS node cache size (0 =
-	// ipfs.DefaultCacheNodes).
-	IPFSCacheNodes int
-	// Switchless selects the OCALL dispatch for the Twine variant (PR 2):
-	// default on, core.SwitchlessOff restores the two-transition baseline.
-	// SGX-LKL builds its enclave directly and is always switchless-off.
-	Switchless core.SwitchlessMode
-	// HostPOSIX routes the Twine variant's file I/O to the untrusted
-	// POSIX layer instead of the protected FS — WAMR's original WASI
-	// design run inside the enclave (§IV-C), the configuration whose
-	// per-call boundary crossings the switchless ring targets.
-	HostPOSIX bool
 	// ImageBlocks sizes the SGX-LKL disk image (file variant).
 	ImageBlocks int
 	// Sync is the synchronous mode (default normal, paper).
@@ -238,19 +226,13 @@ func (h *DB) openWAMR(s Storage, opt Options) error {
 }
 
 func (h *DB) openTwine(s Storage, opt Options) error {
-	fsKind := core.FSIPFS
-	if opt.HostPOSIX {
-		fsKind = core.FSHost
-	}
 	rt, err := core.NewRuntime(core.Config{
-		PlatformSeed:   "bench",
-		SGX:            opt.SGX,
-		FS:             fsKind,
-		IPFSMode:       opt.IPFSMode,
-		IPFSCacheNodes: opt.IPFSCacheNodes,
-		Switchless:     opt.Switchless,
-		HostFS:         h.host,
-		Prof:           opt.Prof,
+		PlatformSeed: "bench",
+		SGX:          opt.SGX,
+		FS:           core.FSIPFS,
+		IPFSMode:     opt.IPFSMode,
+		HostFS:       h.host,
+		Prof:         opt.Prof,
 	})
 	if err != nil {
 		return err

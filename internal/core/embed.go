@@ -10,11 +10,12 @@ import (
 
 // Embedded database support: TWINE's showcase application is SQLite run as
 // a Wasm module (§V). The reproduction's database engine executes against
-// the runtime's sandboxed linear memory and WASI layer (DESIGN.md §1): the
-// page cache lives inside guest memory, and all file I/O passes through
-// the registered wasi_snapshot_preview1 host functions. A handle lives as
-// long as its instance: when another enclave commits to the same sealed
-// file the handle is revalidated in place (Refresh), never rebuilt.
+// the runtime's sandboxed linear memory and WASI layer (README
+// "Architecture map"): the page cache lives inside guest memory, and all
+// file I/O passes through the registered wasi_snapshot_preview1 host
+// functions. A handle lives as long as its instance: when another enclave
+// commits to the same sealed file the handle is revalidated in place
+// (Refresh), never rebuilt.
 
 // EmbeddedDB bundles the shim instance and the database handle.
 type EmbeddedDB struct {

@@ -39,7 +39,7 @@ import (
 //   - ColdStart (PR 8, ablation): every request instantiates a fresh
 //     instance from the snapshot and releases it afterwards — what
 //     per-request isolation costs without warm free lists, the baseline
-//     the fig-tenants benchmark prices warm reset against.
+//     TestPoolColdStartServing holds warm reset's answers against.
 //
 // PR 6 adds fault containment on both sides of that trade:
 //

@@ -88,6 +88,11 @@ func TestTenantFidelity(t *testing.T) {
 		if s := ten.Stats(); s.Pool.WarmResets != requests || s.Pool.Quarantined != 0 {
 			t.Fatalf("tenant run off the warm path: %+v", s)
 		}
+		// A zero RegistryConfig never touches the swap tier, even with
+		// the EPC paging under it.
+		if s := reg.Stats(); s.Suspends != 0 || s.Resumes != 0 || s.Suspended != 0 {
+			t.Fatalf("zero RegistryConfig suspended a worker: %+v", s)
+		}
 		return sum, nil
 	}
 

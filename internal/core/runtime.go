@@ -47,8 +47,6 @@ const (
 	// path, bit-identical to the pre-switchless runtime — used by ablation
 	// benchmarks and the fidelity tests.
 	SwitchlessOff
-	// SwitchlessOn explicitly enables the ring (same effect as Auto).
-	SwitchlessOn
 )
 
 func (m SwitchlessMode) String() string {

@@ -108,7 +108,7 @@ func TestSwitchlessOffCountsBitIdentical(t *testing.T) {
 // observable results and bit-identical EPC paging.
 func TestSwitchlessDifferentialIPFS(t *testing.T) {
 	off := runDBWorkload(t, SwitchlessOff, FSIPFS)
-	on := runDBWorkload(t, SwitchlessOn, FSIPFS)
+	on := runDBWorkload(t, SwitchlessAuto, FSIPFS)
 
 	if off.stats.ECalls != on.stats.ECalls {
 		t.Errorf("ECalls: off=%d on=%d", off.stats.ECalls, on.stats.ECalls)
@@ -133,7 +133,7 @@ func TestSwitchlessDifferentialIPFS(t *testing.T) {
 // must be byte-identical, and batching may only reduce the request count.
 func TestSwitchlessDifferentialHostFS(t *testing.T) {
 	off := runDBWorkload(t, SwitchlessOff, FSHost)
-	on := runDBWorkload(t, SwitchlessOn, FSHost)
+	on := runDBWorkload(t, SwitchlessAuto, FSHost)
 
 	if off.results != on.results {
 		t.Errorf("query results differ:\noff: %q\non:  %q", off.results, on.results)
@@ -185,7 +185,7 @@ func TestSwitchlessStdoutByteIdentical(t *testing.T) {
 		return out.String(), code
 	}
 	offOut, offCode := run(SwitchlessOff)
-	onOut, onCode := run(SwitchlessOn)
+	onOut, onCode := run(SwitchlessAuto)
 	if offOut != onOut || offCode != onCode {
 		t.Errorf("observable run differs: off=(%q,%d) on=(%q,%d)", offOut, offCode, onOut, onCode)
 	}

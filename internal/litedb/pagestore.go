@@ -12,7 +12,7 @@ import (
 // bounds-checked access (and, when the linear memory carries an enclave
 // touch hook, the EPC residency cost). This is how the reproduction
 // imposes the "SQLite compiled to Wasm" memory tax on the same code paths
-// (DESIGN.md §1).
+// (see the package comment in value.go).
 type PageStore interface {
 	// Page returns the buffer backing cache slot i, charging one access.
 	Page(slot int) []byte

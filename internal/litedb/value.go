@@ -1,15 +1,16 @@
 // Package litedb is an embeddable SQL database engine written for the
-// TWINE reproduction as the stand-in for SQLite v3.32.3 (DESIGN.md §1).
-// It mirrors SQLite's architecture — a VFS abstraction at the bottom, a
-// 4 KiB pager with a 2,048-page cache and a rollback journal, B+trees for
-// tables and indexes, SQLite's serial-type record format, and a SQL front
-// end (tokenizer, parser, planner, tree-walking executor).
+// TWINE reproduction as the stand-in for SQLite v3.32.3 (README
+// "Architecture map"). It mirrors SQLite's architecture — a VFS
+// abstraction at the bottom, a 4 KiB pager with a 2,048-page cache and a
+// rollback journal, B+trees for tables and indexes, SQLite's serial-type
+// record format, and a SQL front end (tokenizer, parser, planner,
+// tree-walking executor).
 //
-// Differences from SQLite that matter for interpreting benchmark results
-// are documented in DESIGN.md: execution is a cursor tree walk rather than
-// a VDBE, and B-tree deletion is lazy (pages are freed when empty rather
-// than rebalanced). One more lives here. The journal runs in SQLite's
-// TRUNCATE mode, not its default DELETE mode: one journal file per open
+// Differences from SQLite that matter for interpreting benchmark results:
+// execution is a cursor tree walk rather than a VDBE, and B-tree deletion
+// is lazy (pages are freed when empty rather than rebalanced). One more
+// lives here. The journal runs in SQLite's TRUNCATE mode, not its default
+// DELETE mode: one journal file per open
 // database, written from offset 0 by every transaction, truncated to zero
 // length at commit and deleted at Close. A journal found at open is
 // replayed only if it is hot (valid header and at least one complete

@@ -17,7 +17,8 @@ import (
 // they forward to untrusted POSIX.
 //
 // This is the mechanism by which the reproduction imposes the syscall
-// marshalling cost of "SQLite compiled to Wasm" on litedb (DESIGN.md §1).
+// marshalling cost of "SQLite compiled to Wasm" on litedb (see the
+// package comment in value.go).
 type WASIVFS struct {
 	imp *wasm.ImportObject
 	in  *wasm.Instance

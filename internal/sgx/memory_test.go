@@ -73,9 +73,9 @@ func TestZeroClears(t *testing.T) {
 	}
 }
 
-// TestEPCPagingKicksInPastLimit is the EPC-cliff sanity check from
-// DESIGN.md: touching a working set larger than the usable EPC must cause
-// evictions, while a small working set must not.
+// TestEPCPagingKicksInPastLimit is the EPC-cliff sanity check: touching a
+// working set larger than the usable EPC must cause evictions, while a
+// small working set must not.
 func TestEPCPagingKicksInPastLimit(t *testing.T) {
 	// 256 KiB usable EPC = 64 resident pages, 4 MiB heap. HeapSystem so
 	// construction does not pre-touch the pool and skew the counters.

@@ -128,42 +128,50 @@ func TestSwitchlessBatchAmortisesWakeups(t *testing.T) {
 
 // Concurrent hammer with batching on: admission, wakeup election and poison
 // shutdown share the ring lock, so this is the -race coverage for the new
-// admission path.
+// admission path. The same hammer with batching off must never count a
+// batched wakeup.
 func TestSwitchlessBatchConcurrent(t *testing.T) {
-	e := newTestEnclave(t, func(c *Config) { c.TCSNum = 4 })
-	e.EnableSwitchless(batchRingConfig())
-	const (
-		goroutines = 4
-		perG       = 25
-	)
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				err := e.ECall("main", func() error {
-					return e.SwitchlessOCall("io", 16, func() error { return nil })
-				})
-				if err != nil {
-					errs <- err
-					return
+	for _, batch := range []bool{true, false} {
+		e := newTestEnclave(t, func(c *Config) { c.TCSNum = 4 })
+		cfg := ringConfig()
+		cfg.Batch = batch
+		e.EnableSwitchless(cfg)
+		const (
+			goroutines = 4
+			perG       = 25
+		)
+		var wg sync.WaitGroup
+		errs := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perG; i++ {
+					err := e.ECall("main", func() error {
+						return e.SwitchlessOCall("io", 16, func() error { return nil })
+					})
+					if err != nil {
+						errs <- err
+						return
+					}
 				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("concurrent batched call: %v", err)
-	}
-	st := e.Stats()
-	if got := st.OCalls + st.SwitchlessCalls; got != goroutines*perG {
-		t.Errorf("OCalls + SwitchlessCalls = %d, want %d (conservation)", got, goroutines*perG)
-	}
-	e.Destroy()
-	if err := e.ECall("late", func() error { return nil }); err == nil {
-		t.Error("ECall after Destroy succeeded")
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("concurrent call, batch=%v: %v", batch, err)
+		}
+		st := e.Stats()
+		if got := st.OCalls + st.SwitchlessCalls; got != goroutines*perG {
+			t.Errorf("batch=%v: OCalls + SwitchlessCalls = %d, want %d (conservation)", batch, got, goroutines*perG)
+		}
+		if !batch && st.BatchedWakeups != 0 {
+			t.Errorf("BatchedWakeups = %d with batching off, want 0", st.BatchedWakeups)
+		}
+		e.Destroy()
+		if err := e.ECall("late", func() error { return nil }); err == nil {
+			t.Error("ECall after Destroy succeeded")
+		}
 	}
 }

@@ -144,7 +144,7 @@ type Instance struct {
 	hostRetBuf []uint64
 
 	// insRetired counts guest instructions dispatched by this instance
-	// (all engines), surfaced per tier by benchsnap -v.
+	// (all engines); benchmark/kernels.go reads it through InsRetired.
 	insRetired int64
 }
 

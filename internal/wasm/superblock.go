@@ -27,9 +27,9 @@ import "sort"
 // trace at the next back-edge.
 
 // SuperStats counts superblock-tier translation outcomes for one module
-// form. Reported by Compiled.SuperStats and surfaced by benchsnap -v so
-// silent coverage loss (loops quietly falling back to the register
-// interpreter) is visible.
+// form. Reported by Compiled.SuperStats and asserted by
+// super_idiom_test.go so silent coverage loss (loops quietly falling back
+// to the register interpreter) is visible.
 type SuperStats struct {
 	Funcs     int // functions examined in register form
 	RegBail   int // functions that had no register form (run fused, untraced)

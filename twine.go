@@ -152,8 +152,8 @@ type (
 	// FSKind selects the WASI file backend (FSIPFS or FSHost).
 	FSKind = core.FSKind
 	// SwitchlessMode selects the OCALL dispatch strategy
-	// (SwitchlessAuto/SwitchlessOn ride the ring, SwitchlessOff pays two
-	// transitions per call).
+	// (SwitchlessAuto rides the ring, SwitchlessOff pays two transitions
+	// per call).
 	SwitchlessMode = core.SwitchlessMode
 )
 
@@ -175,8 +175,6 @@ const (
 	// to the pre-switchless runtime (used by ablations and fidelity
 	// tests).
 	SwitchlessOff = core.SwitchlessOff
-	// SwitchlessOn explicitly enables the ring (same as SwitchlessAuto).
-	SwitchlessOn = core.SwitchlessOn
 )
 
 // IPFS modes (paper §V-F).
