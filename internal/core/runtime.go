@@ -112,14 +112,6 @@ type Config struct {
 	// byte-identical while hot host calls skip the enclave transitions
 	// (see internal/core's differential tests).
 	Switchless SwitchlessMode
-	// SwitchlessBatch enables batched cold-start admission on the ring
-	// (PR 8): a request that finds the drain worker parked is staged in
-	// the ring before the worker is signalled, so it rides its own wakeup
-	// instead of falling back to a classic OCall, and adjacent requests
-	// admitted while the ring is non-empty share that wakeup
-	// (sgx.Stats.BatchedWakeups). Off by default — the unbatched ring is
-	// bit-identical to PR 2. Ignored when Switchless is SwitchlessOff.
-	SwitchlessBatch bool
 	// Prof collects counters and timers.
 	Prof *prof.Registry
 }
@@ -177,9 +169,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	}
 	rt.Enclave = enclave
 	if cfg.Switchless != SwitchlessOff {
-		scfg := sgx.DefaultSwitchlessConfig(cfg.SGX)
-		scfg.Batch = cfg.SwitchlessBatch
-		enclave.EnableSwitchless(scfg)
+		enclave.EnableSwitchless(sgx.DefaultSwitchlessConfig(cfg.SGX))
 	}
 
 	hostBE := wasi.NewHostBackend(cfg.HostFS, enclave)

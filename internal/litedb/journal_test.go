@@ -205,6 +205,30 @@ func TestDirtyListInvariants(t *testing.T) {
 			rollback: true,
 			state:    map[uint32]byte{2: 1, 17: 1, 40: 1},
 		},
+		{
+			name: "grow past the cache then rollback",
+			txn: func(t *testing.T, p *Pager) {
+				// 24 fresh pages through a 16-page cache: the early ones are
+				// spilled past the size the rollback restores, the late ones
+				// are still cached when it starts.
+				for i := 0; i < 24; i++ {
+					pg, err := p.Alloc()
+					if err != nil {
+						t.Fatalf("Alloc: %v", err)
+					}
+					pg.data[9] = 5
+					p.Unpin(pg)
+				}
+				if _, cached := p.cache[41]; cached {
+					t.Fatal("page 41 was not spilled; the case tests nothing")
+				}
+				if _, cached := p.cache[64]; !cached {
+					t.Fatal("page 64 is not cached; the case tests nothing")
+				}
+			},
+			rollback: true,
+			state:    map[uint32]byte{2: 1, 40: 1},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -248,6 +272,16 @@ func TestDirtyListInvariants(t *testing.T) {
 			}
 			if len(p.dirty) != 0 {
 				t.Errorf("%d entries left on the dirty list", len(p.dirty))
+			}
+			// The list is empty, so the model must be too, and nothing
+			// cached may lie past the end of the file.
+			for no, pg := range p.cache {
+				if pg.dirty {
+					t.Errorf("page %d is cached dirty and not on the dirty list", no)
+				}
+				if no > p.NPages() {
+					t.Errorf("page %d is cached past the %d pages of the file", no, p.NPages())
+				}
 			}
 
 			// An empty transaction now writes nothing at all.

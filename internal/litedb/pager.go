@@ -798,12 +798,6 @@ func (p *Pager) Rollback() error {
 		p.markDirty(pg)
 	}
 	p.nPages = p.origNPages
-	// Drop cached pages beyond the restored size.
-	for no, pg := range p.cache {
-		if no > p.nPages && pg.pins == 0 {
-			p.dropPage(pg)
-		}
-	}
 	if err := p.flushAll(); err != nil {
 		return err
 	}

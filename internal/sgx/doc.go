@@ -13,7 +13,7 @@
 //     Trusted Runtime for WebAssembly with Intel SGX"): a bounded
 //     request/response ring drained by an untrusted worker goroutine, so
 //     hot host calls pay a small enqueue cost instead of two crossings —
-//     see SwitchlessRing;
+//     see SwitchlessRing and "The simulator's own cost of a ride" below;
 //   - an in-enclave heap allocator whose "system" mode reproduces the
 //     above-linear allocation cost the paper observed (§IV-C), and a
 //     "pool" mode reproducing the preallocated memsys3-style buffer that
@@ -39,8 +39,7 @@
 //     two-transition calls (including switchless fallbacks) and
 //     Stats.SwitchlessCalls counts ring rides, so with switchless disabled
 //     the counters are bit-identical to the pre-switchless runtime and
-//     with it enabled OCalls + SwitchlessCalls is conserved for unbatched
-//     workloads;
+//     with it enabled OCalls + SwitchlessCalls is conserved;
 //   - transition time is attributed to the "sgx.ocall" profiler timer and
 //     ring time to "sgx.switchless", from which Figure 7's OCALL series is
 //     reconstructed.
@@ -91,6 +90,18 @@
 // ~0.1 µs (TestEmptyECallCost). Identifying the caller from a
 // runtime.Stack dump broke it (11.8 µs twelve frames deep; the
 // benchmark's sgx.ecall_ns read 12 618 ns, now 3 847, for 3 400 modelled).
+//
+// # The simulator's own cost of a ride
+//
+// The same rule one layer down: a ride on a ring that is being used costs
+// the same whatever the enclave thread did since the last one; only a
+// ring that went a whole WorkerIdle without a request pays again, and it
+// pays exactly the modelled WakeupCost plus one classic OCALL. The ring's
+// worker is polling, blocked on its queue or parked (the header of
+// switchless.go says what each state costs the next request, modelled and
+// in wall clock), and it polls through the gaps it observes so that only a
+// sparse ring is ever found blocked: TestRideCostIndependentOfGap,
+// TestSparseRingPollsAtFloor, BenchmarkSwitchlessGap.
 //
 // # Fault containment (PR 6)
 //

@@ -171,11 +171,6 @@ type Stats struct {
 	FallbackOCalls int64
 	// WorkerWakeups counts signals to a parked switchless worker.
 	WorkerWakeups int64
-	// BatchedWakeups counts ring admissions that joined requests already
-	// staged in the ring and so shared a wakeup another caller paid
-	// (switchless batched admission, PR 8). 0 unless
-	// SwitchlessConfig.Batch is enabled.
-	BatchedWakeups int64
 	// TCSWaits counts ECALLs that found every TCS busy and had to park
 	// until a slot freed — the enclave's saturation signal.
 	TCSWaits int64
@@ -300,7 +295,6 @@ func (e *Enclave) Stats() Stats {
 		s.SwitchlessCalls = rs.Calls
 		s.FallbackOCalls = rs.Fallbacks
 		s.WorkerWakeups = rs.Wakeups
-		s.BatchedWakeups = rs.BatchedWakeups
 	}
 	return s
 }

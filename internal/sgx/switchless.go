@@ -22,13 +22,29 @@ import (
 //	switchless OCALL: EnqueueCost + handshake       (≪ TransitionCost)
 //	cold worker:      WakeupCost + one classic OCALL (the SDK's fallback)
 //
+// The worker is in one of three states, and the state is what the next
+// request pays for:
+//
+//	polling   modelled EnqueueCost; in wall clock the hand-off alone
+//	blocked   modelled EnqueueCost; in wall clock the hand-off plus a Go
+//	          scheduler wake of the worker, which the model has no term for
+//	parked    modelled WakeupCost + one classic OCALL, and that is what is
+//	          burned: the worker goroutine has exited and is re-spawned
+//
+// The rule (ISSUE 19): a ride on a ring that is being used costs the same
+// whatever the enclave thread did since the last one; only a ring that went
+// a whole WorkerIdle without a request pays again, and it pays exactly the
+// modelled cold-worker cost. The worker keeps it by polling through the gaps
+// it observes between requests (see worker), so a ring under traffic is
+// found polling; the blocked state is where a sparse ring waits out
+// WorkerIdle without burning a processor. Measured figures for each state
+// are in BENCHMARKS.md, "The cost of a boundary ride".
+//
 // Fidelity invariants, guarded by internal/core's differential tests:
 //
 //   - every request either rides the ring (SwitchlessCalls) or becomes a
 //     real OCall (counted in Stats.OCalls, flagged in FallbackOCalls), so
-//     OCalls_off == OCalls_on + SwitchlessCalls_on. Batched admission
-//     (SwitchlessConfig.Batch, PR 8) preserves the law — it only moves the
-//     cold-start request from the fallback column to the ring column;
+//     OCalls_off == OCalls_on + SwitchlessCalls_on;
 //   - the protocol is synchronous (the caller blocks until its request is
 //     served), so observable side-effect ordering is identical to the
 //     two-transition path.
@@ -49,9 +65,11 @@ type SwitchlessConfig struct {
 	// WakeupCost is the CPU burned signalling a parked worker back to its
 	// polling loop.
 	WakeupCost time.Duration
-	// WorkerIdle is how long the worker polls an empty ring before parking.
-	// While parked it consumes no CPU; the next request pays WakeupCost and
-	// falls back, exactly like the SGX SDK when no worker is available.
+	// WorkerIdle is how long the worker stays blocked on an empty ring,
+	// after its poll window ran out, before it parks (exits). Blocked or
+	// parked it consumes no CPU; the first request after a park pays
+	// WakeupCost and falls back, exactly like the SGX SDK when no worker is
+	// available.
 	WorkerIdle time.Duration
 	// DrainChaos, when set, is consulted once per request the drain worker
 	// serves (PR 6's fault harness). Only the plan's stall applies — a
@@ -60,15 +78,6 @@ type SwitchlessConfig struct {
 	// closure still runs and its genuine result is delivered. nil disables
 	// injection with zero cost.
 	DrainChaos *chaos.Injector
-	// Batch enables batched cold-start admission (PR 8): a request that
-	// finds the worker parked is staged in the ring *before* the worker is
-	// signalled, so the caller rides its own wakeup instead of paying the
-	// SDK's cold-worker fallback (a classic two-transition OCall), and
-	// every request admitted while the ring is non-empty shares that one
-	// wakeup (counted in SwitchlessStats.BatchedWakeups). Off by default:
-	// the unbatched ring is bit-identical to PR 2 and is what the fidelity
-	// tests pin.
-	Batch bool
 }
 
 // DefaultSwitchlessConfig derives ring costs from the enclave's transition
@@ -96,11 +105,6 @@ type SwitchlessStats struct {
 	// Wakeups is the number of times a request found the worker parked and
 	// had to signal it awake.
 	Wakeups int64
-	// BatchedWakeups is the number of ring admissions that joined requests
-	// already staged in the ring and therefore rode a wakeup (or a hot
-	// drain pass) another caller paid — the amortisation batched admission
-	// buys. Always 0 unless SwitchlessConfig.Batch is set.
-	BatchedWakeups int64
 }
 
 // slreq is one ring slot: a named host-call closure plus the response
@@ -129,8 +133,12 @@ type SwitchlessRing struct {
 
 	mu      sync.Mutex
 	queue   chan *slreq
-	running bool // worker goroutine alive and polling
+	running bool // worker goroutine alive: polling or blocked, not parked
 	stopped bool
+
+	// gap is an EWMA of the idle time the worker saw before each request it
+	// served, from which it sizes its poll window. Written by the worker only.
+	gap time.Duration
 
 	stats SwitchlessStats // atomic fields
 }
@@ -175,10 +183,9 @@ func (r *SwitchlessRing) Stats() SwitchlessStats {
 		return SwitchlessStats{}
 	}
 	return SwitchlessStats{
-		Calls:          atomic.LoadInt64(&r.stats.Calls),
-		Fallbacks:      atomic.LoadInt64(&r.stats.Fallbacks),
-		Wakeups:        atomic.LoadInt64(&r.stats.Wakeups),
-		BatchedWakeups: atomic.LoadInt64(&r.stats.BatchedWakeups),
+		Calls:     atomic.LoadInt64(&r.stats.Calls),
+		Fallbacks: atomic.LoadInt64(&r.stats.Fallbacks),
+		Wakeups:   atomic.LoadInt64(&r.stats.Wakeups),
 	}
 }
 
@@ -219,28 +226,20 @@ func (r *SwitchlessRing) call(name string, payload int, fn func() error) error {
 		r.mu.Unlock()
 		return e.OCall(name, fn)
 	}
-	wake := false
 	if !r.running {
-		if !r.cfg.Batch {
-			// Worker parked: signal it awake for subsequent requests, but
-			// take the slow path for this one (the SDK's cold-worker
-			// fallback).
-			r.running = true
-			atomic.AddInt64(&r.stats.Wakeups, 1)
-			atomic.AddInt64(&r.stats.Fallbacks, 1)
-			go r.worker()
-			r.mu.Unlock()
-			e.cfg.Prof.Incr("sgx.switchless.wakeup")
-			e.cfg.Prof.Incr("sgx.switchless.fallback")
-			if r.cfg.WakeupCost > 0 {
-				burn(r.cfg.WakeupCost)
-			}
-			return e.OCall(name, fn)
+		// Worker parked: signal it awake for subsequent requests, but take
+		// the slow path for this one (the SDK's cold-worker fallback).
+		r.running = true
+		atomic.AddInt64(&r.stats.Wakeups, 1)
+		atomic.AddInt64(&r.stats.Fallbacks, 1)
+		go r.worker()
+		r.mu.Unlock()
+		e.cfg.Prof.Incr("sgx.switchless.wakeup")
+		e.cfg.Prof.Incr("sgx.switchless.fallback")
+		if r.cfg.WakeupCost > 0 {
+			burn(r.cfg.WakeupCost)
 		}
-		// Batched cold start: stage the request in the ring *before* the
-		// worker is signalled, so this caller rides its own wakeup and
-		// every caller admitted behind it shares the same one.
-		wake = true
+		return e.OCall(name, fn)
 	}
 	req := slreqPool.Get().(*slreq)
 	req.fn = fn
@@ -248,20 +247,9 @@ func (r *SwitchlessRing) call(name string, payload int, fn func() error) error {
 	select {
 	case r.queue <- req:
 		atomic.AddInt64(&r.stats.Calls, 1)
-		if wake {
-			r.running = true
-			atomic.AddInt64(&r.stats.Wakeups, 1)
-			go r.worker()
-		} else if r.cfg.Batch && len(r.queue) > 1 {
-			// At least one earlier request is still staged: this admission
-			// joined an existing batch and amortises its wakeup/drain pass.
-			atomic.AddInt64(&r.stats.BatchedWakeups, 1)
-		}
 		r.mu.Unlock()
 	default:
-		// Ring full: classic OCall. (With a parked worker the ring is
-		// empty — the worker only parks on an empty ring — so the batch
-		// path cannot land here; the guard keeps the invariant local.)
+		// Ring full: classic OCall.
 		atomic.AddInt64(&r.stats.Fallbacks, 1)
 		r.mu.Unlock()
 		req.fn = nil
@@ -270,12 +258,6 @@ func (r *SwitchlessRing) call(name string, payload int, fn func() error) error {
 		return e.OCall(name, fn)
 	}
 
-	if wake {
-		e.cfg.Prof.Incr("sgx.switchless.wakeup")
-		if r.cfg.WakeupCost > 0 {
-			burn(r.cfg.WakeupCost)
-		}
-	}
 	e.cfg.Prof.Incr("sgx.switchless")
 	sp := e.cfg.Prof.Start("sgx.switchless")
 	if r.cfg.EnqueueCost > 0 {
@@ -313,25 +295,37 @@ func (r *SwitchlessRing) call(name string, payload int, fn func() error) error {
 	return err
 }
 
-// Spin budgets. The worker busy-polls (yielding the processor each miss,
-// so single-CPU hosts make progress) before blocking on its queue, and
-// the caller busy-polls the response slot before blocking — both mirror
-// the hardware mechanism, where enclave and worker sides spin on shared
-// memory and only fall back to sleeping after a calibrated interval. The
-// worker budget is deliberately small: while the enclave thread computes
-// between bursts, every worker poll steals a scheduling slot from it, so
-// the worker should reach its (cheap, channel-blocked) wait quickly;
-// requests still reach a blocked worker in ~1 µs, well under a
-// transition. The caller budget is large because the caller spins only
-// while its request is being served — time it cannot use anyway.
+// Both sides of the ring busy-poll before they block, as the hardware
+// mechanism does on shared memory, yielding the processor on every miss so
+// single-P and loaded hosts make progress. The caller spins only while its
+// request is being served, time it cannot use anyway, so callerSpins is
+// simply large. The worker polls while the enclave thread computes, so its
+// window follows what it observes (pollWindow), never less than pollFloor;
+// once the observed gap passes pollCeiling polling would not catch the next
+// request anyway, and a sparse ring must not burn a processor.
 const (
-	workerSpins = 64
 	callerSpins = 4096
+	pollFloor   = 10 * time.Microsecond
+	pollCeiling = 400 * time.Microsecond
 )
 
-// worker is the untrusted thread draining the ring. It serves requests
-// until the ring stays empty for WorkerIdle, then parks (exits); the next
-// request re-spawns it through the wakeup path.
+// pollWindow is how long the worker polls an empty ring before it blocks: a
+// multiple of the EWMA of the idle time it saw before each request. The
+// multiple covers the spread of real gaps, not just their mean: at 2 the
+// worker was found blocked by 8 % of the rides of the benchmark's sql_read
+// and serve_tenants, at 8 by 0.3 % and 0.1 %, and a ride that finds it
+// blocked costs more than the classic OCALL the ring exists to beat.
+func (r *SwitchlessRing) pollWindow() time.Duration {
+	if w := 8 * r.gap; w > pollFloor && r.gap <= pollCeiling {
+		return w
+	}
+	return pollFloor
+}
+
+// worker is the untrusted thread draining the ring. It polls for
+// pollWindow after each request, then blocks on the queue, and parks
+// (exits) once the ring stayed empty for WorkerIdle; the next request
+// re-spawns it through the wakeup path.
 func (r *SwitchlessRing) worker() {
 	var idle *time.Timer
 	defer func() {
@@ -339,28 +333,38 @@ func (r *SwitchlessRing) worker() {
 			idle.Stop()
 		}
 	}()
-	spins := 0
+	idleSince := time.Now()
+	// handle serves one dequeued request and restarts the idle clock; it
+	// reports false for the poison request, after which the worker is gone.
+	handle := func(req *slreq) bool {
+		if req.fn == nil { // poison: the ring was stopped
+			r.mu.Lock()
+			r.running = false
+			r.mu.Unlock()
+			return false
+		}
+		// Only this goroutine writes gap, and it does so before the response
+		// is sent, so whoever receives that response may read it.
+		r.gap += (time.Since(idleSince) - r.gap) / 4
+		r.serve(req)
+		idleSince = time.Now()
+		return true
+	}
 	for {
-		// Hot path: drain by polling, no timers or channel parking.
+		// Polling: drain without timers or channel parking.
 		select {
 		case req := <-r.queue:
-			if req.fn == nil { // poison: the ring was stopped
-				r.mu.Lock()
-				r.running = false
-				r.mu.Unlock()
+			if !handle(req) {
 				return
 			}
-			r.serve(req)
-			spins = 0
 			continue
 		default:
 		}
-		if spins < workerSpins {
-			spins++
+		if time.Since(idleSince) < r.pollWindow() {
 			runtime.Gosched()
 			continue
 		}
-		// Cold: arm the park timer and block.
+		// Blocked: arm the park timer and wait on the queue.
 		if idle == nil {
 			idle = time.NewTimer(r.cfg.WorkerIdle)
 		} else {
@@ -374,14 +378,9 @@ func (r *SwitchlessRing) worker() {
 		}
 		select {
 		case req := <-r.queue:
-			if req.fn == nil {
-				r.mu.Lock()
-				r.running = false
-				r.mu.Unlock()
+			if !handle(req) {
 				return
 			}
-			r.serve(req)
-			spins = 0
 		case <-idle.C:
 			r.mu.Lock()
 			if len(r.queue) == 0 {

@@ -76,6 +76,45 @@ func TestSwitchlessConcurrentEnqueuers(t *testing.T) {
 	}
 }
 
+// TestSwitchlessConcurrentColdStart hammers a parked ring with one ECALL per
+// request and a WorkerIdle short enough to park mid-run, so the election of
+// the caller that re-spawns the worker races the other enqueuers under the
+// ring lock: no request may be lost or counted twice, and Destroy must find
+// a ring it can retire.
+func TestSwitchlessConcurrentColdStart(t *testing.T) {
+	const callers, perCaller = 4, 25
+	e := newTestEnclave(t, func(c *Config) { c.TCSNum = callers })
+	e.EnableSwitchless(ringConfig())
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perCaller; i++ {
+				err := e.ECall("main", func() error {
+					return e.SwitchlessOCall("io", 16, func() error { return nil })
+				})
+				if err != nil {
+					t.Errorf("concurrent call: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := e.Stats()
+	if got := st.OCalls + st.SwitchlessCalls; got != callers*perCaller {
+		t.Errorf("OCalls + SwitchlessCalls = %d, want %d (conservation)", got, callers*perCaller)
+	}
+	if st.WorkerWakeups < 1 || st.OCalls != st.FallbackOCalls {
+		t.Errorf("stats = %+v, want >= 1 wakeup and every classic call a fallback", st)
+	}
+	e.Destroy()
+	if err := e.ECall("late", func() error { return nil }); err == nil {
+		t.Error("ECall after Destroy succeeded")
+	}
+}
+
 // TestSwitchlessFairnessUnderContention checks arrival-order service:
 // with several enqueuers contending, no caller starves — every goroutine
 // finishes its quota while the others keep submitting.

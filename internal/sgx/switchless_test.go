@@ -2,6 +2,8 @@ package sgx
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -347,5 +349,69 @@ func TestEnableSwitchlessIdempotent(t *testing.T) {
 	}
 	if e.Switchless() != r1 {
 		t.Error("Switchless() did not return the attached ring")
+	}
+}
+
+// TestRideCostIndependentOfGap pins the ring's rule (ISSUE 19): a ride on a
+// ring in use costs the same whatever the enclave thread did since the last
+// one. Before the worker polled through the gaps it observes, a ride after
+// 20 µs of compute cost ≈ 6x a back-to-back ride and after 100 µs ≈ 8x: the
+// worker had blocked and the caller paid the scheduler's wake of an idle P.
+func TestRideCostIndependentOfGap(t *testing.T) {
+	e := benchEnclave(t)
+	defer e.Destroy()
+	e.EnableSwitchless(DefaultSwitchlessConfig(e.Config()))
+	median := func(gap time.Duration) time.Duration {
+		rides := timeRides(e, 2000, gap)
+		slices.Sort(rides)
+		return rides[len(rides)/2]
+	}
+	var report string
+	for attempt := 0; attempt < 3; attempt++ {
+		var base, at20, at100 time.Duration
+		_ = e.ECall("main", func() error {
+			timeRides(e, 200, 0) // cold fallback, then a warm worker
+			base, at20, at100 = median(0), median(20*time.Microsecond), median(100*time.Microsecond)
+			return nil
+		})
+		report = fmt.Sprintf("median ride %v back to back, %v after 20µs, %v after 100µs", base, at20, at100)
+		if at20 <= 2*base && at100 <= 2*base {
+			t.Log(report)
+			return
+		}
+	}
+	if raceEnabled {
+		t.Skip("wall-clock bound stands down under -race: " + report)
+	}
+	t.Errorf("%s: want both within 2x of back to back on one of three attempts", report)
+}
+
+// TestSparseRingPollsAtFloor is the other side of the rule: a worker that
+// keeps seeing gaps it could not poll through stops trying, so a sparse ring
+// costs a pollFloor of processor per request and not the gap.
+func TestSparseRingPollsAtFloor(t *testing.T) {
+	e := benchEnclave(t)
+	defer e.Destroy()
+	r := e.EnableSwitchless(DefaultSwitchlessConfig(e.Config()))
+	_ = e.ECall("main", func() error {
+		// Reading the worker's state here is ordered by the response of the
+		// ride just taken (see worker).
+		for attempt := 0; r.pollWindow() <= pollFloor; attempt++ {
+			if attempt == 3 {
+				t.Fatalf("window = %v after rides 50µs apart, want it above the floor", r.pollWindow())
+			}
+			timeRides(e, 200, 50*time.Microsecond)
+		}
+		for i := 0; i < 50; i++ {
+			time.Sleep(5 * time.Millisecond)
+			timeRides(e, 1, 0)
+		}
+		if w := r.pollWindow(); w != pollFloor {
+			t.Errorf("window = %v after 50 arrivals 5ms apart, want the floor %v", w, pollFloor)
+		}
+		return nil
+	})
+	if st := e.Stats(); st.WorkerWakeups != 1 {
+		t.Errorf("WorkerWakeups = %d, want 1: arrivals inside WorkerIdle must find the worker blocked, not parked", st.WorkerWakeups)
 	}
 }
