@@ -279,8 +279,8 @@ func (rt *Runtime) LoadModule(wasmBytes []byte) (*Module, error) {
 	}
 	// The translation counters are part of the load profile. The
 	// superblock tier stacks on the register form: its counters say how
-	// many innermost loops became idiom or step traces, and how many
-	// bailed back to the register interpreter.
+	// many innermost loops became idiom traces, and how many stayed
+	// with the register interpreter.
 	switch rt.cfg.Engine {
 	case wasm.EngineRegister:
 		st := mod.Compiled.RegStats(!rt.cfg.NoEPCTLB)
@@ -297,7 +297,6 @@ func (rt *Runtime) LoadModule(wasmBytes []byte) (*Module, error) {
 		rt.prof.Add("wasm.super.regbail", int64(st.RegBail))
 		rt.prof.Add("wasm.super.loops", int64(st.Loops))
 		rt.prof.Add("wasm.super.idioms", int64(st.Idioms))
-		rt.prof.Add("wasm.super.steploops", int64(st.StepLoops))
 		rt.prof.Add("wasm.super.bailouts", int64(st.Bailouts))
 	}
 	mod.LoadTime = time.Since(start)

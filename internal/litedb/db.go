@@ -25,8 +25,6 @@ type Options struct {
 	Journal JournalMode
 	// Prof receives pager and execution counters.
 	Prof *prof.Registry
-	// RandSeed seeds the SQL random()/randomblob() generator (0 = 1).
-	RandSeed int64
 }
 
 // DB is an open database handle. Not safe for concurrent use (SQLite's
@@ -44,7 +42,7 @@ type DB struct {
 
 	explicitTxn bool
 	lastInsert  int64
-	rng         *rand.Rand
+	rng         *rand.Rand // random()/randomblob(); fixed seed, so a script repeats
 	prof        *prof.Registry
 
 	// parsed remembers the statements of the last few distinct SQL texts
@@ -103,10 +101,6 @@ func Open(vfs VFS, name string, opts Options) (*DB, error) {
 		vfs = NewMemVFS()
 		opts.Journal = JournalMemory
 	}
-	seed := opts.RandSeed
-	if seed == 0 {
-		seed = 1
-	}
 	pager, err := OpenPager(vfs, name, PagerOptions{
 		CachePages: opts.CachePages,
 		Store:      opts.Store,
@@ -119,7 +113,7 @@ func Open(vfs VFS, name string, opts Options) (*DB, error) {
 	}
 	db := &DB{
 		vfs: vfs, name: name, pager: pager,
-		rng:  rand.New(rand.NewSource(seed)),
+		rng:  rand.New(rand.NewSource(1)),
 		prof: opts.Prof,
 	}
 	root, err := pager.SchemaRoot()

@@ -7,8 +7,8 @@
 // a second AoT stage (PR 4, EngineRegister) that rewrites each function
 // into a basic-block register IR with constant folding, copy propagation
 // and hoisted bounds checks, and a third AoT stage (PR 7,
-// EngineSuperblock) that compiles the register IR's innermost self-loops
-// into single Go closures. The superblock tier is the zero-value Engine:
+// EngineSuperblock) that compiles those of the register IR's innermost
+// self-loops that match an idiom template into single Go closures. The superblock tier is the zero-value Engine:
 // it is the fastest of the four on every workload measured (BENCHMARKS.md,
 // "Tier × workload matrix"), so it is what runs when no option is set. The
 // fused form stays as its per-function fallback and as a selectable tier,
@@ -79,27 +79,27 @@
 //
 // The superblock tier (EngineSuperblock) stacks on the register form: it
 // finds innermost self-loop regions (a back-edge to a dominating header
-// inside one function) and replaces each header with a trace-enter
-// pseudo-op dispatching to a Go closure. Only the header instruction is
+// inside one function) and replaces the header of each one that matches
+// an idiom with a trace-enter pseudo-op dispatching to a Go closure. Only the header instruction is
 // patched — interior pcs keep their original instructions, so mid-region
 // branch targets and guard-failure blobs still execute under the
 // register interpreter and re-enter the trace at the next back-edge.
 // Rules, in addition to everything above:
 //
-//   - Two trace forms exist. An IDIOM trace matches a counted loop
+//   - One trace form exists. An IDIOM trace matches a counted loop
 //     (brcmp-ge header over an i32 induction local, constant positive
 //     step; the back-edge increment may also be LVN's copy of a
 //     body-computed L+step temp, proven affine-equal — the jacobi
-//     stencil shape) whose straight-line body is an affine f64 walk — loads and
-//     at most one trailing store at addresses c + cL·i + Σ coeffₖ·invₖ
-//     scaled by a constant stride, combined by one of a fixed set of
-//     templates (fill, copy, binary op, mul-add update, scaled sum,
-//     scalar accumulate). A STEP trace compiles every region instruction
-//     to a per-instruction closure copied expression-for-expression from
-//     the register interpreter's arms; calls, indirect calls, br_table,
-//     return and memory.grow/size exclude a region entirely (a bailout,
-//     counted in SuperStats). Anything unproven stays on the register
-//     interpreter — bailing is always correct.
+//     stencil shape) whose straight-line body is an affine f64 walk —
+//     loads and at most one trailing store at addresses
+//     c + cL·i + Σ coeffₖ·invₖ scaled by a constant stride, combined by
+//     one of a fixed set of templates (fill, copy, binary op, mul-add
+//     update, scaled sum, scalar accumulate). Every other loop — integer
+//     and sub-word bodies, calls, br_table, return, memory.grow/size — is
+//     a bailout (counted in SuperStats) and runs under the register
+//     interpreter, the one executor of the register IR. Bailing is always
+//     correct, and a bailed loop costs exactly what EngineRegister
+//     charges for it.
 //   - Float semantics follow the PR 4 rule: nothing is folded at
 //     translation time, and idiom templates force product rounding
 //     (prod := float64(x*y)) so Go's FMA contraction cannot change bits.
@@ -124,9 +124,8 @@
 //     same class of slack PR 4's window guards already accept); guest
 //     results, traps and memory state remain bit-exact regardless.
 //   - Retired-instruction accounting: idiom traces charge one dispatch
-//     per iteration plus the trip entry; step traces count exactly one
-//     per executed instruction, preserving InsRetired parity for
-//     untraced shapes.
+//     per iteration plus the trip entry; everything else is the register
+//     interpreter's own count, one per executed instruction.
 //
 // Correctness of the whole stack is carried by a seeded cross-tier
 // differential fuzzer (fuzz_tier_test.go): structured random modules run

@@ -24,7 +24,8 @@ import (
 // result slots, trap kind AND message, final linear memory, globals, the
 // exact touch-hook call sequence, what the host function saw, and the
 // pager's fault/eviction counters. InsRetired is the one observable that
-// legitimately differs per tier and is not compared.
+// legitimately differs per tier; it is compared only between the register
+// and superblock tiers, and only when no loop became an idiom trace.
 //
 // The generator is deliberately biased toward the superblock tier's
 // attack surface: innermost self-loops that the idiom matcher accepts
@@ -244,7 +245,7 @@ func buildTierModule(data []byte) []byte {
 	// stmtAffineLoop is the superblock-idiom generator: one innermost
 	// loop whose body is an affine f64 walk in one of the matcher's
 	// template shapes — or a near-miss (unaligned base, i32 store mixed
-	// in) that must bail to step traces or the register interpreter.
+	// in) that must bail to the register interpreter.
 	stmtAffineLoop := func() {
 		n := int32(r.u8()%48) + 2
 		base := int32(r.u16()%2048) * 8
@@ -480,7 +481,7 @@ func buildTierModule(data []byte) []byte {
 		f.End()
 	}
 
-	// stmtMemWalk: i32 store/load walk (step-trace fodder: stores of
+	// stmtMemWalk: i32 store/load walk (register-loop fodder: stores of
 	// non-f64 width never match an idiom) plus a global round-trip.
 	stmtMemWalk := func() {
 		n := int32(r.u8()%24) + 1
@@ -541,7 +542,7 @@ func buildTierModule(data []byte) []byte {
 
 	// stmtServeLoop is the shape of the guest behind Registry.Submit: an
 	// i32.load8_u byte fold (sub-word loads never match an f64 idiom, so
-	// this is step-trace territory), then an iovec written to memory and
+	// the loop stays with runRegBody), then an iovec written to memory and
 	// one host call outside the loop that reads it back.
 	stmtServeLoop := func() {
 		n := int32(r.u8()) + 1
@@ -633,6 +634,7 @@ type tierOutcome struct {
 	evicts  int64
 	log     [][2]int64
 	host    [][3]uint32 // per env.host call: argument and the iovec it read
+	retired int64       // InsRetired so far; per tier, not part of diffOutcome
 }
 
 // runTierOnce executes the compiled module under one engine with a
@@ -690,6 +692,7 @@ func runTierOnce(c *Compiled, eng Engine, mode byte, capPages int) ([2]tierOutco
 		out.mem = append([]byte(nil), in.mem.data...)
 		out.globals = append([]uint64(nil), in.globals...)
 		out.faults, out.evicts, out.log, out.host = p.faults, p.evicts, p.log, host
+		out.retired = in.InsRetired()
 	}
 	return outs, nil
 }
@@ -758,14 +761,26 @@ func checkTierDifferential(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatalf("interp: %v", err)
 	}
+	outs := map[Engine][2]tierOutcome{}
 	for _, eng := range []Engine{EngineAOT, EngineRegister, EngineSuperblock} {
 		got, err := runTierOnce(c, eng, mode, capPages)
 		if err != nil {
 			t.Fatalf("%v: %v", eng, err)
 		}
+		outs[eng] = got
 		for call := range base {
 			if d := diffOutcome(base[call], got[call]); d != "" {
 				t.Errorf("%v diverged from interp (mode=%d cap=%d call=%d): %s", eng, mode, capPages, call, d)
+			}
+		}
+	}
+	// A module with no idiom trace runs under the superblock tier exactly
+	// as under the register tier, trap or not: same instructions retired.
+	if c.SuperStats(mode == 2).Idioms == 0 {
+		reg, sup := outs[EngineRegister], outs[EngineSuperblock]
+		for call := range reg {
+			if reg[call].retired != sup[call].retired {
+				t.Errorf("call %d: super retired %d, reg %d, with no idiom trace", call, sup[call].retired, reg[call].retired)
 			}
 		}
 	}
@@ -867,10 +882,11 @@ func TestStencilSeedProducesCopyTail(t *testing.T) {
 }
 
 // TestServeSeedReachesHostCall pins the generator side of seedServeLoop
-// the way TestStencilSeedProducesCopyTail does for the stencil: both
-// folds must be traced by the superblock tier and both host calls must
-// happen, cold and after the warm reset, or the fuzzer has silently lost
-// the serving shape.
+// the way TestStencilSeedProducesCopyTail does for the stencil: the
+// function must reach the superblock tier in register form with its three
+// loops left to the register interpreter, and both host calls must happen,
+// cold and after the warm reset, or the fuzzer has silently lost the
+// serving shape.
 func TestServeSeedReachesHostCall(t *testing.T) {
 	mod, err := Decode(buildTierModule([]byte(seedServeLoop)[2:]))
 	if err != nil {
@@ -889,7 +905,7 @@ func TestServeSeedReachesHostCall(t *testing.T) {
 			t.Errorf("call %d: trap %v, %d host calls, want none and 2", call, out.trap, len(out.host))
 		}
 	}
-	if st := c.SuperStats(true); st.RegBail != 0 || st.Idioms+st.StepLoops < 3 || st.Bailouts != 0 {
-		t.Errorf("serve seed loops fell off the trace path: %+v", st)
+	if st := c.SuperStats(true); st.RegBail != 0 || st.Loops != 3 || st.Bailouts != 3 {
+		t.Errorf("serve seed loops left the register loop: %+v", st)
 	}
 }

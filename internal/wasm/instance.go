@@ -13,11 +13,11 @@ type Engine int
 
 const (
 	// EngineSuperblock executes the third AoT stage (PR 7): the register
-	// IR with innermost self-loops compiled into single Go closures —
-	// idiom templates whose bounds/EPC-TLB guards are amortised to once
-	// per loop trip, or generic per-instruction step traces. Loops the
-	// translator cannot prove stay under the register interpreter, and
-	// functions it cannot prove run in their fused form.
+	// IR with the innermost self-loops that match an idiom template
+	// compiled into single Go closures whose bounds/EPC-TLB guards are
+	// amortised to once per loop trip. Every other loop stays under the
+	// register interpreter, and functions the register translator cannot
+	// prove run in their fused form.
 	//
 	// It is the zero value, so an unset Config.Engine runs the fastest
 	// tier on every workload measured (BENCHMARKS.md, "Tier × workload

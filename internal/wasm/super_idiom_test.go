@@ -13,9 +13,10 @@ import (
 // "copy L, src" instead of the canonical "i32addimm L, L, 1". The
 // matcher must recognise the copy tail — this is exactly the jacobi-2d
 // stencil shape, and losing it silently demotes the hottest PolyBench
-// stencil loop to a step trace. The test asserts the loop really is an
-// idiom trace, that raw trips actually ran (dispatch count collapses),
-// and that result and memory stay bit-identical across all four engines.
+// stencil loop to the register interpreter. The test asserts the loop
+// really is an idiom trace, that raw trips actually ran (dispatch count
+// collapses), and that result and memory stay bit-identical across all
+// four engines.
 func TestSuperCopyTailIdiom(t *testing.T) {
 	const n = 24
 	const baseA, baseB = 64, 64 + n*n*8
@@ -142,7 +143,7 @@ func TestSuperCopyTailIdiom(t *testing.T) {
 		}
 	}
 	// The idiom trace charges one dispatch per iteration instead of the
-	// ~20-instruction stencil body; the init loop stays a step trace, so
+	// ~20-instruction stencil body; the init loop stays with runRegBody, so
 	// require a >2x overall drop rather than a per-loop ratio.
 	if retired[3]*2 >= retired[2] {
 		t.Errorf("superblock retired %d vs register %d; idiom trace did not engage", retired[3], retired[2])

@@ -4,39 +4,34 @@ import "sort"
 
 // The superblock tier (PR 7) sits on top of the register IR: innermost
 // self-loop regions — a conditional exit test at the header, a body, an
-// induction increment, and a back-edge br — are compiled into a single Go
-// closure (a "trace") entered through sOpTraceEnter. Two trace shapes
-// exist, tried in order:
+// induction increment, and a back-edge br — that match an idiom template
+// (superIdiom) are compiled into a single Go closure (a "trace") entered
+// through sOpTraceEnter. A template is one of a small set of
+// PolyBench-shaped bodies (fma-update, min-add, scaled stencil sum, fill,
+// reduce, ...) whose memory accesses are affine in the induction
+// variable. It re-proves the PR 4 guard conditions once per loop trip —
+// every access span in bounds and on hot EPC-TLB pages — and then runs
+// the entire trip raw, or falls to a checked per-iteration loop that
+// replays the exact program-order memLoad*/memStore* sequence when the
+// trip guard fails.
 //
-//  1. An idiom template (superIdiom): the whole loop matches one of a
-//     small set of PolyBench-shaped bodies (fma-update, min-add, scaled
-//     stencil sum, fill, reduce, ...) whose memory accesses are affine in
-//     the induction variable. The template re-proves the PR 4 guard
-//     conditions once per loop trip — every access span in bounds and on
-//     hot EPC-TLB pages — and then runs the entire trip raw, or falls to
-//     a checked per-iteration loop that replays the exact program-order
-//     memLoad*/memStore* sequence when the trip guard fails.
-//  2. A generic step trace: every instruction of the region individually
-//     compiled to a closure; same dispatch count as the register
-//     interpreter but without the central switch.
-//
-// Loops containing calls, br_table, return, or memory.grow/size are left
-// to the register interpreter (counted in SuperStats.Bailouts). Only the
-// header pc is patched, so branches into the middle of a traced region
-// (guard-fail blobs) still execute through runRegBody and re-enter the
-// trace at the next back-edge.
+// Every other loop is left to runRegBody, the one executor of the
+// register IR (counted in SuperStats.Bailouts). Only the header pc is
+// patched, so branches into the middle of a traced region (guard-fail
+// blobs) still execute through runRegBody and re-enter the trace at the
+// next back-edge.
 
 // SuperStats counts superblock-tier translation outcomes for one module
 // form. Reported by Compiled.SuperStats and asserted by
-// super_idiom_test.go so silent coverage loss (loops quietly falling back
-// to the register interpreter) is visible.
+// super_idiom_test.go and polybench's idiom census so silent coverage
+// loss (loops quietly falling back to the register interpreter) is
+// visible.
 type SuperStats struct {
-	Funcs     int // functions examined in register form
-	RegBail   int // functions that had no register form (run fused, untraced)
-	Loops     int // innermost self-loop regions discovered
-	Idioms    int // loops compiled to idiom templates
-	StepLoops int // loops compiled to generic step traces
-	Bailouts  int // loops left to the register interpreter
+	Funcs    int // functions examined in register form
+	RegBail  int // functions that had no register form (run fused, untraced)
+	Loops    int // innermost self-loop regions discovered
+	Idioms   int // loops compiled to idiom templates
+	Bailouts int // loops left to the register interpreter
 }
 
 func (s *SuperStats) merge(o SuperStats) {
@@ -44,7 +39,6 @@ func (s *SuperStats) merge(o SuperStats) {
 	s.RegBail += o.RegBail
 	s.Loops += o.Loops
 	s.Idioms += o.Idioms
-	s.StepLoops += o.StepLoops
 	s.Bailouts += o.Bailouts
 }
 
@@ -108,14 +102,11 @@ func translateSuper(fn *compiledFunc, st *SuperStats) compiledFunc {
 	var patched []ins
 	for _, rg := range inner {
 		tr, ok := matchIdiom(fn, rg.start, rg.end)
-		if ok {
-			st.Idioms++
-		} else if tr, ok = compileSteps(fn, rg.start, rg.end); ok {
-			st.StepLoops++
-		} else {
+		if !ok {
 			st.Bailouts++
 			continue
 		}
+		st.Idioms++
 		if patched == nil {
 			patched = append([]ins(nil), code...)
 		}
@@ -282,8 +273,8 @@ type superFactor struct {
 // DSL loop: header exit test, straight-line body, induction increment,
 // back-edge. Bodies may contain only affine i32 address arithmetic, f64
 // loads/stores, and a recognised f64 combine; anything else (including
-// guarded windows — the trip guard subsumes them) falls through to the
-// generic step compiler.
+// guarded windows — the trip guard subsumes them) leaves the loop to the
+// register interpreter.
 func matchIdiom(fn *compiledFunc, start, end int) (superTrace, bool) {
 	code := fn.code
 	nLoc := fn.numParams + fn.numLocals

@@ -360,8 +360,8 @@ func TestTierTeeSetNoopDSE(t *testing.T) {
 // TestSuperTrapParityAllKinds walks every TrapKind in trap.go through
 // all four engines and requires identical kind, message and exit code.
 // Trapping sites sit inside counted self-loops where possible, so the
-// superblock tier reaches them through its traces (idiom checked
-// fallback or step runner) rather than through untraced code. Each
+// superblock tier reaches them where a loop header may be patched (the
+// idiom checked fallback, or the register loop for a bailed region). Each
 // engine traps twice, with a warm ResetFromSnapshot in between: the
 // repair a quarantined worker gets, and the second trap must not move.
 func TestSuperTrapParityAllKinds(t *testing.T) {

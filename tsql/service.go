@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"twine/internal/hostfs"
 	"twine/internal/litedb"
@@ -77,20 +76,15 @@ type ShardConfig struct {
 	// column. Required when Shards > 1.
 	RouteTable  string
 	RouteColumn string
-	// CommitWindow holds a write batch open for stragglers before
-	// committing (default 0: opportunistic batching — whatever queued
-	// while the previous commit flushed forms the next batch).
-	CommitWindow time.Duration
-	// MaxBatch caps statements per group commit (default 32).
-	MaxBatch int
 	// NoGroupCommit executes writes synchronously on the caller, one
-	// autocommit transaction each — the fidelity configuration.
+	// autocommit transaction each — the fidelity configuration. Off, the
+	// batching is opportunistic: whatever queued while the previous
+	// commit flushed forms the next batch, up to maxBatch requests.
 	NoGroupCommit bool
-	// HostIO, when set, is invoked once per shard sub-request while the
-	// shard's serving handle is held — the untrusted transport hook the
-	// serving benches model client round-trips with (PR 3 idiom).
-	HostIO func(shard int) error
 }
+
+// maxBatch caps the requests one group commit carries.
+const maxBatch = 32
 
 // ServiceStats is a point-in-time snapshot of routing counters.
 type ServiceStats struct {
@@ -168,9 +162,6 @@ func OpenService(cfg ShardConfig) (*Service, error) {
 	}
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 1
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 32
 	}
 	if cfg.Shards > 1 && (cfg.RouteTable == "" || cfg.RouteColumn == "") {
 		return nil, fmt.Errorf("tsql: a sharded service needs RouteTable and RouteColumn")
@@ -318,17 +309,12 @@ func (sh *shard) ensureFresh(h *servHandle) error {
 	return nil
 }
 
-// readOn runs one read-only sub-request on a shard: checkout, transport
-// wait, then refresh-check and query under one storage read-lock hold.
+// readOn runs one read-only sub-request on a shard: checkout, then
+// refresh-check and query under one storage read-lock hold.
 func (s *Service) readOn(idx int, fn func(db *DB) (*Rows, error)) (*Rows, error) {
 	sh := s.shards[idx]
 	h := sh.checkout()
 	defer sh.checkin(h)
-	if s.cfg.HostIO != nil {
-		if err := s.cfg.HostIO(idx); err != nil {
-			return nil, err
-		}
-	}
 	sh.storageMu.RLock()
 	defer sh.storageMu.RUnlock()
 	if err := sh.ensureFresh(h); err != nil {
@@ -684,9 +670,9 @@ func (sh *shard) execDirect(r *writeReq) {
 	r.resp <- writeResp{n, err}
 }
 
-// commitLoop drains the shard's write queue into group commits. With no
-// CommitWindow the batching is opportunistic: everything that queued
-// while the previous batch flushed forms the next one.
+// commitLoop drains the shard's write queue into group commits. The
+// batching is opportunistic: everything that queued while the previous
+// batch flushed forms the next one.
 func (sh *shard) commitLoop() {
 	for {
 		var first *writeReq
@@ -696,30 +682,13 @@ func (sh *shard) commitLoop() {
 			return
 		}
 		batch := []*writeReq{first}
-		max := sh.svc.cfg.MaxBatch
-		if w := sh.svc.cfg.CommitWindow; w > 0 {
-			t := time.NewTimer(w)
-		window:
-			for len(batch) < max {
-				select {
-				case r := <-sh.wq:
-					batch = append(batch, r)
-				case <-t.C:
-					break window
-				case <-sh.done:
-					break window
-				}
-			}
-			t.Stop()
-		} else {
-		drain:
-			for len(batch) < max {
-				select {
-				case r := <-sh.wq:
-					batch = append(batch, r)
-				default:
-					break drain
-				}
+	drain:
+		for len(batch) < maxBatch {
+			select {
+			case r := <-sh.wq:
+				batch = append(batch, r)
+			default:
+				break drain
 			}
 		}
 		sh.commitBatch(batch)
@@ -729,8 +698,8 @@ func (sh *shard) commitLoop() {
 // commitBatch executes a batch as BEGIN..COMMIT inside ONE enclave
 // crossing — one switchless protected-FS flush for the whole window. A
 // failing statement rolls the batch back and every request re-runs in
-// its own autocommit unit, so one bad write cannot poison its
-// batchmates.
+// its own enclave crossing, each statement an autocommit unit, so one
+// bad write cannot poison its batchmates.
 func (sh *shard) commitBatch(batch []*writeReq) {
 	svc := sh.svc
 	atomic.AddInt64(&svc.stats.groupCommits, 1)
@@ -800,8 +769,11 @@ func (sh *shard) commitBatch(batch []*writeReq) {
 	atomic.AddInt64(&svc.stats.groupFallbacks, 1)
 	resps := make([]writeResp, len(live))
 	for i, r := range live {
-		n, rerr := runIn(sh.writer.edb.DB, i, r) // still one ECall each
-		_ = n
+		var n int64
+		rerr := sh.writer.edb.Batch(func(db *litedb.DB) (err error) {
+			n, err = runIn(db, i, r)
+			return err
+		})
 		resps[i] = writeResp{n, rerr}
 	}
 	sh.epoch.Add(1)
