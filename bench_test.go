@@ -176,7 +176,7 @@ func BenchmarkFig7Breakdown(b *testing.B) {
 				}
 				if i == 0 {
 					b.ReportMetric(float64(bd.Memset.Nanoseconds()), "memset-ns")
-					b.ReportMetric(float64(bd.OCall.Nanoseconds()), "ocall-ns")
+					b.ReportMetric(float64(bd.Boundary.Nanoseconds()), "boundary-ns")
 				}
 			}
 		})

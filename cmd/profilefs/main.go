@@ -49,8 +49,8 @@ func main() {
 			}
 			return 100 * float64(d) / float64(b.Total)
 		}
-		fmt.Printf("%-10s total %10s | sqlite %5.1f%% | read-other %5.1f%% | crypto %5.1f%% | ocall %5.1f%% (switchless %5.1f%%) | memset %5.1f%%\n",
-			name, b.Total, pct(b.SQLite), pct(b.ReadOther), pct(b.Crypto), pct(b.Boundary()), pct(b.Switchless), pct(b.Memset))
+		fmt.Printf("%-10s total %10s | sqlite %5.1f%% | read-other %5.1f%% | crypto %5.1f%% | boundary %5.1f%% (%d rides, %d classic OCALLs) | memset %5.1f%%\n",
+			name, b.Total, pct(b.SQLite), pct(b.ReadOther), pct(b.Crypto), pct(b.Boundary), b.Rides, b.OCalls, pct(b.Memset))
 	}
 	print("standard", std)
 	print("optimized", optm)

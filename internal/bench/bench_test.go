@@ -213,7 +213,7 @@ func TestBreakdownModes(t *testing.T) {
 	if optm.Memset != 0 {
 		t.Errorf("optimized mode still spends %v in memset", optm.Memset)
 	}
-	if std.Boundary() == 0 || optm.Boundary() == 0 {
+	if std.Boundary == 0 || optm.Boundary == 0 {
 		t.Error("no boundary (OCALL + switchless) time recorded")
 	}
 }

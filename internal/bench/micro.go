@@ -7,7 +7,6 @@ import (
 
 	"twine/internal/ipfs"
 	"twine/internal/litedb"
-	"twine/internal/prof"
 )
 
 // The micro-benchmark suite of §V-D: a single table with an
@@ -46,11 +45,6 @@ type MicroConfig struct {
 	RandReads int
 	// Options passes through to Open.
 	Options Options
-}
-
-// DefaultMicroConfig returns a laptop-scale sweep.
-func DefaultMicroConfig() MicroConfig {
-	return MicroConfig{MaxRecords: 8000, Step: 1000, RandReads: 200}
 }
 
 // RunMicro sweeps one variant/storage pair.
@@ -210,28 +204,26 @@ func median(xs []float64) float64 {
 }
 
 // Breakdown is Figure 7's random-read time decomposition. The paper's
-// OCALL series is Boundary(): classic transitions plus switchless ring
-// rides, which PR 2 moves most boundary work onto.
+// OCALL series is Boundary: all host-call time, whether it paid two
+// transitions or rode the switchless ring; Rides and OCalls count the
+// crossings of each kind (sgx.Stats over the same window).
 type Breakdown struct {
-	Total      time.Duration
-	ReadPath   time.Duration // total protected-FS read-path time
-	Memset     time.Duration // ipfs node clearing
-	OCall      time.Duration // enclave transitions (incl. the edge copy)
-	Switchless time.Duration // switchless ring rides (no transition)
-	Crypto     time.Duration // AES-GCM node processing
-	ReadOther  time.Duration // remaining protected-FS read-path time
-	SQLite     time.Duration // remaining engine time
-}
+	Total     time.Duration
+	ReadPath  time.Duration // total protected-FS read-path time
+	Memset    time.Duration // ipfs node clearing
+	Boundary  time.Duration // outside the enclave (incl. the edge copy)
+	Crypto    time.Duration // AES-GCM node processing
+	ReadOther time.Duration // remaining protected-FS read-path time
+	SQLite    time.Duration // remaining engine time
 
-// Boundary is the reconstructed Figure 7 OCALL series: all host-call time,
-// whether it paid transitions or rode the ring.
-func (b Breakdown) Boundary() time.Duration { return b.OCall + b.Switchless }
+	Rides, OCalls int64
+}
 
 // RunBreakdown measures the Figure 7 workload: random reads over a
 // populated Twine/file database, with the protected FS in the given mode.
 func RunBreakdown(records, reads int, optimised bool, opt Options) (Breakdown, error) {
-	reg := prof.NewRegistry()
-	opt.Prof = reg
+	var tm ipfs.Timings
+	opt.Timings = &tm
 	if optimised {
 		opt.IPFSMode = ipfs.ModeOptimized
 	} else {
@@ -260,7 +252,12 @@ func RunBreakdown(records, reads int, optimised bool, opt Options) (Breakdown, e
 		return Breakdown{}, err
 	}
 
-	reg.Reset()
+	// The measured window is the reads alone: drop what populating charged.
+	tm.ReadPath.Store(0)
+	tm.Memset.Store(0)
+	tm.Crypto.Store(0)
+	tm.Boundary.Store(0)
+	before := db.Enclave().Stats()
 	start := time.Now()
 	for i := 0; i < reads; i++ {
 		id := rng.Int63n(int64(records)) + 1
@@ -269,23 +266,22 @@ func RunBreakdown(records, reads int, optimised bool, opt Options) (Breakdown, e
 		}
 	}
 	total := time.Since(start)
-	snap := reg.Snapshot()
+	after := db.Enclave().Stats()
 
 	b := Breakdown{
-		Total:      total,
-		ReadPath:   snap.Timers["ipfs.readpath"],
-		Memset:     snap.Timers["ipfs.memset"],
-		OCall:      snap.Timers["sgx.ocall"],
-		Switchless: snap.Timers["sgx.switchless"],
-		Crypto:     snap.Timers["ipfs.crypto"],
+		Total:    total,
+		ReadPath: time.Duration(tm.ReadPath.Load()),
+		Memset:   time.Duration(tm.Memset.Load()),
+		Boundary: time.Duration(tm.Boundary.Load()),
+		Crypto:   time.Duration(tm.Crypto.Load()),
+		Rides:    after.SwitchlessCalls - before.SwitchlessCalls,
+		OCalls:   after.OCalls - before.OCalls,
 	}
-	readPath := b.ReadPath
-	inner := b.Memset + b.OCall + b.Switchless + b.Crypto
-	if readPath > inner {
-		b.ReadOther = readPath - inner
+	if inner := b.Memset + b.Boundary + b.Crypto; b.ReadPath > inner {
+		b.ReadOther = b.ReadPath - inner
 	}
-	if total > readPath {
-		b.SQLite = total - readPath
+	if total > b.ReadPath {
+		b.SQLite = total - b.ReadPath
 	}
 	return b, nil
 }

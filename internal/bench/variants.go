@@ -20,7 +20,6 @@ import (
 	"twine/internal/hostfs"
 	"twine/internal/ipfs"
 	"twine/internal/litedb"
-	"twine/internal/prof"
 	"twine/internal/sgx"
 	"twine/internal/sgxlkl"
 	"twine/internal/wasi"
@@ -85,8 +84,9 @@ type Options struct {
 	ImageBlocks int
 	// Sync is the synchronous mode (default normal, paper).
 	Sync litedb.SyncMode
-	// Prof receives all counters.
-	Prof *prof.Registry
+	// Timings receives the Twine variant's protected-FS time attribution
+	// (Figure 7); nil reads no clock.
+	Timings *ipfs.Timings
 }
 
 // DB is an open benchmark database of some variant.
@@ -100,7 +100,6 @@ type DB struct {
 	edb     *core.EmbeddedDB
 	lkl     *sgxlkl.Runtime
 	host    *hostfs.MemFS
-	prof    *prof.Registry
 
 	// OpenTime is the time spent building the stack (Table IIIa Launch).
 	OpenTime time.Duration
@@ -123,8 +122,7 @@ func Open(v Variant, s Storage, opt Options) (*DB, error) {
 		opt.Sync = litedb.SyncNormal
 	}
 	opt.SGX.Mode = opt.SGXMode
-	opt.SGX.Prof = opt.Prof
-	h := &DB{Variant: v, Storage: s, host: hostfs.NewMemFS(), prof: opt.Prof}
+	h := &DB{Variant: v, Storage: s, host: hostfs.NewMemFS()}
 
 	var err error
 	switch v {
@@ -156,7 +154,7 @@ func (h *DB) openNative(s Storage, opt Options) error {
 		vfs = litedb.NewHostVFS(h.host)
 	}
 	db, err := litedb.Open(vfs, name, litedb.Options{
-		CachePages: opt.CachePages, Sync: opt.Sync, Prof: opt.Prof,
+		CachePages: opt.CachePages, Sync: opt.Sync,
 	})
 	h.db = db
 	return err
@@ -195,7 +193,6 @@ func (h *DB) openWAMR(s Storage, opt Options) error {
 	sys, err := wasi.NewSystem(wasi.Config{
 		FS:       wasi.NewHostBackend(h.host, nil),
 		Preopens: map[string]string{"/": ""},
-		Prof:     opt.Prof,
 	})
 	if err != nil {
 		return err
@@ -219,7 +216,7 @@ func (h *DB) openWAMR(s Storage, opt Options) error {
 		vfs = wv
 	}
 	db, err := litedb.Open(vfs, name, litedb.Options{
-		CachePages: opt.CachePages, Store: store, Sync: opt.Sync, Prof: opt.Prof,
+		CachePages: opt.CachePages, Store: store, Sync: opt.Sync,
 	})
 	h.db = db
 	return err
@@ -232,7 +229,7 @@ func (h *DB) openTwine(s Storage, opt Options) error {
 		FS:           core.FSIPFS,
 		IPFSMode:     opt.IPFSMode,
 		HostFS:       h.host,
-		Prof:         opt.Prof,
+		Timings:      opt.Timings,
 	})
 	if err != nil {
 		return err
@@ -299,7 +296,7 @@ func (h *DB) openLKL(s Storage, opt Options) error {
 		}); err != nil {
 			return err
 		}
-		lkl, err := sgxlkl.Launch(enclave, h.host, "disk.img", key, opt.Prof)
+		lkl, err := sgxlkl.Launch(enclave, h.host, "disk.img", key)
 		if err != nil {
 			return err
 		}
@@ -318,7 +315,7 @@ func (h *DB) openLKL(s Storage, opt Options) error {
 		})
 	}
 	db, err := litedb.Open(vfs, name, litedb.Options{
-		CachePages: opt.CachePages, Store: store, Sync: opt.Sync, Prof: opt.Prof,
+		CachePages: opt.CachePages, Store: store, Sync: opt.Sync,
 	})
 	h.db = db
 	return err

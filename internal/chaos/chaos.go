@@ -1,10 +1,9 @@
-// Package chaos is the cross-layer fault-injection harness (PR 6). It
-// generalises the ad-hoc hostfs.Faulty wrapper into a seeded,
-// deterministic fault *plan* that any layer can consult: the untrusted
-// host file system (WrapFS), the WASI backend boundary
-// (wasi.HostBackend.Chaos), the switchless ring's drain worker
-// (sgx.SwitchlessConfig.DrainChaos) and the serving pool's per-request
-// host I/O (bench fault series).
+// Package chaos is the cross-layer fault-injection harness (PR 6) and the
+// repository's one fault wrapper. It runs a seeded, deterministic fault
+// *plan* that any layer can consult: the untrusted host file system
+// (WrapFS), the WASI backend boundary (wasi.HostBackend.Chaos, set through
+// core.Config.Chaos) and the switchless ring's drain worker
+// (sgx.SwitchlessConfig.DrainChaos).
 //
 // The design contract is determinism: whether operation i is selected is
 // a pure function of (Plan, i). Two runs with the same plan against the

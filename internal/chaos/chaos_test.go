@@ -223,6 +223,26 @@ func TestWrapFSInjects(t *testing.T) {
 	if _, err := fs.Stat("/a"); !errors.Is(err, boom) { // op 2 again: fault
 		t.Errorf("replayed op 2 = %v, want injected fault", err)
 	}
+
+	// A window that never closes is a host that died after op 1: every
+	// handle operation fails from then on.
+	dead := WrapFS(hostfs.NewMemFS(), New(Plan{At: 2, Window: 1 << 40, Err: boom}))
+	g, err := dead.OpenFile("/b", hostfs.ORead|hostfs.OWrite|hostfs.OCreate) // op 1: ok
+	if err != nil {
+		t.Fatalf("OpenFile: %v", err)
+	}
+	if _, err := g.WriteAt([]byte("x"), 0); !errors.Is(err, boom) {
+		t.Errorf("WriteAt on a dead host = %v, want injected fault", err)
+	}
+	if _, err := g.ReadAt(make([]byte, 1), 0); !errors.Is(err, boom) {
+		t.Errorf("ReadAt on a dead host = %v, want injected fault", err)
+	}
+	if err := g.Sync(); !errors.Is(err, boom) {
+		t.Errorf("Sync on a dead host = %v, want injected fault", err)
+	}
+	if _, err := dead.Stat("/b"); !errors.Is(err, boom) {
+		t.Errorf("Stat on a dead host = %v, want injected fault", err)
+	}
 }
 
 // TestWrapFSTransparentWhenNil: a nil injector wrapper behaves exactly

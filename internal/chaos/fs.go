@@ -8,10 +8,10 @@ import (
 
 // WrapFS returns an untrusted host file system whose every operation —
 // path operations and per-handle data operations alike — consults inj
-// first, stalling and/or failing the operations the plan selects. It is
-// the plan-driven generalisation of hostfs.Faulty: where Faulty hardwires
-// one fail-after schedule, WrapFS runs any Plan (windows, strides,
-// seeded probabilities, stalls) against the same operation stream.
+// first, stalling and/or failing the operations the plan selects: any
+// Plan (windows, strides, seeded probabilities, stalls) runs against the
+// one operation stream. "Fail everything after the first n operations" is
+// Plan{At: n + 1, Window: 1 << 40}.
 //
 // With a nil injector (or a zero Plan) the wrapper is transparent: the
 // operation sequence, results and errors are exactly the wrapped FS's.
@@ -105,9 +105,9 @@ func (c *chaosFS) UTimes(name string, atime, mtime time.Time) error {
 	return c.fs.UTimes(name, atime, mtime)
 }
 
-// chaosFile intercepts the data-plane operations (the hostfs.Faulty
-// precedent: ReadAt/WriteAt/Sync are the untrusted-host calls a database
-// workload hammers); Truncate/Stat/Close pass through via embedding.
+// chaosFile intercepts the data-plane operations (ReadAt/WriteAt/Sync are
+// the untrusted-host calls a database workload hammers); Truncate/Stat/Close
+// pass through via embedding.
 type chaosFile struct {
 	hostfs.File
 	inj *Injector

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"twine/internal/hostfs"
-	"twine/internal/prof"
 	"twine/internal/sgx"
 	"twine/internal/wasm"
 	"twine/wasmgen"
@@ -315,8 +314,7 @@ func TestEngineSelection(t *testing.T) {
 		{wasm.Engine(-1), 0},
 		{wasm.Engine(4), 0},
 	} {
-		reg := prof.NewRegistry()
-		rt, err := NewRuntime(testConfig(func(c *Config) { c.Engine = tc.set; c.Prof = reg }))
+		rt, err := NewRuntime(testConfig(func(c *Config) { c.Engine = tc.set }))
 		if err != nil {
 			t.Fatalf("NewRuntime(%v): %v", tc.set, err)
 		}
@@ -327,7 +325,7 @@ func TestEngineSelection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("LoadModule(%v): %v", tc.set, err)
 		}
-		// The load profile names the tier that was translated.
+		// The module names the tier that was translated.
 		var wantSuper, wantReg int64
 		switch tc.want {
 		case wasm.EngineSuperblock:
@@ -335,8 +333,8 @@ func TestEngineSelection(t *testing.T) {
 		case wasm.EngineRegister:
 			wantReg = 1
 		}
-		if s, r := reg.Counter("wasm.super.funcs"), reg.Counter("wasm.reg.funcs"); s != wantSuper || r != wantReg {
-			t.Errorf("engine %v: load profile super.funcs=%d reg.funcs=%d, want %d and %d", tc.set, s, r, wantSuper, wantReg)
+		if s, r := int64(mod.Super.Funcs), mod.Reg.Funcs; s != wantSuper || r != wantReg {
+			t.Errorf("engine %v: Module.Super.Funcs=%d Reg.Funcs=%d, want %d and %d", tc.set, s, r, wantSuper, wantReg)
 		}
 		inst, err := rt.NewInstance(mod)
 		if err != nil {

@@ -28,8 +28,9 @@
 //     WASI-visible results are byte-identical and
 //     OCalls_off == OCalls_on + SwitchlessCalls_on holds for unbatched
 //     workloads;
-//   - launch, load and transition times are attributed to the profiling
-//     registry so Tables II/III and Figure 7 can be rebuilt from any run.
+//   - launch and load times are fields of Runtime and Module (Table III),
+//     a module's translation counters are Module.Reg / Module.Super, and
+//     Figure 7's timers are ipfs.Timings, carried by Config.Timings.
 //
 // # Concurrency and the serving pool (PR 3)
 //

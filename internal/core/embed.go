@@ -38,10 +38,6 @@ type DBConfig struct {
 	Name string
 	// CachePages is the page-cache size (default 2,048 = 8 MiB).
 	CachePages int
-	// GuestMemPages sizes the guest linear memory in 64 KiB pages;
-	// it must hold the marshal window plus the page cache
-	// (default: enough for the cache + 128 KiB scratch).
-	GuestMemPages uint32
 	// Sync/Journal mirror the litedb options.
 	Sync    litedb.SyncMode
 	Journal litedb.JournalMode
@@ -72,11 +68,10 @@ func (rt *Runtime) OpenDB(cfg DBConfig) (*EmbeddedDB, error) {
 	if cfg.CachePages <= 0 {
 		cfg.CachePages = litedb.DefaultCachePages
 	}
-	if cfg.GuestMemPages == 0 {
-		need := uint32((cfg.CachePages*litedb.PageSize + scratchBytes + wasm.PageSize - 1) / wasm.PageSize)
-		cfg.GuestMemPages = need + 2
-	}
-	mod, err := rt.LoadModule(shimModule(cfg.GuestMemPages))
+	// The guest's linear memory holds the marshal window plus the page
+	// cache, and two 64 KiB pages of slack.
+	guestPages := uint32((cfg.CachePages*litedb.PageSize+scratchBytes+wasm.PageSize-1)/wasm.PageSize) + 2
+	mod, err := rt.LoadModule(shimModule(guestPages))
 	if err != nil {
 		return nil, fmt.Errorf("twine: shim module: %w", err)
 	}
@@ -128,7 +123,6 @@ func (rt *Runtime) OpenDB(cfg DBConfig) (*EmbeddedDB, error) {
 			Store:      store,
 			Sync:       cfg.Sync,
 			Journal:    cfg.Journal,
-			Prof:       rt.prof,
 		})
 		return oerr
 	})
@@ -297,9 +291,9 @@ func (s *DBStream) Row() []litedb.Value { return s.cur }
 // Err returns the error that terminated the stream, if any.
 func (s *DBStream) Err() error { return s.err }
 
-// MaxBuffered reports the bounded-memory high-water mark: in-enclave
-// channel occupancy plus the host-side refill batch.
-func (s *DBStream) MaxBuffered() int64 { return s.it.MaxBuffered() + streamBatch }
+// MaxBuffered reports the bounded-memory guarantee: the host-side refill
+// batch. The in-enclave cursor hands rows over one at a time and holds none.
+func (s *DBStream) MaxBuffered() int64 { return streamBatch }
 
 // Close stops the in-enclave producer and frees the handle for the next
 // statement.

@@ -411,3 +411,136 @@ func TestPoolFidelity(t *testing.T) {
 		t.Fatal("workload did not page; fidelity test proves nothing")
 	}
 }
+
+// logModule builds a guest that keeps one host file open per worker:
+// run() opens (creating) "log.txt" on its first call, remembers the fd in
+// memory, writes a 16-byte record through it and returns the failing
+// call's errno, 0 if none. The record is small enough to be batched, so
+// from a worker's second request on the one boundary crossing is the flush
+// at the end of the guest entry, whose failure reaches Submit as an error.
+func logModule() []byte {
+	const fdSlot, iov, nOut = 256, 128, 144
+	m := wasmgen.NewModule()
+	pathOpen := m.ImportFunc("wasi_snapshot_preview1", "path_open",
+		wasmgen.Sig(wasmgen.I32, wasmgen.I32, wasmgen.I32, wasmgen.I32, wasmgen.I32,
+			wasmgen.I64, wasmgen.I64, wasmgen.I32, wasmgen.I32).Returns(wasmgen.I32))
+	fdWrite := m.ImportFunc("wasi_snapshot_preview1", "fd_write",
+		wasmgen.Sig(wasmgen.I32, wasmgen.I32, wasmgen.I32, wasmgen.I32).Returns(wasmgen.I32))
+	m.Memory(1, 1)
+	path := "log.txt"
+	m.Data(64, []byte(path))
+	m.Data(96, []byte("sixteen-byte-rec"))
+	f := m.Func(wasmgen.Sig().Returns(wasmgen.I32), wasmgen.I32)
+	f.Block(wasmgen.BlockVoid)
+	f.I32Const(fdSlot).I32Load(0).BrIf(0) // already open
+	f.I32Const(3).I32Const(0).I32Const(64).I32Const(int32(len(path))).
+		I32Const(1).                                     // oflags: CREAT
+		I64Const((1 << 29) - 1).I64Const((1 << 29) - 1). // rights: all
+		I32Const(0).I32Const(fdSlot).Call(pathOpen).LocalTee(0)
+	f.I32Eqz().BrIf(0)
+	f.I32Const(fdSlot).I32Const(0).I32Store(0)
+	f.LocalGet(0).Return()
+	f.End()
+	f.I32Const(iov).I32Const(96).I32Store(0)
+	f.I32Const(iov + 4).I32Const(16).I32Store(0)
+	f.I32Const(fdSlot).I32Load(0).I32Const(iov).I32Const(1).I32Const(nOut).Call(fdWrite)
+	f.End()
+	m.Export("run", f)
+	m.ExportMemory("memory")
+	return m.Bytes()
+}
+
+// TestRuntimeChaosRetry drives Config.Chaos, HostRetryMax and
+// HostRetryBackoff, the fault-recovery plumbing of the WASI boundary,
+// through the front door: a host on which every third crossing fails
+// transiently is invisible to the guest when the boundary may retry, and
+// without retries fails the request it hit without costing the pool a worker.
+func TestRuntimeChaosRetry(t *testing.T) {
+	const requests = 12
+	glitch := chaos.Transient(errors.New("host glitch"))
+	open := func(retryMax, workers int) (*chaos.Injector, *Runtime, *Pool) {
+		t.Helper()
+		inj := chaos.New(chaos.Plan{EveryK: 3, Err: glitch})
+		rt, err := NewRuntime(testConfig(func(c *Config) {
+			c.FS = FSHost
+			c.Chaos = inj
+			c.HostRetryMax = retryMax
+			c.HostRetryBackoff = time.Microsecond
+		}))
+		if err != nil {
+			t.Fatalf("NewRuntime: %v", err)
+		}
+		t.Cleanup(rt.Enclave.Destroy)
+		mod, err := rt.LoadModule(logModule())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := rt.NewPool(mod, PoolConfig{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { pool.Close() })
+		return inj, rt, pool
+	}
+
+	// Two workers, alternating (holding the free list's top hands Submit
+	// the other one): each serves through its own clone of the host
+	// backend, and the clones consult one plan and count into one RetryStats.
+	inj, rt, pool := open(2, 2)
+	for i := 0; i < requests; i++ {
+		var held *worker
+		if i%2 == 1 {
+			held = pool.takeWorker(t)
+		}
+		out, err := pool.Submit()
+		if err != nil || out[0] != 0 {
+			t.Errorf("request %d with HostRetryMax 2: errno %v, %v", i, out, err)
+		}
+		if held != nil {
+			pool.release(held)
+		}
+	}
+	faults, retry := inj.Stats().Faults, rt.HostRetryStats()
+	if faults < requests/3 {
+		t.Errorf("%d faults injected over %d requests; the workers' backends do not consult the plan", faults, requests)
+	}
+	if retry.Retries != faults || retry.Recovered != faults || retry.Exhausted != 0 {
+		t.Errorf("retry stats %+v, want every one of the %d faults retried once and recovered", retry, faults)
+	}
+	if ps := pool.Stats(); ps.Requests != requests || ps.Quarantined != 0 {
+		t.Errorf("pool stats %+v, want %d requests and no quarantine", ps, requests)
+	}
+	// Each worker appended its half of the records through its own descriptor.
+	if info, err := rt.Host.Stat("log.txt"); err != nil || info.Size != 16*requests/2 {
+		t.Errorf("log.txt on the host: %+v, %v; want %d bytes", info, err, 16*requests/2)
+	}
+
+	// No retry budget. Once the worker holds its descriptor a request is one
+	// crossing, so each fault fails exactly the request it hit, as itself,
+	// and the worker keeps serving: a transient fault left no guest state
+	// behind and there is nothing to repair.
+	inj, rt, pool = open(0, 1)
+	for {
+		if out, err := pool.Submit(); err == nil && out[0] == 0 {
+			break
+		}
+	}
+	faults, failed := inj.Stats().Faults, int64(0)
+	for i := 0; i < requests; i++ {
+		if _, err := pool.Submit(); err != nil {
+			if !chaos.IsTransient(err) {
+				t.Fatalf("request %d with HostRetryMax 0: %v, want the injected transient fault", i, err)
+			}
+			failed++
+		}
+	}
+	if faults = inj.Stats().Faults - faults; failed != faults || failed != requests/3 {
+		t.Errorf("%d of %d requests failed for %d injected faults, want %d of each", failed, requests, faults, requests/3)
+	}
+	if retry := rt.HostRetryStats(); retry.Retries != 0 {
+		t.Errorf("retry stats %+v with HostRetryMax 0", retry)
+	}
+	if ps := pool.Stats(); ps.Quarantined != 0 {
+		t.Errorf("%d workers quarantined over transient host faults", ps.Quarantined)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"twine/internal/chaos"
 	"twine/internal/hostfs"
 	"twine/internal/ipfs"
-	"twine/internal/prof"
 	"twine/internal/sgx"
 	"twine/internal/wasi"
 	"twine/internal/wasm"
@@ -112,8 +111,9 @@ type Config struct {
 	// byte-identical while hot host calls skip the enclave transitions
 	// (see internal/core's differential tests).
 	Switchless SwitchlessMode
-	// Prof collects counters and timers.
-	Prof *prof.Registry
+	// Timings receives the protected FS's Figure 7 time attribution
+	// (ipfs.Options.Timings); nil reads no clock.
+	Timings *ipfs.Timings
 }
 
 // Runtime is a live TWINE enclave ready to load modules.
@@ -125,8 +125,6 @@ type Runtime struct {
 	PFS      *ipfs.FS
 	Sys      *wasi.System
 	Imports  *wasm.ImportObject
-
-	prof *prof.Registry
 
 	// hostBE is the primary host backend; clones (one per instance) share
 	// its fault plan and retry counters.
@@ -149,7 +147,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if cfg.SGX.EPCSize == 0 {
 		cfg.SGX = sgx.DefaultConfig()
 	}
-	cfg.SGX.Prof = cfg.Prof
 	if cfg.HostFS == nil {
 		cfg.HostFS = hostfs.NewMemFS()
 	}
@@ -161,7 +158,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		cfg.Engine = 0
 	}
 
-	rt := &Runtime{cfg: cfg, Host: cfg.HostFS, prof: cfg.Prof}
+	rt := &Runtime{cfg: cfg, Host: cfg.HostFS}
 	rt.Platform = sgx.NewPlatform(cfg.PlatformSeed)
 	enclave, err := rt.Platform.NewEnclave(cfg.SGX, []byte(RuntimeVersion))
 	if err != nil {
@@ -181,7 +178,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		rt.PFS = ipfs.New(enclave, cfg.HostFS, ipfs.Options{
 			Mode:       cfg.IPFSMode,
 			CacheNodes: cfg.IPFSCacheNodes,
-			Prof:       cfg.Prof,
+			Timings:    cfg.Timings,
 		})
 		backend = wasi.NewIPFSBackend(rt.PFS, hostBE)
 	} else {
@@ -198,7 +195,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		Preopens:              cfg.Preopens,
 		Enclave:               enclave,
 		DisableUntrustedPOSIX: cfg.DisableUntrustedPOSIX,
-		Prof:                  cfg.Prof,
 	})
 	if err != nil {
 		return nil, err
@@ -237,6 +233,13 @@ type Module struct {
 	AotIns    int64
 	// LoadTime is the in-enclave decode+translate time.
 	LoadTime time.Duration
+	// Reg or Super holds the translation counters of the configured tier
+	// (the other, and both under the interpreter and AoT tiers, stay
+	// zero). The superblock tier stacks on the register form: its
+	// counters say how many innermost loops became idiom traces and how
+	// many stayed with the register interpreter.
+	Reg   wasm.RegStats
+	Super wasm.SuperStats
 }
 
 // LoadModule supplies a Wasm binary to the enclave through the single
@@ -277,30 +280,13 @@ func (rt *Runtime) LoadModule(wasmBytes []byte) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The translation counters are part of the load profile. The
-	// superblock tier stacks on the register form: its counters say how
-	// many innermost loops became idiom traces, and how many stayed
-	// with the register interpreter.
 	switch rt.cfg.Engine {
 	case wasm.EngineRegister:
-		st := mod.Compiled.RegStats(!rt.cfg.NoEPCTLB)
-		rt.prof.Add("wasm.reg.funcs", st.Funcs)
-		rt.prof.Add("wasm.reg.bailouts", st.Bailouts)
-		rt.prof.Add("wasm.reg.folds", st.Folds)
-		rt.prof.Add("wasm.reg.props", st.Props)
-		rt.prof.Add("wasm.reg.deadstores", st.DeadStores)
-		rt.prof.Add("wasm.reg.fused", st.Fused)
-		rt.prof.Add("wasm.reg.hoists", st.Hoists)
+		mod.Reg = mod.Compiled.RegStats(!rt.cfg.NoEPCTLB)
 	case wasm.EngineSuperblock:
-		st := mod.Compiled.SuperStats(!rt.cfg.NoEPCTLB)
-		rt.prof.Add("wasm.super.funcs", int64(st.Funcs))
-		rt.prof.Add("wasm.super.regbail", int64(st.RegBail))
-		rt.prof.Add("wasm.super.loops", int64(st.Loops))
-		rt.prof.Add("wasm.super.idioms", int64(st.Idioms))
-		rt.prof.Add("wasm.super.bailouts", int64(st.Bailouts))
+		mod.Super = mod.Compiled.SuperStats(!rt.cfg.NoEPCTLB)
 	}
 	mod.LoadTime = time.Since(start)
-	rt.prof.AddTime("twine.load", mod.LoadTime)
 	return mod, nil
 }
 

@@ -7,7 +7,7 @@
 //
 // Two file system implementations are provided: DirFS, rooted at a real
 // directory, and MemFS, an in-memory tree used by tests and benchmarks to
-// remove disk variance. Faulty wraps any FS with failure injection.
+// remove disk variance. Failure injection over either is chaos.WrapFS.
 package hostfs
 
 import (

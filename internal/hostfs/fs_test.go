@@ -340,43 +340,6 @@ func TestMemFSMatchesModel(t *testing.T) {
 	}
 }
 
-func TestFaultyFailsAfterN(t *testing.T) {
-	inner := NewMemFS()
-	bang := errors.New("disk on fire")
-	fsys := NewFaulty(inner, 2, bang)
-	if err := fsys.Mkdir("a"); err != nil {
-		t.Fatalf("op1: %v", err)
-	}
-	if err := fsys.Mkdir("b"); err != nil {
-		t.Fatalf("op2: %v", err)
-	}
-	if err := fsys.Mkdir("c"); !errors.Is(err, bang) {
-		t.Errorf("op3 = %v, want injected error", err)
-	}
-	if _, err := fsys.Stat("a"); !errors.Is(err, bang) {
-		t.Errorf("op4 = %v, want injected error", err)
-	}
-}
-
-func TestFaultyFileOps(t *testing.T) {
-	bang := errors.New("io error")
-	fsys := NewFaulty(NewMemFS(), 1000, bang)
-	f, err := fsys.OpenFile("f", ORead|OWrite|OCreate)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	fsys.FailAfter = fsys.Ops() // everything from now on fails
-	if _, err := f.WriteAt([]byte("x"), 0); !errors.Is(err, bang) {
-		t.Errorf("WriteAt = %v, want injected error", err)
-	}
-	if _, err := f.ReadAt(make([]byte, 1), 0); !errors.Is(err, bang) {
-		t.Errorf("ReadAt = %v, want injected error", err)
-	}
-	if err := f.Sync(); !errors.Is(err, bang) {
-		t.Errorf("Sync = %v, want injected error", err)
-	}
-}
-
 func TestRealClockMonotonic(t *testing.T) {
 	c := NewRealClock()
 	a := c.Monotonic()

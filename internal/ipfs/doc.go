@@ -57,8 +57,14 @@
 // node is replaying an older file (TestRollbackNotDetected), and the
 // reader keeps its old, authenticated snapshot.
 //
-// Time spent is attributed to the prof registry under "ipfs.memset",
-// "sgx.ocall" (including the edge copy), "sgx.switchless" (ring rides),
-// "ipfs.crypto", "ipfs.refresh" and "ipfs.read" / "ipfs.write", from
-// which the Figure 7 breakdown is reconstructed.
+// # Figure 7's timers
+//
+// Options.Timings, when set, receives the measured half of the paper's
+// random-read breakdown as four atomic nanosecond totals: ReadPath (all of
+// File.Read), Crypto (AES-GCM over nodes), Memset (the standard mode's node
+// clearing) and Boundary (everything ocallN spends outside the enclave:
+// the ride or the two transitions, the edge copy and the host's own I/O).
+// bench.RunBreakdown derives the other two series as remainders. With
+// Timings nil no clock is read; this is the only in-line timing in the
+// repository, everything else counts.
 package ipfs

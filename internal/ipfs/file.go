@@ -254,12 +254,12 @@ func (f *File) insertNode(n *node) (*node, error) {
 	if f.fs.opt.Mode == ModeStandard {
 		// Intel clears the whole node structure on insertion: both 4 KiB
 		// buffers plus metadata, touching the corresponding EPC pages.
-		sp := f.fs.opt.Prof.Start("ipfs.memset")
+		sp := f.fs.opt.Timings.start(inMemset)
 		f.touchSlot(n, 0)
 		f.touchSlot(n, 1)
 		clear(n.plain)
 		clear(n.cipher)
-		sp.Stop()
+		sp.stop()
 	}
 	n.elem = f.lru.PushFront(n)
 	f.cache[n.phys] = n
@@ -322,10 +322,10 @@ func (f *File) release(n *node) {
 	delete(f.cache, n.phys)
 	if f.fs.opt.Mode == ModeStandard {
 		// Intel clears the plaintext buffer before releasing the node.
-		sp := f.fs.opt.Prof.Start("ipfs.memset")
+		sp := f.fs.opt.Timings.start(inMemset)
 		f.touchSlot(n, 0)
 		clear(n.plain)
-		sp.Stop()
+		sp.stop()
 	}
 	if n.slot >= 0 {
 		f.freeSlots = append(f.freeSlots, n.slot)
@@ -342,13 +342,13 @@ func (f *File) writeBack(n *node) error {
 	}
 	var key, tag [16]byte
 	var err error
-	sp := f.fs.opt.Prof.Start("ipfs.crypto")
+	sp := f.fs.opt.Timings.start(inCrypto)
 	if f.fs.opt.Mode == ModeStandard {
 		// Encrypt into the enclave-side ciphertext buffer...
 		f.touchSlot(n, 0)
 		f.touchSlot(n, 1)
 		key, tag, err = sealNodeInto(n.plain, n.cipher, f.scratch[:])
-		sp.Stop()
+		sp.stop()
 		if err != nil {
 			return err
 		}
@@ -364,7 +364,7 @@ func (f *File) writeBack(n *node) error {
 		// Optimized: encrypt straight into the untrusted buffer.
 		f.touchSlot(n, 0)
 		key, tag, err = sealNodeInto(n.plain, f.untrusted[:], f.scratch[:])
-		sp.Stop()
+		sp.stop()
 		if err != nil {
 			return err
 		}
@@ -519,10 +519,10 @@ func (f *File) decryptInto(n *node, key, tag [16]byte) error {
 		}); err != nil {
 			return err
 		}
-		sp := f.fs.opt.Prof.Start("ipfs.crypto")
+		sp := f.fs.opt.Timings.start(inCrypto)
 		f.touchSlot(n, 0)
 		err := openNode(key, tag, n.cipher, n.plain, f.scratch[:])
-		sp.Stop()
+		sp.stop()
 		return err
 	}
 	// Optimized: the enclave receives only a pointer to the untrusted
@@ -532,10 +532,10 @@ func (f *File) decryptInto(n *node, key, tag [16]byte) error {
 	if err := f.fs.ocallN("ipfs.read", NodeSize, func() error { return f.readRaw(n.phys) }); err != nil {
 		return err
 	}
-	sp := f.fs.opt.Prof.Start("ipfs.crypto")
+	sp := f.fs.opt.Timings.start(inCrypto)
 	f.touchSlot(n, 0)
 	err := openNode(key, tag, f.untrusted[:], n.plain, f.scratch[:])
-	sp.Stop()
+	sp.stop()
 	return err
 }
 
@@ -560,8 +560,8 @@ func (f *File) Read(p []byte) (int, error) {
 	if f.closed {
 		return 0, ErrClosed
 	}
-	sp := f.fs.opt.Prof.Start("ipfs.readpath")
-	defer sp.Stop()
+	sp := f.fs.opt.Timings.start(inReadPath)
+	defer sp.stop()
 	if f.offset >= f.size {
 		if len(p) == 0 {
 			return 0, nil
@@ -597,8 +597,6 @@ func (f *File) Write(p []byte) (int, error) {
 	if !f.writable() {
 		return 0, ErrReadOnly
 	}
-	sp := f.fs.opt.Prof.Start("ipfs.writepath")
-	defer sp.Stop()
 	var done int
 	for done < len(p) {
 		d := (f.offset + int64(done)) / NodeSize

@@ -7,9 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"twine/internal/hostfs"
-	"twine/internal/prof"
 	"twine/internal/sgx"
 )
 
@@ -59,8 +59,45 @@ type Options struct {
 	Mode Mode
 	// CacheNodes is the per-file LRU node cache capacity.
 	CacheNodes int
-	// Prof receives timing attribution.
-	Prof *prof.Registry
+	// Timings receives Figure 7's time attribution. nil, as on every
+	// serving path, means no clock is read.
+	Timings *Timings
+}
+
+// Timings is the measured half of Figure 7 (§V-F), in nanoseconds of wall
+// time, summed over every File of the FS it was handed to: ReadPath is the
+// whole of File.Read, and Crypto, Memset and Boundary are the parts of the
+// read and write paths spent in AES-GCM, in the standard mode's node
+// clearing, and outside the enclave (a classic OCALL or a ring ride, the
+// host's own work included).
+type Timings struct {
+	ReadPath, Crypto, Memset, Boundary atomic.Int64
+}
+
+// The selectors name the total a span is charged to.
+func inReadPath(t *Timings) *atomic.Int64 { return &t.ReadPath }
+func inCrypto(t *Timings) *atomic.Int64   { return &t.Crypto }
+func inMemset(t *Timings) *atomic.Int64   { return &t.Memset }
+func inBoundary(t *Timings) *atomic.Int64 { return &t.Boundary }
+
+// span is a timed region in flight. The zero span, which a nil *Timings
+// starts, reads no clock and records nothing.
+type span struct {
+	into  *atomic.Int64
+	start time.Time
+}
+
+func (t *Timings) start(field func(*Timings) *atomic.Int64) span {
+	if t == nil {
+		return span{}
+	}
+	return span{field(t), time.Now()}
+}
+
+func (s span) stop() {
+	if s.into != nil {
+		s.into.Add(int64(time.Since(s.start)))
+	}
 }
 
 // FS is a protected file system living partly inside an enclave (trusted
@@ -97,12 +134,10 @@ func (fs *FS) CacheStats() (hits, misses int64) {
 // cacheHit/cacheMiss account one lookup; safe from concurrent Files.
 func (fs *FS) cacheHit() {
 	atomic.AddInt64(&fs.cacheHits, 1)
-	fs.opt.Prof.Incr("ipfs.cache.hit")
 }
 
 func (fs *FS) cacheMiss() {
 	atomic.AddInt64(&fs.cacheMisses, 1)
-	fs.opt.Prof.Incr("ipfs.cache.miss")
 }
 
 // New builds a protected FS over the untrusted backing store. enclave may
@@ -145,12 +180,17 @@ func (fs *FS) ocall(name string, fn func() error) error {
 // With a switchless ring enabled on the enclave the request rides it (node
 // reads and writes are TWINE's hottest OCALLs — §V-F measures them as a
 // dominant share of the random-read breakdown); without one this is
-// exactly the classic two-transition OCall.
+// exactly the classic two-transition OCall. Every crossing of the protected
+// FS comes through here, which is why Timings.Boundary is timed here and
+// sgx times nothing.
 func (fs *FS) ocallN(name string, payload int, fn func() error) error {
 	if fs.enclave == nil || !fs.enclave.Inside() {
 		return fn()
 	}
-	return fs.enclave.SwitchlessOCall(name, payload, fn)
+	sp := fs.opt.Timings.start(inBoundary)
+	err := fs.enclave.SwitchlessOCall(name, payload, fn)
+	sp.stop()
+	return err
 }
 
 // fileKey derives the automatic file key: bound to the enclave identity

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"twine/internal/chaos"
 	"twine/internal/hostfs"
-	"twine/internal/prof"
 	"twine/internal/sgx"
 )
 
@@ -444,14 +444,14 @@ func TestModesProduceIdenticalPlaintext(t *testing.T) {
 func TestOptimizedModeSkipsMemset(t *testing.T) {
 	run := func(mode Mode) int64 {
 		backing := hostfs.NewMemFS()
-		reg := prof.NewRegistry()
-		fs := New(nil, backing, Options{Mode: mode, Prof: reg})
+		var tm Timings
+		fs := New(nil, backing, Options{Mode: mode, Timings: &tm})
 		f, _ := fs.Open("m", hostfs.OCreate|hostfs.OWrite|hostfs.ORead)
 		f.Write(make([]byte, 40*NodeSize))
 		f.Seek(0, SeekStart)
 		io.ReadFull(readerOf(f), make([]byte, 40*NodeSize))
 		f.Close()
-		return int64(reg.Timer("ipfs.memset"))
+		return tm.Memset.Load()
 	}
 	if std := run(ModeStandard); std == 0 {
 		t.Error("standard mode recorded no memset time")
@@ -519,14 +519,26 @@ func TestEnclaveDerivedKeys(t *testing.T) {
 
 func TestBackingFailurePropagates(t *testing.T) {
 	bang := errors.New("injected")
-	backing := hostfs.NewFaulty(hostfs.NewMemFS(), 1<<30, bang)
-	fs := New(nil, backing, Options{})
-	f, err := fs.Open("ff", hostfs.OCreate|hostfs.OWrite)
-	if err != nil {
-		t.Fatalf("open: %v", err)
+	// write opens and fills a file on a host that follows plan, stopping
+	// short of the flush.
+	write := func(plan chaos.Plan) (*File, *chaos.Injector) {
+		inj := chaos.New(plan)
+		fs := New(nil, chaos.WrapFS(hostfs.NewMemFS(), inj), Options{})
+		f, err := fs.Open("ff", hostfs.OCreate|hostfs.OWrite)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		f.Write(make([]byte, 4*NodeSize))
+		return f, inj
 	}
-	f.Write(make([]byte, 4*NodeSize))
-	backing.FailAfter = backing.Ops() // fail everything from here
+	// Count the host operations of a clean run up to the flush, then fail
+	// everything from there.
+	clean, inj := write(chaos.Plan{})
+	n := inj.Stats().Ops
+	if err := clean.Flush(); err != nil {
+		t.Fatalf("Flush on a healthy host: %v", err)
+	}
+	f, _ := write(chaos.Plan{At: n + 1, Window: 1 << 40, Err: bang})
 	if err := f.Flush(); !errors.Is(err, bang) {
 		t.Errorf("Flush with failing backing = %v, want injected error", err)
 	}

@@ -39,8 +39,6 @@ func (f *File) Refresh() ([]Span, error) {
 			return nil, ErrUnflushed
 		}
 	}
-	sp := f.fs.opt.Prof.Start("ipfs.refresh")
-	defer sp.Stop()
 	spans, err := f.refresh()
 	if err != nil {
 		f.dropAll()

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-
-	"twine/internal/prof"
 )
 
 // Options configures an open database.
@@ -23,8 +21,6 @@ type Options struct {
 	// or memory (forced for in-memory databases). See JournalMode for
 	// the lifecycle and the recovery rule.
 	Journal JournalMode
-	// Prof receives pager and execution counters.
-	Prof *prof.Registry
 }
 
 // DB is an open database handle. Not safe for concurrent use (SQLite's
@@ -43,7 +39,6 @@ type DB struct {
 	explicitTxn bool
 	lastInsert  int64
 	rng         *rand.Rand // random()/randomblob(); fixed seed, so a script repeats
-	prof        *prof.Registry
 
 	// parsed remembers the statements of the last few distinct SQL texts
 	// (see parse); parsedNext is the slot the next miss overwrites.
@@ -106,15 +101,13 @@ func Open(vfs VFS, name string, opts Options) (*DB, error) {
 		Store:      opts.Store,
 		Sync:       opts.Sync,
 		Journal:    opts.Journal,
-		Prof:       opts.Prof,
 	})
 	if err != nil {
 		return nil, err
 	}
 	db := &DB{
 		vfs: vfs, name: name, pager: pager,
-		rng:  rand.New(rand.NewSource(1)),
-		prof: opts.Prof,
+		rng: rand.New(rand.NewSource(1)),
 	}
 	root, err := pager.SchemaRoot()
 	if err != nil {
@@ -240,9 +233,6 @@ func (db *DB) QueryRow(sql string, args ...Value) ([]Value, error) {
 
 // run dispatches one statement with autocommit handling.
 func (db *DB) run(st Stmt, args []Value) (rows *Rows, affected int64, err error) {
-	sp := db.prof.Start("litedb.exec")
-	defer sp.Stop()
-
 	switch s := st.(type) {
 	case *BeginStmt:
 		if db.explicitTxn {

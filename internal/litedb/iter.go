@@ -1,50 +1,43 @@
 package litedb
 
-import (
-	"errors"
-	"sync/atomic"
-)
+import "errors"
 
-// Streaming result cursor (the "ted" shape from the related-work repos):
-// rows flow over a bounded channel from a producer goroutine walking the
-// join loop, so large scans never materialise the whole result set. The
-// fan-out merge in the tsql shard service consumes per-shard streams the
-// same way.
-
-// iterChanCap bounds the rows buffered between producer and consumer; it
-// is the streaming memory ceiling a scan of any size is held to.
-const iterChanCap = 64
+// Streaming result cursor (the "ted" shape from the related-work repos): a
+// producer goroutine walks the join loop and hands each row to the consumer,
+// so large scans never materialise the whole result set. The fan-out merge
+// in the tsql shard service consumes per-shard streams the same way.
+//
+// The hand-off is strict: the producer runs only while the consumer is
+// blocked in Next or Close, and is parked at every other moment. The walk
+// reads pages, and under core.EmbeddedDB a page read is charged to the
+// enclave thread that is inside the ECALL; a producer that ran ahead of its
+// consumer would read while nobody is inside and be charged nothing.
 
 // errIterStop aborts the producer scan early (LIMIT satisfied or Close).
 var errIterStop = errors.New("litedb: row iterator stopped")
-
-type iterMsg struct {
-	row []Value
-	err error
-}
 
 // RowIter is a streaming cursor over one SELECT's rows. The owning DB
 // handle must not run another statement until the iterator is exhausted
 // (Next returned false) or closed. Not safe for concurrent use.
 type RowIter struct {
-	cols    []string
-	ch      chan iterMsg
-	stop    chan struct{}
-	stopped bool
-	cur     []Value
-	err     error
+	cols []string
+	// resume carries the consumer's go-ahead for one more row (closed by
+	// Close: unwind); yield carries the row back and is closed when the
+	// producer has exited, after it set err. Both are unbuffered.
+	resume chan struct{}
+	yield  chan []Value
+	done   bool
+	cur    []Value
+	err    error
 
 	// buffered serves statements that inherently materialise
 	// (aggregation, DISTINCT, ORDER BY, PRAGMA).
 	buffered *Rows
-
-	pending    int64 // rows in flight producer->consumer
-	maxPending int64
 }
 
 // QueryIter runs a single SELECT (or PRAGMA) and returns a streaming
 // cursor over its rows. Plain selects — including joins, WHERE and
-// LIMIT/OFFSET — stream with bounded buffering; aggregation, GROUP BY,
+// LIMIT/OFFSET — stream one row per Next; aggregation, GROUP BY,
 // DISTINCT and ORDER BY fall back to the materialising executor behind
 // the same interface.
 func (db *DB) QueryIter(sql string, args ...Value) (*RowIter, error) {
@@ -109,14 +102,15 @@ func (db *DB) queryIterSelect(st *SelectStmt, args []Value) (*RowIter, error) {
 	}
 
 	it := &RowIter{
-		cols: pl.resNames,
-		ch:   make(chan iterMsg, iterChanCap),
-		stop: make(chan struct{}),
+		cols:   pl.resNames,
+		resume: make(chan struct{}),
+		yield:  make(chan []Value),
 	}
-	sp := db.prof.Start("litedb.exec")
 	go func() {
-		defer close(it.ch)
-		defer sp.Stop()
+		defer close(it.yield)
+		if _, ok := <-it.resume; !ok {
+			return
+		}
 		skip, left := offset, limit
 		emit := func() error {
 			if left == 0 {
@@ -134,8 +128,11 @@ func (db *DB) queryIterSelect(st *SelectStmt, args []Value) (*RowIter, error) {
 				skip--
 				return nil
 			}
-			if err := it.send(iterMsg{row: proj}); err != nil {
-				return err
+			// The consumer sent on resume and is receiving: hand the row
+			// over, then park until it asks for the next one.
+			it.yield <- proj
+			if _, ok := <-it.resume; !ok {
+				return errIterStop
 			}
 			if left > 0 {
 				if left--; left == 0 {
@@ -152,31 +149,11 @@ func (db *DB) queryIterSelect(st *SelectStmt, args []Value) (*RowIter, error) {
 		} else {
 			err = db.joinLoop(pl, ctx, 0, emit)
 		}
-		if err != nil && err != errIterStop {
-			_ = it.send(iterMsg{err: err})
+		if err != errIterStop {
+			it.err = err
 		}
 	}()
 	return it, nil
-}
-
-// send hands one message to the consumer, giving up when the iterator is
-// closed early.
-func (it *RowIter) send(m iterMsg) error {
-	if m.err == nil {
-		n := atomic.AddInt64(&it.pending, 1)
-		for {
-			max := atomic.LoadInt64(&it.maxPending)
-			if n <= max || atomic.CompareAndSwapInt64(&it.maxPending, max, n) {
-				break
-			}
-		}
-	}
-	select {
-	case it.ch <- m:
-		return nil
-	case <-it.stop:
-		return errIterStop
-	}
 }
 
 // Cols returns the result column names.
@@ -192,16 +169,16 @@ func (it *RowIter) Next() bool {
 		it.cur = it.buffered.Row()
 		return true
 	}
-	m, ok := <-it.ch
+	if it.done {
+		return false
+	}
+	it.resume <- struct{}{}
+	row, ok := <-it.yield
 	if !ok {
+		it.done = true
 		return false
 	}
-	if m.err != nil {
-		it.err = m.err
-		return false
-	}
-	atomic.AddInt64(&it.pending, -1)
-	it.cur = m.row
+	it.cur = row
 	return true
 }
 
@@ -211,21 +188,14 @@ func (it *RowIter) Row() []Value { return it.cur }
 // Err returns the error that terminated the stream, if any.
 func (it *RowIter) Err() error { return it.err }
 
-// Close stops the producer and drains the channel; the DB handle is free
-// for the next statement once Close returns. Safe after exhaustion.
+// Close unwinds the producer and waits for it to exit; the DB handle is
+// free for the next statement once Close returns. Safe after exhaustion.
 func (it *RowIter) Close() error {
-	if it.buffered != nil {
-		return it.err
-	}
-	if !it.stopped {
-		it.stopped = true
-		close(it.stop)
-	}
-	for range it.ch {
+	if it.buffered == nil && !it.done {
+		it.done = true
+		close(it.resume)
+		for range it.yield {
+		}
 	}
 	return it.err
 }
-
-// MaxBuffered reports the high-water mark of rows held between producer
-// and consumer — the bounded-memory guarantee streaming tests assert on.
-func (it *RowIter) MaxBuffered() int64 { return atomic.LoadInt64(&it.maxPending) }

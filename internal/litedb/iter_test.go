@@ -2,7 +2,11 @@ package litedb
 
 import (
 	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // drainIter collects every row from a streaming cursor.
@@ -60,15 +64,25 @@ func TestRowIterMatchesMaterialised(t *testing.T) {
 	}
 }
 
-// TestRowIterBoundedMemory scans a table much larger than the stream
-// buffer and asserts the producer never ran ahead more than the channel
-// capacity allows.
+// TestRowIterBoundedMemory scans a table several times the page cache and
+// asserts the producer holds no row ahead of its consumer: it touches the
+// file only while a Next (or the Close) is in progress, never in the pause
+// between two of them. A page read is charged to whoever is inside the
+// enclave at that moment, so a walk that ran ahead would go uncharged.
 func TestRowIterBoundedMemory(t *testing.T) {
-	db := openTestDB(t)
+	vfs := NewMemVFS()
+	var accesses atomic.Int64
+	vfs.Touch = func(off, n int64) { accesses.Add(1) }
+	db, err := Open(vfs, "t.db", Options{CachePages: 16})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer db.Close()
 	mustExec(t, db, `CREATE TABLE big (id INTEGER PRIMARY KEY, pad TEXT)`)
 	mustExec(t, db, `BEGIN`)
+	pad := TextVal(strings.Repeat("x", 400))
 	for i := 0; i < 2000; i++ {
-		mustExec(t, db, `INSERT INTO big (pad) VALUES (?)`, TextVal("xxxxxxxxxxxxxxxx"))
+		mustExec(t, db, `INSERT INTO big (pad) VALUES (?)`, pad)
 	}
 	mustExec(t, db, `COMMIT`)
 
@@ -76,8 +90,21 @@ func TestRowIterBoundedMemory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("QueryIter: %v", err)
 	}
-	n := 0
-	for it.Next() {
+	n, during := 0, int64(0)
+	for {
+		before := accesses.Load()
+		if n%50 == 0 {
+			time.Sleep(200 * time.Microsecond) // let a runaway producer run
+		} else {
+			runtime.Gosched()
+		}
+		if ran := accesses.Load() - before; ran != 0 {
+			t.Fatalf("after row %d: %d file accesses with no Next in progress", n, ran)
+		}
+		if !it.Next() {
+			break
+		}
+		during += accesses.Load() - before
 		n++
 	}
 	if err := it.Close(); err != nil {
@@ -86,10 +113,8 @@ func TestRowIterBoundedMemory(t *testing.T) {
 	if n != 2000 {
 		t.Fatalf("streamed %d rows, want 2000", n)
 	}
-	// The bound is the channel capacity plus one row mid-send and one
-	// received but not yet acknowledged.
-	if max := it.MaxBuffered(); max > iterChanCap+2 {
-		t.Fatalf("stream buffered %d rows, cap is %d", max, iterChanCap)
+	if during < 200 {
+		t.Fatalf("scan made %d file accesses inside Next; the table is ~200 pages against a 16-page cache", during)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"slices"
 
 	"twine/internal/ipfs"
-	"twine/internal/prof"
 )
 
 // PageSize is the database page size (4 KiB, matching the paper's SQLite
@@ -101,7 +100,6 @@ type PagerOptions struct {
 	Store      PageStore
 	Sync       SyncMode
 	Journal    JournalMode
-	Prof       *prof.Registry
 }
 
 // Page is a pinned page image. Data is only valid while pinned.
@@ -319,7 +317,6 @@ func (p *Pager) Get(no uint32) (*Page, error) {
 		return nil, fmt.Errorf("%w: page %d of %d", ErrPageBounds, no, p.nPages)
 	}
 	if pg, ok := p.cache[no]; ok {
-		p.opt.Prof.Incr("pager.hit")
 		if pg.elem != nil {
 			p.lru.Remove(pg.elem)
 			pg.elem = nil
@@ -330,7 +327,6 @@ func (p *Pager) Get(no uint32) (*Page, error) {
 		pg.data = p.store.Page(pg.slot)
 		return pg, nil
 	}
-	p.opt.Prof.Incr("pager.miss")
 	// Evict first if needed so the slot exists.
 	for len(p.free) == 0 {
 		if err := p.evictOne(); err != nil {
@@ -341,9 +337,7 @@ func (p *Pager) Get(no uint32) (*Page, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp := p.opt.Prof.Start("pager.read")
 	n, err := p.file.ReadAt(pg.data, int64(no-1)*PageSize)
-	sp.Stop()
 	if err != nil {
 		p.dropPage(pg)
 		return nil, err
@@ -648,8 +642,6 @@ func (p *Pager) journalName() string { return p.name + "-journal" }
 // appendJournal writes one record to the journal file, after the header
 // if it is the transaction's first. Each record leaves in one WriteAt.
 func (p *Pager) appendJournal(rec []byte) error {
-	sp := p.opt.Prof.Start("pager.journal")
-	defer sp.Stop()
 	if p.jFile == nil {
 		f, err := p.vfs.Open(p.journalName(), true)
 		if err != nil {
@@ -686,8 +678,6 @@ func (p *Pager) Commit() error {
 	if !p.inTxn {
 		return fmt.Errorf("%w: commit without begin", ErrTxn)
 	}
-	sp := p.opt.Prof.Start("pager.commit")
-	defer sp.Stop()
 	if p.jCount > 0 && p.opt.Sync >= SyncNormal {
 		if err := p.jFile.Sync(); err != nil {
 			return err
@@ -717,8 +707,6 @@ func (p *Pager) flushAll() error {
 }
 
 func (p *Pager) writePage(pg *Page) error {
-	sp := p.opt.Prof.Start("pager.write")
-	defer sp.Stop()
 	// Refresh the slot view (and charge the access) before writing out.
 	pg.data = p.store.Page(pg.slot)
 	_, err := p.file.WriteAt(pg.data, int64(pg.no-1)*PageSize)

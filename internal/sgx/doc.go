@@ -39,10 +39,9 @@
 //     two-transition calls (including switchless fallbacks) and
 //     Stats.SwitchlessCalls counts ring rides, so with switchless disabled
 //     the counters are bit-identical to the pre-switchless runtime and
-//     with it enabled OCalls + SwitchlessCalls is conserved;
-//   - transition time is attributed to the "sgx.ocall" profiler timer and
-//     ring time to "sgx.switchless", from which Figure 7's OCALL series is
-//     reconstructed.
+//     with it enabled OCalls + SwitchlessCalls is conserved. The package
+//     reads no clock for them: Figure 7's boundary series is timed by the
+//     one caller that plots it (ipfs.Timings.Boundary).
 //
 // # Concurrency: the TCS pool (PR 3)
 //

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"twine/internal/prof"
 )
 
 // PageSize is the SGX enclave page granularity (4 KiB).
@@ -99,8 +97,6 @@ type Config struct {
 	// Debug marks the enclave as debuggable; it is reflected in reports
 	// so that attestation can reject debug enclaves.
 	Debug bool
-	// Prof optionally receives transition counts and timing.
-	Prof *prof.Registry
 }
 
 // DefaultConfig mirrors the paper's testbed: 128 MiB EPC with 93 MiB
@@ -291,10 +287,9 @@ func (e *Enclave) Stats() Stats {
 		TCSTimeouts: atomic.LoadInt64(&e.tcs.timeouts),
 	}
 	if e.ring != nil {
-		rs := e.ring.Stats()
-		s.SwitchlessCalls = rs.Calls
-		s.FallbackOCalls = rs.Fallbacks
-		s.WorkerWakeups = rs.Wakeups
+		s.SwitchlessCalls = e.ring.calls.Load()
+		s.FallbackOCalls = e.ring.fallbacks.Load()
+		s.WorkerWakeups = e.ring.wakeups.Load()
 	}
 	return s
 }
@@ -333,7 +328,6 @@ func (e *Enclave) ECall(name string, fn func() error) error {
 		return ErrDestroyed
 	}
 	atomic.AddInt64(&e.ecalls, 1)
-	e.cfg.Prof.Incr("sgx.ecall")
 	e.transition()
 	atomic.AddInt64(&e.inside, 1)
 	err = fn()
@@ -349,8 +343,7 @@ func (e *Enclave) ECall(name string, fn func() error) error {
 // cheap for the hot path, so it catches the no-one-inside misuse but not
 // a wrong-goroutine one). It pays the transition cost in both directions;
 // the TCS stays bound to the outstanding enclave frame while fn runs
-// outside, as on hardware. The time spent crossing is attributed to the
-// "sgx.ocall" timer so Figure 7's OCALL series can be reconstructed.
+// outside, as on hardware.
 func (e *Enclave) OCall(name string, fn func() error) error {
 	if e.isDestroyed() {
 		return ErrDestroyed
@@ -359,14 +352,11 @@ func (e *Enclave) OCall(name string, fn func() error) error {
 		return fmt.Errorf("%w: %s", ErrOutsideEnclave, name)
 	}
 	atomic.AddInt64(&e.ocalls, 1)
-	e.cfg.Prof.Incr("sgx.ocall")
-	sp := e.cfg.Prof.Start("sgx.ocall")
 	e.transition()
 	atomic.AddInt64(&e.inside, -1)
 	err := fn()
 	atomic.AddInt64(&e.inside, 1)
 	e.transition()
-	sp.Stop()
 	return err
 }
 

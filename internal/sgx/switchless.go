@@ -93,20 +93,6 @@ func DefaultSwitchlessConfig(cfg Config) SwitchlessConfig {
 	}
 }
 
-// SwitchlessStats counts ring activity. The counters are also surfaced
-// through Enclave.Stats so figure drivers can reconstruct the OCALL series.
-type SwitchlessStats struct {
-	// Calls is the number of requests served through the ring.
-	Calls int64
-	// Fallbacks is the number of requests that became classic OCalls
-	// because the ring was full, the worker was parked, or the payload
-	// exceeded MaxPayload. Each is also counted in Stats.OCalls.
-	Fallbacks int64
-	// Wakeups is the number of times a request found the worker parked and
-	// had to signal it awake.
-	Wakeups int64
-}
-
 // slreq is one ring slot: a named host-call closure plus the response
 // channel the enclave thread blocks on.
 type slreq struct {
@@ -125,8 +111,8 @@ var slreqPool = sync.Pool{
 // under the ring lock and served FIFO, so contending enqueuers are
 // ordered fairly by arrival, and a request admitted to the ring is always
 // served — Destroy retires the worker with a poison request queued
-// *behind* every admitted request, so none is lost. Counters are atomic;
-// Stats is safe to read while enqueuers run.
+// *behind* every admitted request, so none is lost. The counters are
+// atomic and read by Enclave.Stats.
 type SwitchlessRing struct {
 	e   *Enclave
 	cfg SwitchlessConfig
@@ -140,7 +126,11 @@ type SwitchlessRing struct {
 	// served, from which it sizes its poll window. Written by the worker only.
 	gap time.Duration
 
-	stats SwitchlessStats // atomic fields
+	// calls counts requests served through the ring, fallbacks those that
+	// became classic OCalls (ring full, worker parked, payload above
+	// MaxPayload; each is also counted in Stats.OCalls) and wakeups the
+	// requests that found the worker parked and signalled it awake.
+	calls, fallbacks, wakeups atomic.Int64
 }
 
 // EnableSwitchless attaches a switchless ring to the enclave and returns
@@ -177,18 +167,6 @@ func (r *SwitchlessRing) stoppedNow() bool {
 	return r.stopped
 }
 
-// Stats returns a coherent copy of the ring counters.
-func (r *SwitchlessRing) Stats() SwitchlessStats {
-	if r == nil {
-		return SwitchlessStats{}
-	}
-	return SwitchlessStats{
-		Calls:     atomic.LoadInt64(&r.stats.Calls),
-		Fallbacks: atomic.LoadInt64(&r.stats.Fallbacks),
-		Wakeups:   atomic.LoadInt64(&r.stats.Wakeups),
-	}
-}
-
 // SwitchlessOCall performs a host call through the ring when possible and
 // falls back to a classic OCall otherwise. payload is the number of bytes
 // the request marshals across the boundary (0 for metadata-only calls);
@@ -216,8 +194,7 @@ func (e *Enclave) SwitchlessOCall(name string, payload int, fn func() error) err
 func (r *SwitchlessRing) call(name string, payload int, fn func() error) error {
 	e := r.e
 	if payload > r.cfg.MaxPayload {
-		atomic.AddInt64(&r.stats.Fallbacks, 1)
-		e.cfg.Prof.Incr("sgx.switchless.fallback")
+		r.fallbacks.Add(1)
 		return e.OCall(name, fn)
 	}
 
@@ -230,12 +207,10 @@ func (r *SwitchlessRing) call(name string, payload int, fn func() error) error {
 		// Worker parked: signal it awake for subsequent requests, but take
 		// the slow path for this one (the SDK's cold-worker fallback).
 		r.running = true
-		atomic.AddInt64(&r.stats.Wakeups, 1)
-		atomic.AddInt64(&r.stats.Fallbacks, 1)
+		r.wakeups.Add(1)
+		r.fallbacks.Add(1)
 		go r.worker()
 		r.mu.Unlock()
-		e.cfg.Prof.Incr("sgx.switchless.wakeup")
-		e.cfg.Prof.Incr("sgx.switchless.fallback")
 		if r.cfg.WakeupCost > 0 {
 			burn(r.cfg.WakeupCost)
 		}
@@ -246,20 +221,17 @@ func (r *SwitchlessRing) call(name string, payload int, fn func() error) error {
 	req.panic = nil
 	select {
 	case r.queue <- req:
-		atomic.AddInt64(&r.stats.Calls, 1)
+		r.calls.Add(1)
 		r.mu.Unlock()
 	default:
 		// Ring full: classic OCall.
-		atomic.AddInt64(&r.stats.Fallbacks, 1)
+		r.fallbacks.Add(1)
 		r.mu.Unlock()
 		req.fn = nil
 		slreqPool.Put(req)
-		e.cfg.Prof.Incr("sgx.switchless.fallback")
 		return e.OCall(name, fn)
 	}
 
-	e.cfg.Prof.Incr("sgx.switchless")
-	sp := e.cfg.Prof.Start("sgx.switchless")
 	if r.cfg.EnqueueCost > 0 {
 		burn(r.cfg.EnqueueCost)
 	}
@@ -282,7 +254,6 @@ func (r *SwitchlessRing) call(name string, payload int, fn func() error) error {
 	if !received {
 		err = <-req.done
 	}
-	sp.Stop()
 	pan := req.panic
 	req.fn = nil
 	req.panic = nil

@@ -6,8 +6,6 @@ import (
 	"slices"
 	"testing"
 	"time"
-
-	"twine/internal/prof"
 )
 
 // ringConfig returns a fast, deterministic ring for tests: free costs and a
@@ -275,38 +273,36 @@ func TestSwitchlessSharedStateHandshake(t *testing.T) {
 
 // --- transition accounting edge cases (PR 2 satellite) ---
 
-// TestOCallTimerAttribution verifies the OCall crossing time lands on the
-// "sgx.ocall" profiler timer, the series Figure 7 is rebuilt from.
+// TestOCallTimerAttribution verifies a classic OCall is counted once and
+// costs two crossings in wall time.
 func TestOCallTimerAttribution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	reg := prof.NewRegistry()
 	cost := 200 * time.Microsecond
-	e := newTestEnclave(t, func(c *Config) {
-		c.TransitionCost = cost
-		c.Prof = reg
-	})
+	e := newTestEnclave(t, func(c *Config) { c.TransitionCost = cost })
+	var took time.Duration
 	err := e.ECall("main", func() error {
-		return e.OCall("io", func() error { return nil })
+		start := time.Now()
+		err := e.OCall("io", func() error { return nil })
+		took = time.Since(start)
+		return err
 	})
 	if err != nil {
 		t.Fatalf("ECall: %v", err)
 	}
-	if got := reg.Timer("sgx.ocall"); got < 2*cost {
-		t.Errorf("sgx.ocall timer = %v, want >= %v (two crossings)", got, 2*cost)
+	if took < 2*cost {
+		t.Errorf("OCall took %v, want >= %v (two crossings)", took, 2*cost)
 	}
-	if got := reg.Counter("sgx.ocall"); got != 1 {
-		t.Errorf("sgx.ocall counter = %d, want 1", got)
+	if got := e.Stats().OCalls; got != 1 {
+		t.Errorf("Stats.OCalls = %d, want 1", got)
 	}
 }
 
-// TestSwitchlessTimerAttribution verifies ring rides are attributed to the
-// separate "sgx.switchless" timer, not "sgx.ocall", so the two series stay
-// distinguishable.
+// TestSwitchlessTimerAttribution verifies ring rides are counted apart from
+// classic OCalls, so the two series stay distinguishable.
 func TestSwitchlessTimerAttribution(t *testing.T) {
-	reg := prof.NewRegistry()
-	e := newTestEnclave(t, func(c *Config) { c.Prof = reg })
+	e := newTestEnclave(t)
 	e.EnableSwitchless(ringConfig())
 	err := e.ECall("main", func() error {
 		_ = e.SwitchlessOCall("warm", 0, func() error { return nil })
@@ -315,14 +311,15 @@ func TestSwitchlessTimerAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ECall: %v", err)
 	}
-	if got := reg.Counter("sgx.switchless"); got != 1 {
-		t.Errorf("sgx.switchless counter = %d, want 1", got)
+	st := e.Stats()
+	if st.SwitchlessCalls != 1 {
+		t.Errorf("Stats.SwitchlessCalls = %d, want 1", st.SwitchlessCalls)
 	}
-	if got := reg.Counter("sgx.switchless.wakeup"); got != 1 {
-		t.Errorf("sgx.switchless.wakeup counter = %d, want 1", got)
+	if st.WorkerWakeups != 1 {
+		t.Errorf("Stats.WorkerWakeups = %d, want 1", st.WorkerWakeups)
 	}
-	if got := reg.Counter("sgx.ocall"); got != 1 { // the cold fallback only
-		t.Errorf("sgx.ocall counter = %d, want 1", got)
+	if st.OCalls != 1 { // the cold fallback only
+		t.Errorf("Stats.OCalls = %d, want 1", st.OCalls)
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 
 	"twine/internal/hostfs"
 	"twine/internal/litedb"
-	"twine/internal/prof"
 	"twine/internal/sgx"
 )
 
@@ -164,7 +163,6 @@ type Runtime struct {
 	enclave *sgx.Enclave
 	fs      hostfs.FS
 	file    hostfs.File
-	proff   *prof.Registry
 
 	nBlocks int
 	dbCap   int
@@ -187,9 +185,9 @@ type Runtime struct {
 // Launch loads the image into the enclave, decrypting and verifying every
 // block — the heavyweight startup the paper measures (Table IIIa: 6.1 s
 // on their testbed).
-func Launch(enclave *sgx.Enclave, fs hostfs.FS, path string, key [16]byte, reg *prof.Registry) (*Runtime, error) {
+func Launch(enclave *sgx.Enclave, fs hostfs.FS, path string, key [16]byte) (*Runtime, error) {
 	_ = key // the per-block keys live in the key table; `key` reserved for header MAC extensions
-	r := &Runtime{enclave: enclave, fs: fs, proff: reg, dirty: make(map[int]struct{})}
+	r := &Runtime{enclave: enclave, fs: fs, dirty: make(map[int]struct{})}
 	err := r.ocall("lkl.open", func() error {
 		f, oerr := fs.OpenFile(path, hostfs.ORead|hostfs.OWrite)
 		r.file = f
@@ -308,8 +306,6 @@ func (r *Runtime) flushHeader() error {
 
 // Sync flushes all dirty blocks and the header.
 func (r *Runtime) Sync() error {
-	sp := r.proff.Start("lkl.sync")
-	defer sp.Stop()
 	for b := range r.dirty {
 		if err := r.flushBlock(b); err != nil {
 			return err

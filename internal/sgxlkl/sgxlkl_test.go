@@ -22,7 +22,7 @@ func buildAndLaunch(t *testing.T, blocks int) (*Runtime, hostfs.FS) {
 	if err != nil {
 		t.Fatalf("NewEnclave: %v", err)
 	}
-	rt, err := Launch(enclave, fs, "disk.img", key, nil)
+	rt, err := Launch(enclave, fs, "disk.img", key)
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
@@ -66,7 +66,7 @@ func TestPersistenceAcrossRelaunch(t *testing.T) {
 	}
 	platform := sgx.NewPlatform("lkl2")
 	enc1, _ := platform.NewEnclave(sgx.TestConfig(), []byte("lkl"))
-	rt, err := Launch(enc1, fs, "d.img", key, nil)
+	rt, err := Launch(enc1, fs, "d.img", key)
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestPersistenceAcrossRelaunch(t *testing.T) {
 	}
 
 	enc2, _ := platform.NewEnclave(sgx.TestConfig(), []byte("lkl"))
-	rt2, err := Launch(enc2, fs, "d.img", key, nil)
+	rt2, err := Launch(enc2, fs, "d.img", key)
 	if err != nil {
 		t.Fatalf("relaunch: %v", err)
 	}
@@ -121,7 +121,7 @@ func TestImageTamperDetectedAtLaunch(t *testing.T) {
 	raw.WriteAt(b[:], blockOff(3)+5)
 	raw.Close()
 	enclave, _ := sgx.NewPlatform("x").NewEnclave(sgx.TestConfig(), []byte("lkl"))
-	if _, err := Launch(enclave, fs, "t.img", key, nil); !errors.Is(err, ErrBadImage) {
+	if _, err := Launch(enclave, fs, "t.img", key); !errors.Is(err, ErrBadImage) {
 		t.Errorf("tampered launch = %v, want ErrBadImage", err)
 	}
 }
@@ -192,7 +192,7 @@ func TestLaunchTouchesWholeImage(t *testing.T) {
 	BuildImage(fs, "d.img", ImageConfig{Blocks: 64, Key: key})
 	enclave, _ := sgx.NewPlatform("t").NewEnclave(sgx.TestConfig(), []byte("lkl"))
 	before := enclave.Memory().Faults()
-	rt, err := Launch(enclave, fs, "d.img", key, nil)
+	rt, err := Launch(enclave, fs, "d.img", key)
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}

@@ -480,16 +480,6 @@ func selectsNumericUnindexed(db Execer, st *State) error {
 	return nil
 }
 
-// IDs lists the test numbers in order.
-func IDs() []int {
-	tests := All()
-	ids := make([]int, len(tests))
-	for i, t := range tests {
-		ids[i] = t.ID
-	}
-	return ids
-}
-
 // ByID finds a test.
 func ByID(id int) (Test, bool) {
 	for _, t := range All() {

@@ -29,16 +29,13 @@ var (
 func (s *System) Register(imp *wasm.ImportObject) {
 	reg := func(name string, params []wasm.ValueType, results []wasm.ValueType,
 		fn func(s *System, in *wasm.Instance, a []uint64) (Errno, error)) {
-		key := "wasi." + name
 		imp.AddFunc(wasm.HostFunc{
 			Module: ModuleName,
 			Name:   name,
 			Type:   wasm.FuncType{Params: params, Results: results},
 			Fn: func(in *wasm.Instance, a []uint64) ([]uint64, error) {
 				sys := s.forInstance(in)
-				sp := sys.count(key)
 				errno, err := fn(sys, in, a)
-				sp.Stop()
 				if err != nil {
 					return nil, err
 				}

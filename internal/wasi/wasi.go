@@ -7,7 +7,6 @@ import (
 
 	"twine/internal/hostfs"
 	"twine/internal/ipfs"
-	"twine/internal/prof"
 	"twine/internal/sgx"
 	"twine/internal/wasm"
 )
@@ -149,8 +148,6 @@ type Config struct {
 	// (§IV-C): host-backend file systems and the host clock return
 	// ErrnoNotcapable / fall back to a logical clock.
 	DisableUntrustedPOSIX bool
-	// Prof receives call counts ("wasi.<name>") and timing.
-	Prof *prof.Registry
 }
 
 // System is one WASI instance: the descriptor table plus routing state.
@@ -469,11 +466,4 @@ func (e Errno) String() string {
 		return n
 	}
 	return fmt.Sprintf("errno(%d)", uint16(e))
-}
-
-// count instruments one WASI call under its counter key ("wasi.<name>",
-// built once per function by Register).
-func (s *System) count(key string) prof.Span {
-	s.cfg.Prof.Incr(key)
-	return s.cfg.Prof.Start("wasi.time")
 }

@@ -110,35 +110,3 @@ func (r *reader) name() (string, error) {
 	}
 	return string(b), nil
 }
-
-// AppendUleb appends an unsigned LEB128 encoding of v to dst. Exported for
-// reuse by the wasmgen emitter.
-func AppendUleb(dst []byte, v uint64) []byte {
-	for {
-		b := byte(v & 0x7F)
-		v >>= 7
-		if v != 0 {
-			b |= 0x80
-		}
-		dst = append(dst, b)
-		if v == 0 {
-			return dst
-		}
-	}
-}
-
-// AppendSleb appends a signed LEB128 encoding of v to dst.
-func AppendSleb(dst []byte, v int64) []byte {
-	for {
-		b := byte(v & 0x7F)
-		v >>= 7
-		done := (v == 0 && b&0x40 == 0) || (v == -1 && b&0x40 != 0)
-		if !done {
-			b |= 0x80
-		}
-		dst = append(dst, b)
-		if done {
-			return dst
-		}
-	}
-}

@@ -272,15 +272,15 @@ func TestServiceCrossShardEquality(t *testing.T) {
 		q    string
 		args []Value
 	}{
-		{q: `SELECT id, amt FROM orders WHERE cust = 7 ORDER BY id`},                     // point read
+		{q: `SELECT id, amt FROM orders WHERE cust = 7 ORDER BY id`},                        // point read
 		{q: `SELECT id, amt FROM orders WHERE cust = ? ORDER BY id`, args: []Value{Int(3)}}, // parameterised point read
-		{q: `SELECT id, cust, amt, tag FROM orders ORDER BY id`},                         // full fan-out scan
-		{q: `SELECT id, amt FROM orders ORDER BY amt DESC, id LIMIT 10`},                 // global top-k
-		{q: `SELECT id FROM orders ORDER BY id LIMIT 15 OFFSET 30`},                      // offset window
-		{q: `SELECT id, amt*2 AS twice FROM orders ORDER BY twice DESC, id LIMIT 5`},     // alias ordering
-		{q: `SELECT cust, COUNT(*), SUM(id) FROM orders GROUP BY cust ORDER BY cust`},    // merged groups
-		{q: `SELECT MIN(amt), MAX(amt), COUNT(*) FROM orders`},                           // global extrema
-		{q: `SELECT k, v FROM refdata ORDER BY k`},                                       // replicated table
+		{q: `SELECT id, cust, amt, tag FROM orders ORDER BY id`},                            // full fan-out scan
+		{q: `SELECT id, amt FROM orders ORDER BY amt DESC, id LIMIT 10`},                    // global top-k
+		{q: `SELECT id FROM orders ORDER BY id LIMIT 15 OFFSET 30`},                         // offset window
+		{q: `SELECT id, amt*2 AS twice FROM orders ORDER BY twice DESC, id LIMIT 5`},        // alias ordering
+		{q: `SELECT cust, COUNT(*), SUM(id) FROM orders GROUP BY cust ORDER BY cust`},       // merged groups
+		{q: `SELECT MIN(amt), MAX(amt), COUNT(*) FROM orders`},                              // global extrema
+		{q: `SELECT k, v FROM refdata ORDER BY k`},                                          // replicated table
 	}
 	for _, c := range exact {
 		want, got := queryBoth(t, ref, svc, c.q, c.args...)

@@ -24,7 +24,6 @@ import (
 	"twine/internal/hostfs"
 	"twine/internal/ipfs"
 	"twine/internal/litedb"
-	"twine/internal/prof"
 	"twine/internal/sgx"
 )
 
@@ -62,8 +61,6 @@ type Config struct {
 	StandardIPFS bool
 	// SGX overrides the enclave geometry (zero = paper defaults).
 	SGX sgx.Config
-	// Prof receives counters and timers.
-	Prof *prof.Registry
 
 	// sync overrides the pager's sync mode (zero: SyncOff, the paper's
 	// benchmark setting). The shard service raises it on writers whose
@@ -96,7 +93,6 @@ func Open(cfg Config) (*DB, error) {
 		FS:           core.FSIPFS,
 		IPFSMode:     mode,
 		HostFS:       cfg.HostFS,
-		Prof:         cfg.Prof,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("tsql: %w", err)

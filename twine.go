@@ -64,6 +64,12 @@
 // resumes it. A resumed worker is bit-identical to one that never left
 // the EPC; the zero RegistryConfig disables the tier entirely.
 //
+// Accounting is typed and per layer: Runtime.Enclave.Stats (crossings,
+// paging, TCS use), PoolStats / RegistryStats, Runtime.HostRetryStats, and
+// a Module's own load time and translation counters. The one set of
+// in-line timers is the paper's Figure 7 breakdown of the protected file
+// system, collected only when Config.Timings is set.
+//
 // For the paper's flagship use case — a trusted full SQL database — see the
 // tsql subpackage.
 package twine
@@ -75,7 +81,6 @@ import (
 	"twine/internal/core"
 	"twine/internal/hostfs"
 	"twine/internal/ipfs"
-	"twine/internal/prof"
 	"twine/internal/sgx"
 	"twine/internal/wasm"
 )
@@ -84,7 +89,8 @@ import (
 type (
 	// Config assembles a runtime; the zero value is a working default
 	// (fresh in-memory host, IPFS-backed trusted storage, superblock
-	// engine, switchless OCALLs, paper-testbed SGX geometry).
+	// engine, switchless OCALLs, paper-testbed SGX geometry, no timers:
+	// Timings is for cmd/profilefs).
 	Config = core.Config
 	// Runtime is a live TWINE enclave: it loads modules (LoadModule,
 	// FetchModule), instantiates them (NewInstance), opens trusted
@@ -93,7 +99,8 @@ type (
 	Runtime = core.Runtime
 	// Module is a loaded application, translated ahead of time for the
 	// runtime's engine, together with its artefact metrics (binary size,
-	// translated instruction count, load time — Table IIIb).
+	// translated instruction count, load time — Table IIIb) and the
+	// translation counters of that engine (Reg or Super).
 	Module = core.Module
 	// Instance is an instantiated module whose linear memory is charged
 	// against the enclave's EPC; Run executes its WASI start routine and
@@ -262,11 +269,6 @@ func NewMemHostFS() hostfs.FS { return hostfs.NewMemFS() }
 // NewDirHostFS returns an untrusted host file system rooted at a real
 // directory.
 func NewDirHostFS(dir string) (hostfs.FS, error) { return hostfs.NewDirFS(dir) }
-
-// NewProfRegistry returns a profiling registry to pass in Config.Prof; its
-// counters and timers reconstruct the paper's figure series ("sgx.ocall",
-// "sgx.switchless", "ipfs.memset", ...).
-func NewProfRegistry() *prof.Registry { return prof.NewRegistry() }
 
 // SGXDefaultConfig returns the paper-testbed enclave geometry (128 MiB
 // EPC, 93 MiB usable, ~1.7 µs one-way transition cost).
