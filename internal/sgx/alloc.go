@@ -14,11 +14,13 @@ import (
 //     growth performs bookkeeping proportional to the already-committed
 //     heap, which makes N growing allocations cost above-linear in total.
 //   - HeapPool reproduces TWINE's preallocated-buffer configuration
-//     (SQLite's memsys3): the whole heap is committed and zeroed once at
-//     start-up, so each allocation is a cheap free-list operation.
+//     (SQLite's memsys3): the whole heap is committed once at start-up
+//     (launch pays the model's paging sweep over it and writes nothing),
+//     so each allocation is a cheap free-list operation.
 //
 // Blocks carry a 16-byte header written into enclave memory itself
-// ({size, state}), so invalid frees and double frees are detectable.
+// ({size, state}), so invalid frees and double frees are detectable; the
+// headers are all the allocator stores in the arena.
 //
 // The allocator is safe for concurrent use: instances of a concurrent
 // runtime carve their arenas (and the protected FS its node-buffer
@@ -61,10 +63,11 @@ func newAllocator(mem *Memory, mode HeapMode) *Allocator {
 	a.brk = a.base
 	a.pageDirectory = make([]uint8, (a.end-a.base)/PageSize)
 	if mode == HeapPool {
-		// Commit and clear the entire pool up front; this is the one-time
-		// cost that makes later allocations cheap. brk still tracks the
-		// allocation high-water mark — only the *commit* is eager.
-		_ = mem.Zero(a.base, a.end-a.base)
+		// Commit the entire pool up front; this is the one-time cost that
+		// makes later allocations cheap. brk still tracks the allocation
+		// high-water mark — only the *commit* is eager. It is the model's
+		// paging sweep alone: a fresh arena is already zero.
+		_ = mem.Touch(a.base, a.end-a.base)
 		a.committedPages = (a.end - a.base) / PageSize
 		for i := range a.pageDirectory {
 			a.pageDirectory[i] = 1
@@ -88,15 +91,21 @@ func (a *Allocator) Alloc(n int64) (int64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	n = align8(n)
-	// First fit from the free list.
+	// First fit from the free list: the lowest block that fits, so that
+	// placement, hence fault counts, never depends on map order.
+	best := int64(-1)
 	for off, size := range a.free {
-		if size >= n {
-			delete(a.free, off)
-			a.writeHeader(off, size, allocMagicLive)
-			a.allocs++
-			a.inUse += size
-			return off + allocHeaderSize, nil
+		if size >= n && (best < 0 || off < best) {
+			best = off
 		}
+	}
+	if best >= 0 {
+		size := a.free[best]
+		delete(a.free, best)
+		a.writeHeader(best, size, allocMagicLive)
+		a.allocs++
+		a.inUse += size
+		return best + allocHeaderSize, nil
 	}
 	// Grow from the break.
 	need := n + allocHeaderSize

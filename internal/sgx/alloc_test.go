@@ -64,6 +64,32 @@ func TestFreeListReuse(t *testing.T) {
 	}
 }
 
+// TestFreeListReusesLowestBlock: which freed block an Alloc takes decides
+// which EPC pages the new arena lands on, so it must not depend on the
+// iteration order of the free map.
+func TestFreeListReusesLowestBlock(t *testing.T) {
+	for rep := 0; rep < 100; rep++ {
+		e := newTestEnclave(t)
+		a := e.Allocator()
+		var offs [3]int64
+		for i := range offs {
+			offs[i], _ = a.Alloc(2 * PageSize)
+		}
+		for _, i := range []int{2, 0, 1} {
+			if err := a.Free(offs[i]); err != nil {
+				t.Fatalf("Free: %v", err)
+			}
+		}
+		got, err := a.Alloc(2 * PageSize)
+		if err != nil {
+			t.Fatalf("Alloc: %v", err)
+		}
+		if got != offs[0] {
+			t.Fatalf("repetition %d: Alloc reused the block at %d, want the lowest of %v", rep, got, offs)
+		}
+	}
+}
+
 func TestAllocExhaustion(t *testing.T) {
 	cfg := TestConfig()
 	cfg.HeapSize = 64 << 10

@@ -102,6 +102,22 @@
 // sparse ring is ever found blocked: TestRideCostIndependentOfGap,
 // TestSparseRingPollsAtFloor, BenchmarkSwitchlessGap.
 //
+// # The simulator's own cost of an enclave
+//
+// The same rule for host memory: an enclave costs the host what it wrote.
+// The arena (ReservedSize + HeapSize, 272 MiB by default) holds allocator
+// headers, loaded code and whatever callers Write; everything else uses it
+// through Touch as the EPC residency model. It is a private anonymous
+// mapping (arena_unix.go), unmapped when the Memory is collected, and
+// Memory tracks the pages Write, Zero and Slice handed bytes to. Launch is
+// the model's paging sweep over the pool (one fault per heap page, one
+// eviction per page past the EPC) and writes nothing, Destroy wipes the
+// written pages, and resident memory is O(pages written), not O(arena):
+// TestEnclaveHostCostFollowsWrites, TestLaunchSweepCounts. HeapSystem
+// still zeroes every page it commits (§IV-C's EAUG cost). Slices from
+// Memory.Slice and Reserved.Bytes alias the mapping: they are valid only
+// while the enclave is reachable and not destroyed.
+//
 // # Fault containment (PR 6)
 //
 // Two knobs keep a saturated or failing enclave from hanging its

@@ -4,6 +4,8 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"fmt"
+	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -12,6 +14,13 @@ import (
 //
 //	[0, reservedSize)              reserved-memory region (code loading)
 //	[reservedSize, len(data))      enclave heap
+//
+// The arena is the residency model's address space far more than a store:
+// guest memory, page caches and protected-FS nodes are Go values that
+// charge their accesses here through Touch, and the bytes it holds are the
+// allocator's block headers, loaded code and what callers Write. So it is
+// reserved, not touched, and an enclave costs the host what it wrote (see
+// "The simulator's own cost of an enclave" in doc.go).
 //
 // Every access must pass through Touch (directly or via the Read/Write
 // helpers) so the EPC residency model can charge paging costs. Page
@@ -23,7 +32,12 @@ import (
 // memory-encryption-engine plus EWB/ELDU work that makes EPC paging
 // expensive on real hardware. In ModeSimulation the model is bypassed.
 type Memory struct {
-	data []byte
+	data []byte // private anonymous mapping, unmapped when m is collected
+
+	// written has one bit per page that Write, Zero or Slice handed bytes
+	// to: the pages the host backs and scrub must wipe. Guarded by mu;
+	// Touch never marks it.
+	written []uint64
 
 	// reservedBytes is the size of the reserved-memory region at the
 	// bottom of enclave memory; set by newReserved before the allocator
@@ -72,13 +86,21 @@ func newMemory(cfg Config) (*Memory, error) {
 	if total%PageSize != 0 {
 		return nil, fmt.Errorf("sgx: enclave memory size %d is not page aligned", total)
 	}
+	data, err := mapArena(int(total))
+	if err != nil {
+		return nil, fmt.Errorf("sgx: reserve %d bytes of enclave memory: %w", total, err)
+	}
 	m := &Memory{
-		data:        make([]byte, total),
+		data:        data,
+		written:     make([]uint64, (total/PageSize+63)/64),
 		mode:        cfg.Mode,
 		pageState:   make([]uint8, total/PageSize),
 		maxResident: int(cfg.EPCUsable / PageSize),
 		gen:         1,
 	}
+	// Unmapped only once nothing can reach m, so every read after Destroy
+	// finds the scrubbed bytes, as it did when the arena was a Go slice.
+	runtime.SetFinalizer(m, func(m *Memory) { unmapArena(m.data) })
 	if m.maxResident < 2 {
 		return nil, fmt.Errorf("sgx: EPC usable size %d too small", cfg.EPCUsable)
 	}
@@ -316,7 +338,21 @@ func (m *Memory) Read(off int64, p []byte) error {
 		return err
 	}
 	copy(p, m.data[off:])
+	runtime.KeepAlive(m) // the finalizer unmaps data
 	return nil
+}
+
+// markWritten records that the pages of [off, off+n), a range Touch has
+// already bounds-checked, are about to hold caller bytes.
+func (m *Memory) markWritten(off, n int64) {
+	if n <= 0 {
+		return
+	}
+	m.mu.Lock()
+	for p := off / PageSize; p <= (off+n-1)/PageSize; p++ {
+		m.written[p/64] |= 1 << (p % 64)
+	}
+	m.mu.Unlock()
 }
 
 // Write copies p into enclave memory at off.
@@ -324,18 +360,22 @@ func (m *Memory) Write(off int64, p []byte) error {
 	if err := m.Touch(off, int64(len(p))); err != nil {
 		return err
 	}
+	m.markWritten(off, int64(len(p)))
 	copy(m.data[off:], p)
+	runtime.KeepAlive(m)
 	return nil
 }
 
 // Slice returns a view of enclave memory [off, off+n) after touching it.
-// The returned slice aliases enclave memory; it is valid until the enclave
-// is destroyed. Callers on hot paths use Slice to avoid copies, paying the
-// EPC model once per call rather than per byte.
+// The returned slice aliases the arena, which the collector does not see:
+// it is valid only while the enclave is reachable and not destroyed, and
+// its pages count as written from here on. Callers on hot paths use Slice
+// to avoid copies, paying the EPC model once per call rather than per byte.
 func (m *Memory) Slice(off, n int64) ([]byte, error) {
 	if err := m.Touch(off, n); err != nil {
 		return nil, err
 	}
+	m.markWritten(off, n)
 	return m.data[off : off+n : off+n], nil
 }
 
@@ -345,21 +385,28 @@ func (m *Memory) Zero(off, n int64) error {
 	if err := m.Touch(off, n); err != nil {
 		return err
 	}
+	m.markWritten(off, n)
 	s := m.data[off : off+n]
 	for i := range s {
 		s[i] = 0
 	}
+	runtime.KeepAlive(m)
 	return nil
 }
 
-// scrub wipes all memory on destroy. The caller (Destroy) has already
+// scrub wipes all memory on destroy: the written pages, every other one
+// still being the zeros it was mapped as. The caller (Destroy) has already
 // drained the TCS pool, so no enclave thread is executing.
 func (m *Memory) scrub() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	atomic.AddUint64(&m.gen, 1)
-	for i := range m.data {
-		m.data[i] = 0
+	for w, set := range m.written {
+		for ; set != 0; set &= set - 1 {
+			p := w*64 + bits.TrailingZeros64(set)
+			clear(m.data[p*PageSize : (p+1)*PageSize])
+		}
+		m.written[w] = 0
 	}
 	for i := range m.pageState {
 		m.pageState[i] = pageAbsent

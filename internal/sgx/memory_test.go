@@ -150,14 +150,57 @@ func TestTouchSpansPages(t *testing.T) {
 	}
 }
 
+// TestDestroyScrubsMemory puts bytes into the arena every way there is and
+// asserts that the whole of it reads zero after Destroy.
 func TestDestroyScrubsMemory(t *testing.T) {
-	e := newTestEnclave(t)
-	m := e.Memory()
-	base := e.Allocator().Base()
-	_ = m.Write(base, []byte("secret"))
-	e.Destroy()
-	// Direct inspection of the backing array (the "cold boot" view).
-	if !bytes.Equal(m.data[base:base+6], make([]byte, 6)) {
-		t.Error("secret survived Destroy")
+	for _, mode := range []HeapMode{HeapPool, HeapSystem} {
+		t.Run(mode.String(), func(t *testing.T) {
+			e := newTestEnclave(t, func(c *Config) { c.HeapMode = mode })
+			m, a := e.Memory(), e.Allocator()
+			secret := []byte("secret")
+			// A raw write with no Alloc behind it, at the top of the heap
+			// where no block below will reach.
+			if err := m.Write(m.Size()-PageSize, secret); err != nil {
+				t.Fatalf("Write: %v", err)
+			}
+			// Loaded code, and a write through the view of it.
+			off, err := e.Reserved().Load(bytes.Repeat(secret, 1000))
+			if err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			code, err := e.Reserved().Bytes(off, 6000)
+			if err != nil {
+				t.Fatalf("Bytes: %v", err)
+			}
+			copy(code, "SECRET")
+			// Allocator headers, live and freed (HeapSystem commits, and
+			// zeroes, the pages under them), and a payload written through
+			// Slice several pages into a block.
+			live, err := a.Alloc(3 * PageSize)
+			if err != nil {
+				t.Fatalf("Alloc: %v", err)
+			}
+			freed, err := a.Alloc(64)
+			if err != nil {
+				t.Fatalf("Alloc: %v", err)
+			}
+			if err := a.Free(freed); err != nil {
+				t.Fatalf("Free: %v", err)
+			}
+			s, err := m.Slice(live+2*PageSize, int64(len(secret)))
+			if err != nil {
+				t.Fatalf("Slice: %v", err)
+			}
+			copy(s, secret)
+			if n := bytes.Count(m.data, secret); n != 1001 || !bytes.HasPrefix(m.data, []byte("SECRET")) {
+				t.Fatalf("arena holds %d copies of the secret before Destroy, want 999 loaded + 2 written", n)
+			}
+
+			e.Destroy()
+			// Direct inspection of the backing array (the "cold boot" view).
+			if i := firstNonZero(m.data); i >= 0 {
+				t.Errorf("byte %d of the arena survived Destroy", i)
+			}
+		})
 	}
 }

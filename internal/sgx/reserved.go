@@ -61,8 +61,9 @@ func (r *Reserved) Protect(p Perm) {
 	r.perm = p
 }
 
-// Bytes returns a read view of the loaded code at off with length n. It is
-// only valid while the enclave lives.
+// Bytes returns a read view of the loaded code at off with length n. Like
+// Memory.Slice, it is valid only while the enclave is reachable and not
+// destroyed.
 func (r *Reserved) Bytes(off, n int64) ([]byte, error) {
 	if off < 0 || off+n > r.used {
 		return nil, fmt.Errorf("%w: reserved read [%d,%d) of %d", ErrBounds, off, off+n, r.used)
