@@ -1,9 +1,10 @@
-// Package chaos is the cross-layer fault-injection harness (PR 6) and the
-// repository's one fault wrapper. It runs a seeded, deterministic fault
-// *plan* that any layer can consult: the untrusted host file system
-// (WrapFS), the WASI backend boundary (wasi.HostBackend.Chaos, set through
-// core.Config.Chaos) and the switchless ring's drain worker
-// (sgx.SwitchlessConfig.DrainChaos).
+// Package chaos is the fault-injection harness and the repository's
+// one fault wrapper. It runs a seeded, deterministic fault *plan* against
+// the untrusted host (WrapFS): faults come only from the host, and every
+// layer above sees them the way it would see a real one — the WASI
+// boundary retries transient ones (wasi.RetryPolicy), the serving pool
+// exempts them from quarantine. Embedders reach the same plans through
+// PoolConfig.HostIO wrappers.
 //
 // The design contract is determinism: whether operation i is selected is
 // a pure function of (Plan, i). Two runs with the same plan against the

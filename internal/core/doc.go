@@ -26,8 +26,9 @@
 //     classic two transitions. With the ring off, boundary counters are
 //     bit-identical to the pre-switchless runtime; with it on,
 //     WASI-visible results are byte-identical and
-//     OCalls_off == OCalls_on + SwitchlessCalls_on holds for unbatched
-//     workloads;
+//     OCalls_off == OCalls_on + SwitchlessCalls_on holds exactly on
+//     either file backend: a host call is one crossing, whichever path
+//     it takes;
 //   - launch and load times are fields of Runtime and Module (Table III),
 //     a module's translation counters are Module.Reg / Module.Super, and
 //     Figure 7's timers are ipfs.Timings, carried by Config.Timings.
@@ -76,8 +77,9 @@
 // Fault-containment fidelity invariant: on a fault-free run the whole
 // machinery is inert — a 1-worker pool's ECALL/OCALL/fault/eviction
 // counters and results are bit-identical to a sequential NewInstance
-// run (pool_chaos_test.go), and a zero chaos.Plan or nil Injector is a
-// strict no-op at every hook.
+// run (pool_chaos_test.go). Faults come only from the host: the tests
+// wrap Config.HostFS in chaos.WrapFS, whose zero Plan or nil Injector is
+// a strict no-op.
 //
 // # Multi-tenant serving (PR 8)
 //
@@ -108,7 +110,7 @@
 // hot tenants or hot submitters cannot starve a patient one.
 //
 // Multi-tenant fidelity invariant: a 1-tenant registry at 1 TCS with
-// switchless and batching off serves with ECALL/OCALL/fault/eviction
+// switchless off serves with ECALL/OCALL/fault/eviction
 // counters and results bit-identical to a sequential
 // invoke-plus-reset loop over one instance (registry_test.go), and a
 // warm-reset worker is bit-identical to a fresh snapshot instantiation

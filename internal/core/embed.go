@@ -25,13 +25,6 @@ type EmbeddedDB struct {
 	DB   *litedb.DB
 }
 
-// guestECall enters the enclave for database work and flushes the shim
-// instance's own WASI state on exit (each instance carries its own
-// write-batch state since PR 3).
-func (e *EmbeddedDB) guestECall(name string, fn func() error) error {
-	return e.rt.guestECallSys(name, e.inst.Sys, fn)
-}
-
 // DBConfig sizes an embedded database.
 type DBConfig struct {
 	// Name is the database file name (litedb.MemoryDBName for in-memory).
@@ -116,7 +109,7 @@ func (rt *Runtime) OpenDB(cfg DBConfig) (*EmbeddedDB, error) {
 
 	edb := &EmbeddedDB{rt: rt, inst: inst, In: inst.In}
 	var db *litedb.DB
-	err = edb.guestECall("twine_db_open", func() error {
+	err = edb.rt.Enclave.ECall("twine_db_open", func() error {
 		var oerr error
 		db, oerr = litedb.Open(vfs, cfg.Name, litedb.Options{
 			CachePages: cfg.CachePages,
@@ -142,13 +135,13 @@ func (rt *Runtime) OpenDB(cfg DBConfig) (*EmbeddedDB, error) {
 // (litedb.DB.Refresh). Snapshot-cloned read replicas call it when their
 // shard's commit epoch has moved.
 func (e *EmbeddedDB) Refresh() error {
-	return e.guestECall("twine_db_refresh", func() error { return e.DB.Refresh() })
+	return e.rt.Enclave.ECall("twine_db_refresh", func() error { return e.DB.Refresh() })
 }
 
 // Exec runs SQL inside the enclave.
 func (e *EmbeddedDB) Exec(sql string, args ...litedb.Value) (int64, error) {
 	var n int64
-	err := e.guestECall("twine_db_exec", func() error {
+	err := e.rt.Enclave.ECall("twine_db_exec", func() error {
 		var xerr error
 		n, xerr = e.DB.Exec(sql, args...)
 		return xerr
@@ -159,7 +152,7 @@ func (e *EmbeddedDB) Exec(sql string, args ...litedb.Value) (int64, error) {
 // Query runs a SELECT inside the enclave.
 func (e *EmbeddedDB) Query(sql string, args ...litedb.Value) (*litedb.Rows, error) {
 	var rows *litedb.Rows
-	err := e.guestECall("twine_db_query", func() error {
+	err := e.rt.Enclave.ECall("twine_db_query", func() error {
 		var qerr error
 		rows, qerr = e.DB.Query(sql, args...)
 		return qerr
@@ -170,7 +163,7 @@ func (e *EmbeddedDB) Query(sql string, args ...litedb.Value) (*litedb.Rows, erro
 // ExecStmt runs one pre-parsed statement inside the enclave.
 func (e *EmbeddedDB) ExecStmt(st litedb.Stmt, args ...litedb.Value) (int64, error) {
 	var n int64
-	err := e.guestECall("twine_db_exec", func() error {
+	err := e.rt.Enclave.ECall("twine_db_exec", func() error {
 		var xerr error
 		n, xerr = e.DB.ExecStmt(st, args...)
 		return xerr
@@ -181,7 +174,7 @@ func (e *EmbeddedDB) ExecStmt(st litedb.Stmt, args ...litedb.Value) (int64, erro
 // QueryStmt runs one pre-parsed SELECT (or PRAGMA) inside the enclave.
 func (e *EmbeddedDB) QueryStmt(st litedb.Stmt, args ...litedb.Value) (*litedb.Rows, error) {
 	var rows *litedb.Rows
-	err := e.guestECall("twine_db_query", func() error {
+	err := e.rt.Enclave.ECall("twine_db_query", func() error {
 		var qerr error
 		rows, qerr = e.DB.QueryStmt(st, args...)
 		return qerr
@@ -194,12 +187,12 @@ func (e *EmbeddedDB) QueryStmt(st litedb.Stmt, args ...litedb.Value) (*litedb.Ro
 // pays a single ECall and a single protected-FS flush on exit. This is
 // the shard service's write path.
 func (e *EmbeddedDB) Batch(fn func(db *litedb.DB) error) error {
-	return e.guestECall("twine_db_batch", func() error { return fn(e.DB) })
+	return e.rt.Enclave.ECall("twine_db_batch", func() error { return fn(e.DB) })
 }
 
 // Close closes the database inside the enclave.
 func (e *EmbeddedDB) Close() error {
-	return e.guestECall("twine_db_close", func() error { return e.DB.Close() })
+	return e.rt.Enclave.ECall("twine_db_close", func() error { return e.DB.Close() })
 }
 
 // Release closes the database and frees the shim instance's arena.
@@ -236,7 +229,7 @@ type DBStream struct {
 // QueryStream starts a streaming query inside the enclave.
 func (e *EmbeddedDB) QueryStream(sql string, args ...litedb.Value) (*DBStream, error) {
 	var it *litedb.RowIter
-	err := e.guestECall("twine_db_query", func() error {
+	err := e.rt.Enclave.ECall("twine_db_query", func() error {
 		var qerr error
 		it, qerr = e.DB.QueryIter(sql, args...)
 		return qerr
@@ -263,7 +256,7 @@ func (s *DBStream) Next() bool {
 	}
 	s.buf = s.buf[:0]
 	s.pos = 0
-	err := s.e.guestECall("twine_db_fetch", func() error {
+	err := s.e.rt.Enclave.ECall("twine_db_fetch", func() error {
 		for len(s.buf) < streamBatch {
 			if !s.it.Next() {
 				s.done = true
@@ -298,7 +291,7 @@ func (s *DBStream) MaxBuffered() int64 { return streamBatch }
 // Close stops the in-enclave producer and frees the handle for the next
 // statement.
 func (s *DBStream) Close() error {
-	err := s.e.guestECall("twine_db_fetch", func() error { return s.it.Close() })
+	err := s.e.rt.Enclave.ECall("twine_db_fetch", func() error { return s.it.Close() })
 	if s.err == nil && err != nil {
 		s.err = err
 	}

@@ -461,7 +461,7 @@ func (p *Pool) SubmitCtx(ctx context.Context, args ...uint64) ([]uint64, error) 
 // shape. Failures quarantine and repair exactly as in stateful mode.
 func (p *Pool) serveWarm(w *worker, args []uint64) ([]uint64, error) {
 	var out []uint64
-	serr := p.rt.guestECallSys("twine_serve", w.Sys, func() error {
+	serr := p.rt.Enclave.ECall("twine_serve", func() error {
 		if p.hostIO != nil {
 			if err := p.rt.Enclave.OCall("serve.io", p.hostIO); err != nil {
 				return err
@@ -524,7 +524,7 @@ func (p *Pool) serveCold(args []uint64) ([]uint64, error) {
 	defer cw.Release()
 	atomic.AddInt64(&p.coldStarts, 1)
 	var out []uint64
-	serr := p.rt.guestECallSys("twine_serve", cw.Sys, func() error {
+	serr := p.rt.Enclave.ECall("twine_serve", func() error {
 		if p.hostIO != nil {
 			if err := p.rt.Enclave.OCall("serve.io", p.hostIO); err != nil {
 				return err

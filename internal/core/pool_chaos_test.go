@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"twine/internal/chaos"
+	"twine/internal/hostfs"
 	"twine/internal/sgx"
+	"twine/internal/wasi"
 	"twine/internal/wasm"
 	"twine/wasmgen"
 )
@@ -415,9 +417,9 @@ func TestPoolFidelity(t *testing.T) {
 // logModule builds a guest that keeps one host file open per worker:
 // run() opens (creating) "log.txt" on its first call, remembers the fd in
 // memory, writes a 16-byte record through it and returns the failing
-// call's errno, 0 if none. The record is small enough to be batched, so
-// from a worker's second request on the one boundary crossing is the flush
-// at the end of the guest entry, whose failure reaches Submit as an error.
+// call's errno, 0 if none. From a worker's second request on, a request is
+// one host call (the record's write), and a failure of that call reaches
+// the guest as an errno.
 func logModule() []byte {
 	const fdSlot, iov, nOut = 256, 128, 144
 	m := wasmgen.NewModule()
@@ -450,20 +452,22 @@ func logModule() []byte {
 	return m.Bytes()
 }
 
-// TestRuntimeChaosRetry drives Config.Chaos, HostRetryMax and
-// HostRetryBackoff, the fault-recovery plumbing of the WASI boundary,
-// through the front door: a host on which every third crossing fails
-// transiently is invisible to the guest when the boundary may retry, and
-// without retries fails the request it hit without costing the pool a worker.
+// TestRuntimeChaosRetry drives HostRetryMax and HostRetryBackoff, the
+// fault-recovery plumbing of the WASI boundary, through the front door: a
+// host (chaos.WrapFS over Config.HostFS) on which every third operation
+// fails transiently is invisible to the guest when the boundary may retry,
+// and without retries fails the request it hit without costing the pool a
+// worker.
 func TestRuntimeChaosRetry(t *testing.T) {
 	const requests = 12
 	glitch := chaos.Transient(errors.New("host glitch"))
-	open := func(retryMax, workers int) (*chaos.Injector, *Runtime, *Pool) {
+	open := func(retryMax, workers int) (*chaos.Injector, hostfs.FS, *Runtime, *Pool) {
 		t.Helper()
 		inj := chaos.New(chaos.Plan{EveryK: 3, Err: glitch})
+		host := hostfs.NewMemFS()
 		rt, err := NewRuntime(testConfig(func(c *Config) {
 			c.FS = FSHost
-			c.Chaos = inj
+			c.HostFS = chaos.WrapFS(host, inj)
 			c.HostRetryMax = retryMax
 			c.HostRetryBackoff = time.Microsecond
 		}))
@@ -480,13 +484,14 @@ func TestRuntimeChaosRetry(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { pool.Close() })
-		return inj, rt, pool
+		return inj, host, rt, pool
 	}
 
 	// Two workers, alternating (holding the free list's top hands Submit
-	// the other one): each serves through its own clone of the host
-	// backend, and the clones consult one plan and count into one RetryStats.
-	inj, rt, pool := open(2, 2)
+	// the other one): each serves through its own WASI clone over the one
+	// shared host backend, so both consult one plan and count into one
+	// RetryStats.
+	inj, host, rt, pool := open(2, 2)
 	for i := 0; i < requests; i++ {
 		var held *worker
 		if i%2 == 1 {
@@ -502,7 +507,7 @@ func TestRuntimeChaosRetry(t *testing.T) {
 	}
 	faults, retry := inj.Stats().Faults, rt.HostRetryStats()
 	if faults < requests/3 {
-		t.Errorf("%d faults injected over %d requests; the workers' backends do not consult the plan", faults, requests)
+		t.Errorf("%d faults injected over %d requests; the workers' host calls do not reach the plan", faults, requests)
 	}
 	if retry.Retries != faults || retry.Recovered != faults || retry.Exhausted != 0 {
 		t.Errorf("retry stats %+v, want every one of the %d faults retried once and recovered", retry, faults)
@@ -511,15 +516,15 @@ func TestRuntimeChaosRetry(t *testing.T) {
 		t.Errorf("pool stats %+v, want %d requests and no quarantine", ps, requests)
 	}
 	// Each worker appended its half of the records through its own descriptor.
-	if info, err := rt.Host.Stat("log.txt"); err != nil || info.Size != 16*requests/2 {
+	if info, err := host.Stat("log.txt"); err != nil || info.Size != 16*requests/2 {
 		t.Errorf("log.txt on the host: %+v, %v; want %d bytes", info, err, 16*requests/2)
 	}
 
 	// No retry budget. Once the worker holds its descriptor a request is one
-	// crossing, so each fault fails exactly the request it hit, as itself,
-	// and the worker keeps serving: a transient fault left no guest state
-	// behind and there is nothing to repair.
-	inj, rt, pool = open(0, 1)
+	// host call, so each fault fails exactly the request it hit, as the
+	// guest's EIO from fd_write, and the worker keeps serving: a transient
+	// fault left no guest state behind and there is nothing to repair.
+	inj, _, rt, pool = open(0, 1)
 	for {
 		if out, err := pool.Submit(); err == nil && out[0] == 0 {
 			break
@@ -527,9 +532,13 @@ func TestRuntimeChaosRetry(t *testing.T) {
 	}
 	faults, failed := inj.Stats().Faults, int64(0)
 	for i := 0; i < requests; i++ {
-		if _, err := pool.Submit(); err != nil {
-			if !chaos.IsTransient(err) {
-				t.Fatalf("request %d with HostRetryMax 0: %v, want the injected transient fault", i, err)
+		out, err := pool.Submit()
+		if err != nil {
+			t.Fatalf("request %d with HostRetryMax 0: %v, want the fault as the guest's errno", i, err)
+		}
+		if out[0] != 0 {
+			if wasi.Errno(out[0]) != wasi.ErrnoIo {
+				t.Fatalf("request %d with HostRetryMax 0: errno %d, want EIO", i, out[0])
 			}
 			failed++
 		}

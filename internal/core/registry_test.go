@@ -9,7 +9,7 @@ import (
 )
 
 // TestTenantFidelity is the PR 8 acceptance guard: one tenant on one TCS
-// with switchless dispatch (and thus batching) off must be bit-identical
+// with switchless dispatch off must be bit-identical
 // to a sequential baseline — same results, same ECALL/OCALL/fault/
 // eviction counters on a workload that actually pages, same trap kinds on
 // failure. The baseline mirrors the tenant's construction exactly: one
@@ -52,7 +52,7 @@ func TestTenantFidelity(t *testing.T) {
 		var sum uint64
 		for i := 0; i < requests; i++ {
 			var out []uint64
-			serr := rt.guestECallSys("twine_serve", inst.Sys, func() error {
+			serr := rt.Enclave.ECall("twine_serve", func() error {
 				var ierr error
 				out, ierr = inst.In.Invoke("run")
 				if ierr != nil {
@@ -130,7 +130,7 @@ func TestTenantFidelity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewInstance: %v", err)
 		}
-		serr := rt.guestECallSys("twine_serve", inst.Sys, func() error {
+		serr := rt.Enclave.ECall("twine_serve", func() error {
 			_, ierr := inst.In.Invoke("run", 1) // nonzero arg = trap
 			return ierr
 		})

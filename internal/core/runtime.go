@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"twine/internal/chaos"
 	"twine/internal/hostfs"
 	"twine/internal/ipfs"
 	"twine/internal/sgx"
@@ -93,11 +92,6 @@ type Config struct {
 	// exactly semantics-preserving (identical fault/eviction counts), so
 	// this knob exists only for ablation benchmarks and fidelity tests.
 	NoEPCTLB bool
-	// Chaos, when set, injects faults at the WASI/host boundary (PR 6):
-	// each boundary crossing consults the injector's plan before the host
-	// operation runs. The zero/nil value is a strict no-op — the fidelity
-	// rule the chaos tests enforce.
-	Chaos *chaos.Injector
 	// HostRetryMax bounds transient-fault recovery at the WASI boundary:
 	// a crossing failing with a chaos.ErrTransient-wrapped error is
 	// re-issued up to this many times (0 = no retries, every error
@@ -126,8 +120,8 @@ type Runtime struct {
 	Sys      *wasi.System
 	Imports  *wasm.ImportObject
 
-	// hostBE is the primary host backend; clones (one per instance) share
-	// its fault plan and retry counters.
+	// hostBE is the host backend every instance's WASI system shares; it
+	// holds the runtime's retry counters.
 	hostBE *wasi.HostBackend
 
 	// LaunchTime is the wall time spent creating the enclave and wiring
@@ -136,7 +130,8 @@ type Runtime struct {
 }
 
 // HostRetryStats reports WASI-boundary retry activity aggregated across
-// the runtime's primary WASI system and every per-instance clone.
+// the runtime's primary WASI system and every per-instance clone (they
+// share one host backend).
 func (rt *Runtime) HostRetryStats() wasi.RetryStats {
 	return rt.hostBE.RetryCounters()
 }
@@ -170,7 +165,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	}
 
 	hostBE := wasi.NewHostBackend(cfg.HostFS, enclave)
-	hostBE.Chaos = cfg.Chaos
 	hostBE.Retry = wasi.RetryPolicy{Max: cfg.HostRetryMax, Backoff: cfg.HostRetryBackoff}
 	rt.hostBE = hostBE
 	var backend wasi.Backend
@@ -292,8 +286,8 @@ func (rt *Runtime) LoadModule(wasmBytes []byte) (*Module, error) {
 
 // Instance is an instantiated module whose linear memory is charged
 // against the enclave's EPC. Each Instance owns its WASI state (Sys) — a
-// clone of the runtime's primary System with its own descriptor table,
-// clock guards and write-batch state over the shared storage — so
+// clone of the runtime's primary System with its own descriptor table
+// and clock guards over the shared file backend and storage — so
 // distinct instances never share mutable WASI state. A single Instance
 // is not safe for concurrent use; run distinct instances concurrently
 // instead (the TCS pool bounds how many execute at once).
@@ -435,31 +429,11 @@ func (rt *Runtime) instantiate(mod *Module, sys *wasi.System, snap *wasm.Snapsho
 	return inst, nil
 }
 
-// guestECall enters the enclave, runs fn, then submits any write-behind
-// WASI state (batched small writes) before exiting, so the untrusted
-// store is consistent with eager-write semantics whenever the enclave is
-// not executing — even for guests that never close their descriptors.
-func (rt *Runtime) guestECall(name string, fn func() error) error {
-	return rt.guestECallSys(name, rt.Sys, fn)
-}
-
-// guestECallSys is guestECall for a specific instance's WASI state: the
-// flush covers exactly the System the guest entry could have dirtied.
-func (rt *Runtime) guestECallSys(name string, sys *wasi.System, fn func() error) error {
-	return rt.Enclave.ECall(name, func() error {
-		err := fn()
-		if ferr := sys.FlushFS(); err == nil {
-			err = ferr
-		}
-		return err
-	})
-}
-
 // Run executes the WASI start routine (_start) inside the enclave and
 // returns the guest exit code.
 func (inst *Instance) Run() (uint32, error) {
 	var code uint32
-	err := inst.rt.guestECallSys("twine_run", inst.Sys, func() error {
+	err := inst.rt.Enclave.ECall("twine_run", func() error {
 		_, err := inst.In.Invoke("_start")
 		if err != nil {
 			if tr, ok := err.(*wasm.Trap); ok && tr.Kind == wasm.TrapExit {
@@ -476,7 +450,7 @@ func (inst *Instance) Run() (uint32, error) {
 // Invoke calls an exported guest function inside the enclave.
 func (inst *Instance) Invoke(name string, args ...uint64) ([]uint64, error) {
 	var out []uint64
-	err := inst.rt.guestECallSys("twine_invoke", inst.Sys, func() error {
+	err := inst.rt.Enclave.ECall("twine_invoke", func() error {
 		var ierr error
 		out, ierr = inst.In.Invoke(name, args...)
 		return ierr

@@ -120,17 +120,16 @@
 //
 // # Fault containment (PR 6)
 //
-// Two knobs keep a saturated or failing enclave from hanging its
+// One knob keeps a saturated or failing enclave from hanging its
 // callers. Config.TCSWaitTimeout bounds how long an ECall parks waiting
 // for a free TCS: on expiry it returns ErrTCSTimeout (counted in
 // Stats.TCSTimeouts) instead of queueing unboundedly — the enclave-level
 // analogue of the serving pool's admission control, and the signal a
-// server uses to shed load. SwitchlessConfig.DrainChaos lets tests
-// inject deterministic stalls into the untrusted drain worker (only the
-// stall component applies; injected errors are ignored, because the
-// drain executing a host call it was handed must not corrupt its
-// result) — the harness behind the Destroy-during-stalled-drain and
-// result-preservation tests in switchless_chaos_test.go.
+// server uses to shed load. The ring has no fault hook of its own: a
+// slow untrusted host is a host closure that stalls, which the drain
+// worker runs like any other, so switchless_chaos_test.go's
+// Destroy-during-stalled-drain and result-preservation tests stall the
+// closures they enqueue.
 //
 // # Instance-granularity reclamation hooks (PR 9)
 //

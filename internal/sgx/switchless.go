@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"twine/internal/chaos"
 )
 
 // Switchless OCALLs (the follow-up paper's transition-killing mechanism).
@@ -71,13 +69,6 @@ type SwitchlessConfig struct {
 	// WakeupCost and falls back, exactly like the SGX SDK when no worker is
 	// available.
 	WorkerIdle time.Duration
-	// DrainChaos, when set, is consulted once per request the drain worker
-	// serves (PR 6's fault harness). Only the plan's stall applies — a
-	// descheduled or preempted untrusted worker delays responses but must
-	// not corrupt them, so a plan error here is ignored: the request's own
-	// closure still runs and its genuine result is delivered. nil disables
-	// injection with zero cost.
-	DrainChaos *chaos.Injector
 }
 
 // DefaultSwitchlessConfig derives ring costs from the enclave's transition
@@ -157,15 +148,6 @@ func (e *Enclave) EnableSwitchless(cfg SwitchlessConfig) *SwitchlessRing {
 // Switchless returns the enclave's ring, or nil when switchless calls are
 // not enabled.
 func (e *Enclave) Switchless() *SwitchlessRing { return e.ring }
-
-// SwitchlessEnabled reports whether OCALLs can ride the ring.
-func (e *Enclave) SwitchlessEnabled() bool { return e.ring != nil && !e.ring.stoppedNow() }
-
-func (r *SwitchlessRing) stoppedNow() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stopped
-}
 
 // SwitchlessOCall performs a host call through the ring when possible and
 // falls back to a classic OCall otherwise. payload is the number of bytes
@@ -367,10 +349,6 @@ func (r *SwitchlessRing) worker() {
 // serve runs one request outside the enclave and hands the result back.
 // Panics are captured and re-raised on the enclave thread.
 func (r *SwitchlessRing) serve(req *slreq) {
-	// Injected drain stalls happen before the closure runs: the worker was
-	// descheduled holding the request, exactly the window Destroy's poison
-	// protocol must tolerate (see TestSwitchlessDestroyDuringStalledDrain).
-	_ = r.cfg.DrainChaos.Op()
 	var err error
 	func() {
 		defer func() {

@@ -5,37 +5,42 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"twine/internal/chaos"
 )
 
-// PR 6 fault-injection coverage for the enclave layer: injected drain
-// stalls must delay (not corrupt) switchless responses, Destroy must stay
-// lossless while the drain worker is stalled mid-request, and a bounded
-// TCS wait must convert enclave saturation into ErrTCSTimeout.
+// Fault coverage for the enclave layer: a stalling host closure must
+// delay (not corrupt) switchless responses, Destroy must stay lossless
+// while the drain worker is stalled mid-request, and a bounded TCS wait
+// must convert enclave saturation into ErrTCSTimeout. Faults come only
+// from the host, so a stall is a host closure that sleeps.
 
-// TestSwitchlessDrainStallPreservesResults: with every drained request
-// stalled, the ring is slower but semantically untouched — each request's
-// closure runs exactly once and its genuine result comes back.
+// TestSwitchlessDrainStallPreservesResults: with every request's host
+// closure stalling, the ring is slower but semantically untouched — each
+// request's closure runs exactly once and its genuine result comes back.
 func TestSwitchlessDrainStallPreservesResults(t *testing.T) {
 	e := newTestEnclave(t)
-	inj := chaos.New(chaos.Plan{EveryK: 1, Stall: 100 * time.Microsecond})
-	cfg := ringConfig()
-	cfg.DrainChaos = inj
-	e.EnableSwitchless(cfg)
+	e.EnableSwitchless(ringConfig())
 
+	const stall = 100 * time.Microsecond
 	boom := errors.New("boom")
 	var served int
 	err := e.ECall("main", func() error {
 		for i := 0; i < 8; i++ {
-			err := e.SwitchlessOCall("io", 16, func() error { served++; return nil })
+			err := e.SwitchlessOCall("io", 16, func() error {
+				time.Sleep(stall)
+				served++
+				return nil
+			})
 			if err != nil {
 				return err
 			}
 		}
 		// Host-closure errors still propagate verbatim through a stalled
 		// drain.
-		if err := e.SwitchlessOCall("io", 16, func() error { return boom }); !errors.Is(err, boom) {
+		err := e.SwitchlessOCall("io", 16, func() error {
+			time.Sleep(stall)
+			return boom
+		})
+		if !errors.Is(err, boom) {
 			return errors.New("stalled drain lost the closure's error")
 		}
 		return nil
@@ -51,23 +56,19 @@ func TestSwitchlessDrainStallPreservesResults(t *testing.T) {
 		t.Errorf("conservation broke under stalls: ring %d + fallback %d != 9",
 			st.SwitchlessCalls, st.FallbackOCalls)
 	}
-	// Every ring-served request consulted the injector and stalled.
-	if s := inj.Stats(); s.Stalls != st.SwitchlessCalls {
-		t.Errorf("injector stalled %d ops, ring served %d", s.Stalls, st.SwitchlessCalls)
-	}
 }
 
 // TestSwitchlessDestroyDuringStalledDrain: Destroy fires while enqueuers
-// are racing a drain worker that chaos keeps stalling mid-request — the
-// exact window where a lost poison or an unsignalled response channel
+// are racing a drain worker that a slow host keeps stalling mid-request —
+// the exact window where a lost poison or an unsignalled response channel
 // would strand an enclave thread. Every caller must return and Destroy
 // must complete.
 func TestSwitchlessDestroyDuringStalledDrain(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		e := newRingEnclave(t, 4, 4)
-		// Reach into the ring config: stall every drained request long
-		// enough that Destroy reliably lands while one is held.
-		e.ring.cfg.DrainChaos = chaos.New(chaos.Plan{EveryK: 1, Stall: 200 * time.Microsecond})
+		// Every host closure stalls long enough that Destroy reliably
+		// lands while the drain worker holds one.
+		stalled := func() error { time.Sleep(200 * time.Microsecond); return nil }
 
 		const callers = 4
 		var wg sync.WaitGroup
@@ -79,7 +80,7 @@ func TestSwitchlessDestroyDuringStalledDrain(t *testing.T) {
 				<-start
 				_ = e.ECall("main", func() error {
 					for {
-						err := e.SwitchlessOCall("host.op", 32, func() error { return nil })
+						err := e.SwitchlessOCall("host.op", 32, stalled)
 						if err != nil {
 							if !errors.Is(err, ErrDestroyed) {
 								t.Errorf("unexpected enqueue error: %v", err)

@@ -161,9 +161,6 @@ func TestSwitchlessStoppedRingFallsBack(t *testing.T) {
 	if st := e.Stats(); st.OCalls != 1 || st.SwitchlessCalls != 0 {
 		t.Errorf("stats after stop = %+v, want classic OCall", st)
 	}
-	if e.SwitchlessEnabled() {
-		t.Error("SwitchlessEnabled() = true after stop")
-	}
 }
 
 func TestSwitchlessDestroyedEnclave(t *testing.T) {

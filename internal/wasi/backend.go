@@ -4,7 +4,6 @@ import (
 	"io"
 	"time"
 
-	"twine/internal/chaos"
 	"twine/internal/hostfs"
 	"twine/internal/ipfs"
 	"twine/internal/sgx"
@@ -58,95 +57,54 @@ type Backend interface {
 
 // --- host (untrusted POSIX) backend ---
 
-// Write-batching policy (PR 2). Adjacent small writes — the SQLite journal
-// pattern of header-then-record-then-record — are coalesced into a single
-// ring request instead of one boundary crossing each.
-const (
-	// batchMaxWrite is the largest single write eligible for coalescing.
-	batchMaxWrite = 4 << 10
-	// batchMaxPend caps the coalesced buffer; reaching it submits the
-	// batch.
-	batchMaxPend = 32 << 10
-)
-
 // HostBackend forwards every operation to the untrusted host file system,
 // crossing the enclave boundary each time. This reproduces WAMR's original
 // WASI implementation, which "plainly routes most of the WASI functions to
 // their POSIX equivalent using OCALLs" (§IV-C) — the baseline TWINE's
 // trusted backend is measured against.
 //
-// When the enclave has a switchless ring (sgx.Enclave.EnableSwitchless),
-// small operations ride it instead of paying two enclave transitions, and
-// adjacent small writes are batched into single requests. Both behaviours
-// are disabled — restoring the exact historical OCALL accounting — when
-// the ring is absent.
+// Every operation is exactly one host call and one crossing: when the
+// enclave has a switchless ring (sgx.Enclave.EnableSwitchless), small
+// operations ride it instead of paying two enclave transitions; without
+// one each is a classic OCALL. The backend holds no state beyond its
+// configuration and retry counters, so every System cloned from one
+// runtime shares it (System.Clone) and the store sees each write before
+// the call that made it returns. Faults come only from the host: tests
+// inject them by wrapping FS (chaos.WrapFS).
 type HostBackend struct {
 	FS      hostfs.FS
 	Enclave *sgx.Enclave
 
-	// Chaos, when set, is consulted once per boundary crossing (PR 6's
-	// fault harness): a selected crossing stalls and/or fails before the
-	// host operation runs, so an injected fault never leaves a partial
-	// side effect — which is what makes retrying it sound. nil disables
-	// injection with zero cost.
-	Chaos *chaos.Injector
 	// Retry bounds transient-fault recovery at this boundary (see
 	// RetryPolicy); the zero value surfaces every error immediately.
 	Retry RetryPolicy
 
-	// retryStats aggregates retry activity across this backend and every
-	// clone (each pool worker's WASI system shares the pointer).
-	retryStats *retryCounters
-
-	// pending is the one handle allowed to hold batched, not-yet-
-	// submitted writes. Every boundary call — including a batched write
-	// starting on any other handle — flushes it first, so writes always
-	// reach the untrusted store in program order and any operation that
-	// could observe untrusted state sees them as if submitted eagerly.
-	pending *hostHandle
+	// retryStats counts retry activity for every System sharing this
+	// backend.
+	retryStats retryCounters
 }
 
 // NewHostBackend wraps fs; enclave may be nil.
 func NewHostBackend(fs hostfs.FS, enclave *sgx.Enclave) *HostBackend {
-	return &HostBackend{FS: fs, Enclave: enclave, retryStats: &retryCounters{}}
+	return &HostBackend{FS: fs, Enclave: enclave}
 }
 
-// RetryCounters returns the retry activity aggregated across this backend
-// and all its clones.
+// RetryCounters returns the retry activity of every System sharing this
+// backend.
 func (h *HostBackend) RetryCounters() RetryStats { return h.retryStats.snapshot() }
 
 // Trusted implements Backend.
 func (h *HostBackend) Trusted() bool { return false }
 
-// call is the single host-call accounting helper shared by the classic
-// OCALL path and the switchless ring path (every Backend method and file
-// handle funnels through it): it flushes batched writes fn could observe,
-// then crosses the boundary. payload is the byte count marshalled by the
+// call is the single host-call helper shared by the classic OCALL path
+// and the switchless ring path (every Backend method and file handle
+// funnels through it). payload is the byte count marshalled by the
 // request; the enclave's adaptive policy sends small payloads through the
-// ring and large ones through a classic OCall.
+// ring and large ones through a classic OCall. A transiently failed
+// crossing is re-issued within the retry budget, each attempt a full
+// crossing with its own transition accounting.
 func (h *HostBackend) call(name string, payload int, fn func() error) error {
-	if err := h.FlushPending(); err != nil {
-		return err
-	}
-	return h.boundary(name, payload, fn)
-}
-
-// boundary performs the crossing without touching batch state; batch
-// flushes use it directly to avoid recursing into themselves. The fault
-// harness hooks in here — injection fires before the host operation, and
-// a transiently failed crossing is re-issued within the retry budget,
-// each attempt a full crossing with its own transition accounting.
-func (h *HostBackend) boundary(name string, payload int, fn func() error) error {
-	call := fn
-	if h.Chaos != nil {
-		call = func() error {
-			if err := h.Chaos.Op(); err != nil {
-				return err
-			}
-			return fn()
-		}
-	}
-	return h.Retry.retry(h.retryStats, func() error { return h.cross(name, payload, call) })
+	return h.Retry.retry(&h.retryStats, func() error { return h.cross(name, payload, fn) })
 }
 
 // cross is one physical boundary crossing.
@@ -155,24 +113,6 @@ func (h *HostBackend) cross(name string, payload int, fn func() error) error {
 		return fn()
 	}
 	return h.Enclave.SwitchlessOCall(name, payload, fn)
-}
-
-// batching reports whether writes may be deferred into a batch. Only a
-// live switchless ring enables it, so with switchless off every write
-// keeps its historical one-OCALL-per-call accounting.
-func (h *HostBackend) batching() bool {
-	return h.Enclave != nil && h.Enclave.SwitchlessEnabled()
-}
-
-// FlushPending submits the batched writes of the pending handle, if any,
-// making every completed write visible on the untrusted store. The WASI
-// layer calls it at the end of each guest entry and on proc_exit, so
-// batched state never outlives guest execution.
-func (h *HostBackend) FlushPending() error {
-	if h.pending != nil {
-		return h.pending.flush()
-	}
-	return nil
 }
 
 // Open implements Backend.
@@ -280,20 +220,13 @@ func (h *HostBackend) UTimes(path string, atime, mtime time.Time) error {
 }
 
 // hostHandle adapts a positional hostfs.File to the cursor-based
-// FileHandle, performing one boundary crossing per operation — except for
-// adjacent small writes, which are coalesced into a single crossing when
-// the switchless ring is live.
+// FileHandle, performing one boundary crossing per operation. Seek moves
+// only the enclave-side cursor, asking the host for the size when seeking
+// from the end.
 type hostHandle struct {
 	b      *HostBackend
 	f      hostfs.File
-	offset int64 // logical cursor, including batched-but-unsubmitted bytes
-
-	// pend accumulates adjacent small writes; pendOff is the file offset
-	// of pend[0]. Invariant: len(pend) > 0 iff b.pending == h. A flush
-	// error surfaces on the boundary call that triggered the flush
-	// (write-behind semantics).
-	pend    []byte
-	pendOff int64
+	offset int64
 }
 
 func (h *hostHandle) Read(p []byte) (int, error) {
@@ -311,29 +244,6 @@ func (h *hostHandle) Read(p []byte) (int, error) {
 }
 
 func (h *hostHandle) Write(p []byte) (int, error) {
-	if h.b.batching() && len(p) > 0 && len(p) <= batchMaxWrite {
-		// Another handle's batch must land first, or interleaved writes
-		// to one file could be replayed out of program order.
-		if h.b.pending != nil && h.b.pending != h {
-			if err := h.b.pending.flush(); err != nil {
-				return 0, err
-			}
-		}
-		if len(h.pend) > 0 &&
-			(h.offset != h.pendOff+int64(len(h.pend)) || len(h.pend)+len(p) > batchMaxPend) {
-			// Non-adjacent write or full batch: submit what we have.
-			if err := h.flush(); err != nil {
-				return 0, err
-			}
-		}
-		if len(h.pend) == 0 {
-			h.pendOff = h.offset
-			h.b.pending = h
-		}
-		h.pend = append(h.pend, p...)
-		h.offset += int64(len(p))
-		return len(p), nil
-	}
 	var n int
 	err := h.b.call("posix.write", len(p), func() error {
 		var werr error
@@ -342,23 +252,6 @@ func (h *hostHandle) Write(p []byte) (int, error) {
 	})
 	h.offset += int64(n)
 	return n, err
-}
-
-// flush submits the batched writes as one request. The handle clears its
-// pending state before the crossing so a failing flush cannot loop.
-func (h *hostHandle) flush() error {
-	if len(h.pend) == 0 {
-		return nil
-	}
-	buf, off := h.pend, h.pendOff
-	h.pend = h.pend[:0]
-	if h.b.pending == h {
-		h.b.pending = nil
-	}
-	return h.b.boundary("posix.write", len(buf), func() error {
-		_, err := h.f.WriteAt(buf, off)
-		return err
-	})
 }
 
 func (h *hostHandle) Seek(offset int64, whence int) (int64, error) {
@@ -380,9 +273,7 @@ func (h *hostHandle) Seek(offset int64, whence int) (int64, error) {
 	if target < 0 {
 		return 0, hostfs.ErrInvalid
 	}
-	// POSIX allows seeking past the end; the file extends on write. A
-	// batched run broken by the seek is submitted by the next boundary
-	// call (or immediately by the next non-adjacent write).
+	// POSIX allows seeking past the end; the file extends on write.
 	h.offset = target
 	return target, nil
 }
@@ -411,34 +302,6 @@ func (h *hostHandle) Close() error {
 	return h.b.call("posix.close", 0, func() error { return h.f.Close() })
 }
 
-// CloneBackend returns a backend for another instance over the same
-// storage. Host backends get fresh write-batching state (the pending
-// handle is per-instance, so concurrent instances never interleave their
-// batches); the protected FS is shared as-is — its mutable state lives in
-// per-open file handles. Unknown backend types are returned unchanged and
-// must be concurrency-safe themselves.
-func CloneBackend(b Backend) Backend {
-	switch b := b.(type) {
-	case *HostBackend:
-		return b.clone()
-	case *IPFSBackend:
-		return &IPFSBackend{PFS: b.PFS, Host: b.Host.clone()}
-	default:
-		return b
-	}
-}
-
-// clone builds a per-instance host backend over the same storage: fresh
-// batch state, shared fault plan and retry counters — every clone sees
-// the same injected operation stream and aggregates into one RetryStats.
-func (h *HostBackend) clone() *HostBackend {
-	nb := NewHostBackend(h.FS, h.Enclave)
-	nb.Chaos = h.Chaos
-	nb.Retry = h.Retry
-	nb.retryStats = h.retryStats
-	return nb
-}
-
 // --- IPFS (trusted) backend ---
 
 // IPFSBackend serves file contents from the Intel protected file system:
@@ -459,11 +322,6 @@ func NewIPFSBackend(pfs *ipfs.FS, host *HostBackend) *IPFSBackend {
 
 // Trusted implements Backend.
 func (b *IPFSBackend) Trusted() bool { return true }
-
-// FlushPending submits any write-behind state of the underlying host
-// backend (protected-file handles write eagerly, so only the namespace
-// side can hold batches).
-func (b *IPFSBackend) FlushPending() error { return b.Host.FlushPending() }
 
 // Open implements Backend.
 func (b *IPFSBackend) Open(path string, flags int, writable bool) (FileHandle, error) {

@@ -8,8 +8,8 @@ import (
 	"twine/internal/ipfs"
 )
 
-// TestCloneIsolatesState: a cloned System gets its own descriptor table,
-// stdio and backend batching state while sharing the underlying storage.
+// TestCloneIsolatesState: a cloned System gets its own descriptor table
+// and stdio while sharing the file backend and the storage under it.
 func TestCloneIsolatesState(t *testing.T) {
 	host := hostfs.NewMemFS()
 	var out1, out2 bytes.Buffer
@@ -33,8 +33,8 @@ func TestCloneIsolatesState(t *testing.T) {
 	if &s1.fds == &s2.fds || len(s2.fds) != len(s1.fds) {
 		t.Errorf("clone fd table not fresh: %d entries vs %d", len(s2.fds), len(s1.fds))
 	}
-	if s1.cfg.FS == s2.cfg.FS {
-		t.Error("clone shares the backend value; batching state would interleave")
+	if s1.cfg.FS != s2.cfg.FS {
+		t.Error("clone got its own backend; the backend is stateless and shared")
 	}
 	if s1.cfg.Args[0] != "one" || s2.cfg.Args[0] != "two" {
 		t.Errorf("args not per-clone: %v / %v", s1.cfg.Args, s2.cfg.Args)
@@ -46,8 +46,8 @@ func TestCloneIsolatesState(t *testing.T) {
 		t.Error("fd table shared between clones")
 	}
 
-	// The storage itself is shared: a file created through one backend is
-	// visible through the other.
+	// The storage itself is shared: a file created through one System's
+	// backend is visible through the other's.
 	h1 := s1.cfg.FS.(*HostBackend)
 	h2 := s2.cfg.FS.(*HostBackend)
 	if h1.FS != h2.FS {
@@ -74,25 +74,25 @@ func TestCloneIsolatesState(t *testing.T) {
 	_ = g.Close()
 }
 
-// TestCloneBackendKinds pins the per-kind cloning rules.
-func TestCloneBackendKinds(t *testing.T) {
+// TestCloneSharesEveryBackendKind pins the cloning rule, the same for every backend
+// kind: System.Clone shares the backend value as-is (neither backend holds
+// per-instance state; the protected FS keeps its mutable state in per-open
+// file handles).
+func TestCloneSharesEveryBackendKind(t *testing.T) {
 	host := hostfs.NewMemFS()
 	hb := NewHostBackend(host, nil)
-	c1 := CloneBackend(hb)
-	if c1 == Backend(hb) {
-		t.Error("HostBackend clone must be a fresh value (pending-batch state)")
-	}
-	if c1.(*HostBackend).FS != host {
-		t.Error("HostBackend clone lost the shared store")
-	}
-
 	pfs := ipfs.New(nil, host, ipfs.Options{})
-	ib := NewIPFSBackend(pfs, hb)
-	c2 := CloneBackend(ib).(*IPFSBackend)
-	if c2.PFS != pfs {
-		t.Error("IPFS backend clone must share the protected FS")
-	}
-	if c2.Host == hb {
-		t.Error("IPFS backend clone must get its own host namespace backend")
+	for _, be := range []Backend{hb, NewIPFSBackend(pfs, hb)} {
+		s1, err := NewSystem(Config{FS: be, Preopens: map[string]string{"/": ""}})
+		if err != nil {
+			t.Fatalf("NewSystem: %v", err)
+		}
+		s2, err := s1.Clone(CloneOptions{})
+		if err != nil {
+			t.Fatalf("Clone: %v", err)
+		}
+		if s2.cfg.FS != be {
+			t.Errorf("%T: clone got backend %p, want the shared %p", be, s2.cfg.FS, be)
+		}
 	}
 }

@@ -30,13 +30,16 @@
 //     cost;
 //   - operations above the ring's payload ceiling, and blocking calls
 //     such as poll_oneoff sleeps (which must not occupy the worker), take
-//     the classic path;
-//   - adjacent small file writes (the SQLite journal pattern) are batched
-//     into a single ring request; the batch is flushed before any
-//     operation that could observe untrusted state, so WASI-visible
-//     results are byte-identical to the unbatched path.
+//     the classic path.
 //
-// With switchless disabled the helpers degrade to exactly the historical
+// Either way a host call is exactly one crossing: the host backend keeps
+// no write-behind state, so every write is on the untrusted store when
+// it returns, a System clone shares the backend instead of copying it,
+// and OCalls_off == OCalls_on + SwitchlessCalls_on holds exactly
+// (TestSmallWritesCrossOnceEach, FuzzHostBackendRing). With switchless
+// disabled the helpers degrade to exactly the historical
 // one-OCALL-per-operation accounting, a fidelity invariant enforced by
-// internal/core's differential tests.
+// internal/core's differential tests. Faults come only from the host
+// (chaos.WrapFS around the backend's hostfs.FS); RetryPolicy absorbs the
+// transient ones.
 package wasi

@@ -3,7 +3,6 @@ package wasi
 import (
 	"crypto/rand"
 	"encoding/binary"
-	"fmt"
 	"time"
 
 	"twine/internal/hostfs"
@@ -1089,14 +1088,6 @@ func writeEvent(mem *wasm.Memory, ptr uint32, userdata uint64, typ byte, nbytes 
 func (s *System) procExit(in *wasm.Instance, a []uint64) (Errno, error) {
 	s.exited = true
 	s.exitCode = uint32(a[0])
-	// The guest will never close its descriptors: submit batched writes
-	// now so the untrusted store matches the eager-write semantics. A
-	// flush failure is surfaced to the embedder instead of the clean
-	// exit — on the eager path the same guest would have seen the write
-	// error at fd_write time.
-	if err := s.FlushFS(); err != nil {
-		return ErrnoIo, fmt.Errorf("wasi: flushing batched writes at proc_exit: %w", err)
-	}
 	return ErrnoSuccess, wasm.ExitError{Code: uint32(a[0])}
 }
 

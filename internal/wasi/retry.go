@@ -28,9 +28,9 @@ type RetryPolicy struct {
 	Backoff time.Duration
 }
 
-// RetryStats counts boundary-retry activity. One instance is shared by a
-// backend and all its clones (every pool worker's WASI system), so the
-// counters aggregate across a whole runtime.
+// RetryStats counts boundary-retry activity. It belongs to the host
+// backend, which every System cloned from a runtime shares (every pool
+// worker's WASI system), so the counters aggregate across a whole runtime.
 type RetryStats struct {
 	// Retries counts re-issued boundary calls.
 	Retries int64
@@ -43,21 +43,16 @@ type RetryStats struct {
 	Exhausted int64
 }
 
-// retryCounters is the shared atomic backing of RetryStats.
+// retryCounters is the atomic backing of RetryStats.
 type retryCounters struct {
-	retries   int64 // atomic
-	recovered int64 // atomic
-	exhausted int64 // atomic
+	retries, recovered, exhausted atomic.Int64
 }
 
 func (c *retryCounters) snapshot() RetryStats {
-	if c == nil {
-		return RetryStats{}
-	}
 	return RetryStats{
-		Retries:   atomic.LoadInt64(&c.retries),
-		Recovered: atomic.LoadInt64(&c.recovered),
-		Exhausted: atomic.LoadInt64(&c.exhausted),
+		Retries:   c.retries.Load(),
+		Recovered: c.recovered.Load(),
+		Exhausted: c.exhausted.Load(),
 	}
 }
 
@@ -70,21 +65,18 @@ func (p RetryPolicy) retry(c *retryCounters, cross func() error) error {
 	if p.Max <= 0 || !chaos.IsTransient(err) {
 		return err
 	}
-	if c == nil { // struct-literal backend without counters
-		c = &retryCounters{}
-	}
 	backoff := p.Backoff
 	for attempt := 0; attempt < p.Max; attempt++ {
 		if backoff > 0 {
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		atomic.AddInt64(&c.retries, 1)
+		c.retries.Add(1)
 		if err = cross(); !chaos.IsTransient(err) {
-			atomic.AddInt64(&c.recovered, 1)
+			c.recovered.Add(1)
 			return err
 		}
 	}
-	atomic.AddInt64(&c.exhausted, 1)
+	c.exhausted.Add(1)
 	return err
 }

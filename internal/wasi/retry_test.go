@@ -8,22 +8,24 @@ import (
 	"twine/internal/hostfs"
 )
 
-// Boundary-retry coverage (PR 6). The backends here have no enclave, so
-// each boundary crossing runs the host closure directly — the retry logic
-// under test is identical on the enclave path (retry wraps cross).
+// Boundary-retry coverage. Faults come from the host: each backend
+// here runs over chaos.WrapFS, and each Stat is one host operation, so the
+// injector's ordinals are the backend's host calls. The backends have no
+// enclave, so each crossing runs the host closure directly — the retry
+// logic under test is identical on the enclave path (retry wraps cross).
 
-func retryBackend(plan chaos.Plan, policy RetryPolicy) *HostBackend {
-	h := NewHostBackend(hostfs.NewMemFS(), nil)
-	h.Chaos = chaos.New(plan)
+func retryBackend(plan chaos.Plan, policy RetryPolicy) (*HostBackend, *chaos.Injector) {
+	inj := chaos.New(plan)
+	h := NewHostBackend(chaos.WrapFS(hostfs.NewMemFS(), inj), nil)
 	h.Retry = policy
-	return h
+	return h, inj
 }
 
 // TestBoundaryRetryRecoversTransient: a single injected transient fault
 // is absorbed by one retry — the guest never sees it, and the counters
 // record the recovery.
 func TestBoundaryRetryRecoversTransient(t *testing.T) {
-	h := retryBackend(
+	h, inj := retryBackend(
 		chaos.Plan{At: 2, Err: chaos.Transient(errors.New("host stall"))},
 		RetryPolicy{Max: 2},
 	)
@@ -37,13 +39,16 @@ func TestBoundaryRetryRecoversTransient(t *testing.T) {
 	if s := h.RetryCounters(); s.Retries != 1 || s.Recovered != 1 || s.Exhausted != 0 {
 		t.Errorf("counters = %+v, want 1 retry, 1 recovered", s)
 	}
+	if s := inj.Stats(); s.Ops != 3 || s.Faults != 1 {
+		t.Errorf("injector = %+v, want 3 host operations, 1 fault", s)
+	}
 }
 
 // TestBoundaryRetryExhaustsBudget: a persistent transient fault stops
 // being absorbed once the budget is spent — the transient error surfaces
 // and is classifiable by the caller.
 func TestBoundaryRetryExhaustsBudget(t *testing.T) {
-	h := retryBackend(
+	h, inj := retryBackend(
 		chaos.Plan{At: 1, Window: 1000, Err: chaos.Transient(errors.New("host down"))},
 		RetryPolicy{Max: 3},
 	)
@@ -54,7 +59,7 @@ func TestBoundaryRetryExhaustsBudget(t *testing.T) {
 	if s := h.RetryCounters(); s.Retries != 3 || s.Recovered != 0 || s.Exhausted != 1 {
 		t.Errorf("counters = %+v, want 3 retries, 1 exhausted", s)
 	}
-	if ops := h.Chaos.Stats().Ops; ops != 4 {
+	if ops := inj.Stats().Ops; ops != 4 {
 		t.Errorf("crossings = %d, want 4 (1 + Max retries)", ops)
 	}
 }
@@ -63,7 +68,7 @@ func TestBoundaryRetryExhaustsBudget(t *testing.T) {
 // are re-issued; a permanent fault surfaces on the first attempt.
 func TestBoundaryPermanentErrorNotRetried(t *testing.T) {
 	boom := errors.New("permanent corruption")
-	h := retryBackend(
+	h, inj := retryBackend(
 		chaos.Plan{At: 1, Window: 1000, Err: boom},
 		RetryPolicy{Max: 5},
 	)
@@ -73,7 +78,7 @@ func TestBoundaryPermanentErrorNotRetried(t *testing.T) {
 	if s := h.RetryCounters(); s.Retries != 0 {
 		t.Errorf("retried a permanent error: %+v", s)
 	}
-	if ops := h.Chaos.Stats().Ops; ops != 1 {
+	if ops := inj.Stats().Ops; ops != 1 {
 		t.Errorf("crossings = %d, want exactly 1", ops)
 	}
 }
@@ -81,38 +86,50 @@ func TestBoundaryPermanentErrorNotRetried(t *testing.T) {
 // TestZeroPolicySurfacesTransients: with no retry budget the transient
 // error surfaces immediately — the historical behaviour.
 func TestZeroPolicySurfacesTransients(t *testing.T) {
-	h := retryBackend(
+	h, inj := retryBackend(
 		chaos.Plan{At: 1, Err: chaos.Transient(nil)},
 		RetryPolicy{},
 	)
 	if _, err := h.Stat("/", true); !chaos.IsTransient(err) {
 		t.Fatalf("Stat = %v, want the transient error to surface", err)
 	}
-	if ops := h.Chaos.Stats().Ops; ops != 1 {
+	if ops := inj.Stats().Ops; ops != 1 {
 		t.Errorf("crossings = %d, want 1 (no retry)", ops)
 	}
 }
 
-// TestCloneSharesFaultPlanAndCounters: clones (the pool's per-worker
-// systems) consume the same injected operation stream and aggregate into
-// the parent's RetryStats.
+// TestCloneSharesFaultPlanAndCounters: two Systems cloned from one
+// runtime's (the pool's per-worker systems) share its host backend, so
+// they consume one injected operation stream and count into one
+// RetryStats.
 func TestCloneSharesFaultPlanAndCounters(t *testing.T) {
-	h := retryBackend(
-		chaos.Plan{At: 1, Err: chaos.Transient(errors.New("glitch"))},
+	h, inj := retryBackend(
+		chaos.Plan{At: 2, Err: chaos.Transient(errors.New("glitch"))},
 		RetryPolicy{Max: 1},
 	)
-	cl, ok := CloneBackend(h).(*HostBackend)
-	if !ok {
-		t.Fatal("CloneBackend changed the backend type")
+	root, err := NewSystem(Config{FS: h, Preopens: map[string]string{"/": ""}})
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
 	}
-	// The clone's crossing 1 is injected; its retry (crossing 2) succeeds.
-	if _, err := cl.Stat("/", true); err != nil {
-		t.Fatalf("clone Stat: %v", err)
+	var fs [2]Backend
+	for i := range fs {
+		s, err := root.Clone(CloneOptions{})
+		if err != nil {
+			t.Fatalf("Clone: %v", err)
+		}
+		fs[i] = s.cfg.FS
+	}
+	// The first clone's operation 1 is clean; the second clone's operation
+	// 2 is injected and its retry (operation 3) succeeds.
+	for i, be := range fs {
+		if _, err := be.Stat("/", true); err != nil {
+			t.Fatalf("clone %d Stat: %v", i, err)
+		}
 	}
 	if s := h.RetryCounters(); s.Retries != 1 || s.Recovered != 1 {
-		t.Errorf("parent counters = %+v, want the clone's recovery visible", s)
+		t.Errorf("runtime counters = %+v, want the clone's recovery visible", s)
 	}
-	if ops := h.Chaos.Stats().Ops; ops != 2 {
-		t.Errorf("shared injector saw %d ops, want 2", ops)
+	if ops := inj.Stats().Ops; ops != 3 {
+		t.Errorf("shared injector saw %d ops, want 3", ops)
 	}
 }

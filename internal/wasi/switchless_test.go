@@ -2,6 +2,7 @@ package wasi
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -31,7 +32,11 @@ func crossings(e *sgx.Enclave) int64 {
 	return st.OCalls + st.SwitchlessCalls
 }
 
-func TestBatchedAdjacentWritesCoalesce(t *testing.T) {
+// TestSmallWritesCrossOnceEach pins the host boundary's rule: a host call
+// is one crossing. With the ring live, N small writes (the SQLite journal
+// pattern) take exactly N crossings, an oversized one takes one classic
+// OCALL, and every byte is on the untrusted store when its write returns.
+func TestSmallWritesCrossOnceEach(t *testing.T) {
 	fs := hostfs.NewMemFS()
 	e := switchlessEnclave(t)
 	be := NewHostBackend(fs, e)
@@ -43,36 +48,63 @@ func TestBatchedAdjacentWritesCoalesce(t *testing.T) {
 			return err
 		}
 		base := crossings(e)
-		// The SQLite journal pattern: many small adjacent writes.
-		for i := 0; i < 100; i++ {
+		const n = 100
+		for i := 0; i < n; i++ {
 			rec := bytes.Repeat([]byte{byte(i)}, 32)
 			want.Write(rec)
 			if _, err := h.Write(rec); err != nil {
 				return err
 			}
+			if got := hostBytes(t, fs, "journal"); !bytes.Equal(got, want.Bytes()) {
+				return fmt.Errorf("after write %d the host holds %d bytes, want %d", i, len(got), want.Len())
+			}
 		}
-		if got := crossings(e) - base; got != 0 {
-			t.Errorf("%d boundary crossings during batched writes, want 0", got)
+		if got := crossings(e) - base; got != n {
+			t.Errorf("%d small writes took %d crossings, want %d", n, got, n)
+		}
+		big := bytes.Repeat([]byte{0xee}, 64<<10)
+		want.Write(big)
+		ocalls := e.Stats().OCalls
+		if _, err := h.Write(big); err != nil {
+			return err
+		}
+		if got := e.Stats().OCalls - ocalls; got != 1 {
+			t.Errorf("oversized write took %d classic OCALLs, want 1", got)
+		}
+		if got := crossings(e) - base; got != n+1 {
+			t.Errorf("%d writes took %d crossings, want %d", n+1, got, n+1)
 		}
 		return h.Close()
 	})
 	if err != nil {
 		t.Fatalf("ECall: %v", err)
 	}
-	// The file on the untrusted host holds every batched byte.
-	f, err := fs.OpenFile("journal", hostfs.ORead)
-	if err != nil {
-		t.Fatalf("host open: %v", err)
-	}
-	defer f.Close()
-	info, _ := f.Stat()
-	got := make([]byte, info.Size)
-	f.ReadAt(got, 0)
-	if !bytes.Equal(got, want.Bytes()) {
+	if got := hostBytes(t, fs, "journal"); !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("file = %d bytes, want %d byte-identical", len(got), want.Len())
 	}
 }
 
+// hostBytes reads a whole file straight from the untrusted store, with no
+// boundary crossing.
+func hostBytes(t *testing.T, fs hostfs.FS, name string) []byte {
+	t.Helper()
+	f, err := fs.OpenFile(name, hostfs.ORead)
+	if err != nil {
+		t.Fatalf("host open %s: %v", name, err)
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		t.Fatalf("host stat %s: %v", name, err)
+	}
+	buf := make([]byte, info.Size)
+	if n, err := f.ReadAt(buf, 0); n != len(buf) {
+		t.Fatalf("host read %s: %d of %d bytes, %v", name, n, len(buf), err)
+	}
+	return buf
+}
+
+// TestBatchFlushesBeforeRead: the ring path reads back what it wrote.
 func TestBatchFlushesBeforeRead(t *testing.T) {
 	fs := hostfs.NewMemFS()
 	e := switchlessEnclave(t)
@@ -91,7 +123,7 @@ func TestBatchFlushesBeforeRead(t *testing.T) {
 		buf := make([]byte, 12)
 		n, err := h.Read(buf)
 		if err != nil || string(buf[:n]) != "pending-data" {
-			t.Errorf("read after batched write = %q, %v", buf[:n], err)
+			t.Errorf("read after write = %q, %v", buf[:n], err)
 		}
 		return h.Close()
 	})
@@ -100,6 +132,8 @@ func TestBatchFlushesBeforeRead(t *testing.T) {
 	}
 }
 
+// TestBatchFlushesBeforeSizeAndStat: a handle's size and a path stat on
+// the ring path see every byte written before them.
 func TestBatchFlushesBeforeSizeAndStat(t *testing.T) {
 	fs := hostfs.NewMemFS()
 	e := switchlessEnclave(t)
@@ -113,9 +147,9 @@ func TestBatchFlushesBeforeSizeAndStat(t *testing.T) {
 			return err
 		}
 		if size, err := h.Size(); err != nil || size != 300 {
-			t.Errorf("Size() = %d, %v, want 300 (batch flushed)", size, err)
+			t.Errorf("Size() = %d, %v, want 300", size, err)
 		}
-		// Backend-level stat must also observe the flush.
+		// Backend-level stat must also observe the write.
 		info, err := be.Stat("f", true)
 		if err != nil || info.Size != 300 {
 			t.Errorf("Stat = %d, %v, want 300", info.Size, err)
@@ -127,6 +161,8 @@ func TestBatchFlushesBeforeSizeAndStat(t *testing.T) {
 	}
 }
 
+// TestNonAdjacentWriteBreaksBatch: a write after a seek past the end lands
+// at the sought offset, leaving the earlier write in place.
 func TestNonAdjacentWriteBreaksBatch(t *testing.T) {
 	fs := hostfs.NewMemFS()
 	e := switchlessEnclave(t)
@@ -160,6 +196,8 @@ func TestNonAdjacentWriteBreaksBatch(t *testing.T) {
 	}
 }
 
+// TestLargeWriteBypassesBatch: a write above the ring's MaxPayload is one
+// crossing, a classic OCALL.
 func TestLargeWriteBypassesBatch(t *testing.T) {
 	fs := hostfs.NewMemFS()
 	e := switchlessEnclave(t)
@@ -169,12 +207,15 @@ func TestLargeWriteBypassesBatch(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		base := crossings(e)
-		if _, err := h.Write(make([]byte, batchMaxWrite+1)); err != nil {
+		base, fallbacks := crossings(e), e.Stats().FallbackOCalls
+		if _, err := h.Write(make([]byte, 32<<10+1)); err != nil {
 			return err
 		}
 		if got := crossings(e) - base; got != 1 {
-			t.Errorf("large write took %d crossings, want 1 (not batched)", got)
+			t.Errorf("large write took %d crossings, want 1", got)
+		}
+		if got := e.Stats().FallbackOCalls - fallbacks; got != 1 {
+			t.Errorf("large write took %d classic OCALLs, want 1", got)
 		}
 		return h.Close()
 	})
@@ -183,9 +224,8 @@ func TestLargeWriteBypassesBatch(t *testing.T) {
 	}
 }
 
-// TestNoBatchingWithoutRing: with switchless absent, every write must keep
-// its historical one-OCALL accounting (the off-mode fidelity half of the
-// PR 2 acceptance criteria, at the backend level).
+// TestNoBatchingWithoutRing: with switchless absent, every write is one
+// classic OCALL (the switchless-off fidelity rule, at the backend level).
 func TestNoBatchingWithoutRing(t *testing.T) {
 	fs := hostfs.NewMemFS()
 	e, err := sgx.NewPlatform("wasi-off").NewEnclave(sgx.TestConfig(), []byte("twine"))
@@ -205,7 +245,7 @@ func TestNoBatchingWithoutRing(t *testing.T) {
 			}
 		}
 		if got := e.Stats().OCalls - base; got != 10 {
-			t.Errorf("10 writes took %d OCalls, want 10 (no batching without ring)", got)
+			t.Errorf("10 writes took %d OCalls, want 10", got)
 		}
 		return h.Close()
 	})
@@ -218,8 +258,9 @@ func TestNoBatchingWithoutRing(t *testing.T) {
 }
 
 // TestBatchedContentsByteIdentical runs the same mixed operation sequence
-// against a batched (ring) and an unbatched (no-enclave) backend and
-// requires byte-identical untrusted state and identical per-op results.
+// against a ring-backed and a no-enclave backend and requires
+// byte-identical untrusted state and identical per-op results
+// (FuzzHostBackendRing generalises it).
 func TestBatchedContentsByteIdentical(t *testing.T) {
 	type opResult struct {
 		n    int
@@ -290,14 +331,13 @@ func TestBatchedContentsByteIdentical(t *testing.T) {
 		return buf
 	}
 	if !bytes.Equal(read(plainFS), read(ringFS)) {
-		t.Error("untrusted file contents differ between batched and unbatched runs")
+		t.Error("untrusted file contents differ between ring and no-enclave runs")
 	}
 }
 
-// TestInterleavedHandlesPreserveWriteOrder guards against batched writes
-// being replayed out of program order: two handles on the same file write
-// overlapping regions, and the last program-order write must win exactly
-// as it does on the eager path.
+// TestInterleavedHandlesPreserveWriteOrder: two handles on the same file
+// write overlapping regions through the ring, and the last program-order
+// write must win exactly as it does with no enclave.
 func TestInterleavedHandlesPreserveWriteOrder(t *testing.T) {
 	fs := hostfs.NewMemFS()
 	e := switchlessEnclave(t)
@@ -311,8 +351,8 @@ func TestInterleavedHandlesPreserveWriteOrder(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		// a writes [0,100), b writes [100,150), then a extends its batch
-		// into [100,150): a's bytes are written last and must win.
+		// a writes [0,100), b writes [100,150), then a continues into
+		// [100,150): a's bytes are written last and must win.
 		if _, err := a.Write(bytes.Repeat([]byte{'A'}, 100)); err != nil {
 			return err
 		}
@@ -343,18 +383,14 @@ func TestInterleavedHandlesPreserveWriteOrder(t *testing.T) {
 	}
 }
 
-// TestFlushFSSubmitsBatchesWithoutClose guards the proc_exit / guest-exit
-// path: a guest that writes and never closes its descriptor must still
-// have its batched bytes on the untrusted store after System.FlushFS.
-func TestFlushFSSubmitsBatchesWithoutClose(t *testing.T) {
+// TestUnclosedWritesOnHostBeforeECallReturns: a guest that writes and
+// never closes its descriptor has its bytes on the untrusted store as soon
+// as the write returns, inside the ECALL, with no exit-time flush.
+func TestUnclosedWritesOnHostBeforeECallReturns(t *testing.T) {
 	fs := hostfs.NewMemFS()
 	e := switchlessEnclave(t)
 	be := NewHostBackend(fs, e)
-	s, err := NewSystem(Config{FS: be, Preopens: map[string]string{"/": ""}, Enclave: e})
-	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
-	}
-	err = e.ECall("main", func() error {
+	err := e.ECall("main", func() error {
 		h, err := be.Open("orphan", hostfs.OCreate|hostfs.ORead|hostfs.OWrite, true)
 		if err != nil {
 			return err
@@ -362,21 +398,15 @@ func TestFlushFSSubmitsBatchesWithoutClose(t *testing.T) {
 		if _, err := h.Write([]byte("never-closed")); err != nil {
 			return err
 		}
-		// No Close: the guest exits. FlushFS (called by proc_exit and at
-		// the end of every guest entry) must land the bytes.
-		return s.FlushFS()
+		if got := hostBytes(t, fs, "orphan"); string(got) != "never-closed" {
+			t.Errorf("host file inside the ECALL = %q, want the written bytes", got)
+		}
+		return nil // no Close: the guest exits
 	})
 	if err != nil {
 		t.Fatalf("ECall: %v", err)
 	}
-	f, ferr := fs.OpenFile("orphan", hostfs.ORead)
-	if ferr != nil {
-		t.Fatalf("host open: %v", ferr)
-	}
-	defer f.Close()
-	buf := make([]byte, 12)
-	n, _ := f.ReadAt(buf, 0)
-	if string(buf[:n]) != "never-closed" {
-		t.Errorf("host file = %q, want batched bytes flushed without close", buf[:n])
+	if got := hostBytes(t, fs, "orphan"); string(got) != "never-closed" {
+		t.Errorf("host file after the ECALL = %q, want the written bytes", got)
 	}
 }

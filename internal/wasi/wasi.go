@@ -284,14 +284,12 @@ type CloneOptions struct {
 
 // Clone builds a sibling System for another instance of the same runtime:
 // a fresh descriptor table, preopens re-established, its own clock guards
-// and exit state — over the same storage, enclave and profiling registry.
-// The file backend is cloned too (CloneBackend), so write-behind batching
-// state is per-instance while the underlying store stays shared. This is
-// the WASI half of multi-instance serving: state that POSIX scopes
+// and exit state — over the same storage, enclave and file backend (a
+// backend holds no per-instance state, so it is shared, not cloned). This
+// is the WASI half of multi-instance serving: state that POSIX scopes
 // per-process is per-System, everything else is shared.
 func (s *System) Clone(opt CloneOptions) (*System, error) {
 	cfg := s.cfg
-	cfg.FS = CloneBackend(cfg.FS)
 	if opt.Args != nil {
 		cfg.Args = opt.Args
 	}
@@ -328,22 +326,6 @@ func (s *System) ocallN(name string, payload int, fn func() error) error {
 		return fn()
 	}
 	return s.cfg.Enclave.SwitchlessOCall(name, payload, fn)
-}
-
-// backendFlusher is implemented by backends that can hold write-behind
-// state (the host backend's batched small writes).
-type backendFlusher interface{ FlushPending() error }
-
-// FlushFS submits any write-behind state the file backend holds, making
-// every completed write visible on the untrusted store. It is called on
-// proc_exit and by the runtime at the end of every guest entry, so
-// batched writes can never outlive guest execution — the guarantee the
-// switchless differential tests rely on.
-func (s *System) FlushFS() error {
-	if f, ok := s.cfg.FS.(backendFlusher); ok {
-		return f.FlushPending()
-	}
-	return nil
 }
 
 // fsDenied reports whether the generic untrusted layer is disabled for

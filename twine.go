@@ -230,7 +230,7 @@ var (
 )
 
 // NewFaultInjector compiles a FaultPlan into a FaultInjector for use in
-// fault hooks (Config.Chaos, PoolConfig.HostIO wrappers, chaos tests).
+// fault hooks (wrappers around Config.HostFS or PoolConfig.HostIO).
 func NewFaultInjector(p FaultPlan) *FaultInjector { return chaos.New(p) }
 
 // TransientFault marks err as transient — "the call never happened, no
