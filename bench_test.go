@@ -256,7 +256,7 @@ func BenchmarkTierMatrix(b *testing.B) {
 						b.Fatal(err)
 					}
 					b.StartTimer()
-					if err := c.Translate(eng, true); err != nil {
+					if err := c.Translate(eng); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -263,9 +263,8 @@ func (rt *Runtime) LoadModule(wasmBytes []byte) (*Module, error) {
 		}
 		// Translate the configured tier's form here, once per Compiled
 		// (AoT, like wamrc): LoadTime carries it and no first request
-		// does. Instances run the guarded form exactly when the EPC-TLB
-		// is on, so that is the one form translated.
-		if err := c.Translate(rt.cfg.Engine, !rt.cfg.NoEPCTLB); err != nil {
+		// does.
+		if err := c.Translate(rt.cfg.Engine); err != nil {
 			return err
 		}
 		mod = &Module{Compiled: c, WasmBytes: int64(len(wasmBytes)), AotIns: c.NumInstructions()}
@@ -276,9 +275,9 @@ func (rt *Runtime) LoadModule(wasmBytes []byte) (*Module, error) {
 	}
 	switch rt.cfg.Engine {
 	case wasm.EngineRegister:
-		mod.Reg = mod.Compiled.RegStats(!rt.cfg.NoEPCTLB)
+		mod.Reg = mod.Compiled.RegStats()
 	case wasm.EngineSuperblock:
-		mod.Super = mod.Compiled.SuperStats(!rt.cfg.NoEPCTLB)
+		mod.Super = mod.Compiled.SuperStats()
 	}
 	mod.LoadTime = time.Since(start)
 	return mod, nil

@@ -43,10 +43,10 @@ func runTierSweep(t *testing.T, eng wasm.Engine, elems, rounds int, epcUsable in
 // TestTierFidelityPaging is the register-tier acceptance guard for SGX
 // accounting: under a paging-heavy sweep all four engines must report
 // bit-identical fault and eviction counts and checksums. The register
-// tier's hoisted guards only run raw windows where every touch would
-// have been a no-op; under eviction pressure the guards keep failing
-// into their checked fallbacks, which are instruction-for-instruction
-// the same accesses the stack tiers perform.
+// loop checks and touches every access the stack tiers do; the
+// superblock tier's idiom traces skip touches only for a trip proven
+// hot, and under eviction pressure that proof keeps failing into the
+// checked per-iteration replay.
 func TestTierFidelityPaging(t *testing.T) {
 	interp := runTierSweep(t, wasm.EngineInterp, 32<<10, 3, 64<<10)
 	aot := runTierSweep(t, wasm.EngineAOT, 32<<10, 3, 64<<10)
@@ -68,8 +68,8 @@ func TestTierFidelityPaging(t *testing.T) {
 }
 
 // TestTierFidelityHotEPC repeats the comparison with the working set
-// resident: here the register tier's guards PASS (pages stay hot), the
-// raw windows run, and the counters must still match — the regime where
+// resident: here the idiom traces' trip guards PASS (pages stay hot), the
+// raw trips run, and the counters must still match — the regime where
 // an unsoundly-skipped touch would show up.
 func TestTierFidelityHotEPC(t *testing.T) {
 	interp := runTierSweep(t, wasm.EngineInterp, 2<<10, 3, 24<<20)

@@ -4,8 +4,9 @@ import "errors"
 
 // Streaming result cursor (the "ted" shape from the related-work repos): a
 // producer goroutine walks the join loop and hands each row to the consumer,
-// so large scans never materialise the whole result set. The fan-out merge
-// in the tsql shard service consumes per-shard streams the same way.
+// so large scans never materialise the whole result set. (The tsql shard
+// service's fan-out merge does not use it: it materialises each shard's
+// rows before merging.)
 //
 // The hand-off is strict: the producer runs only while the consumer is
 // blocked in Next or Close, and is parked at every other moment. The walk

@@ -147,9 +147,9 @@ var (
 // taken as switchless fallbacks; SwitchlessCalls counts requests served by
 // the ring without a crossing. Every request is exactly one of the two, so
 // OCalls(switchless off) == OCalls + SwitchlessCalls (switchless on) — the
-// conservation law internal/core's differential tests enforce. Batched
-// admission (PR 8) preserves it: it only moves cold-start requests from
-// the fallback column to the ring column.
+// conservation law internal/core's differential tests enforce. A full ring
+// or a parked worker only moves a request from the ring column to the
+// fallback column, never out of both.
 //
 // All counters are maintained with atomic operations, so Stats stays
 // coherent while concurrent ECALLs execute on the TCS pool.

@@ -55,19 +55,16 @@ type Compiled struct {
 	// The register-IR translation (PR 4) is likewise derived once and
 	// shared. Functions the translator cannot prove fall back to their
 	// fused form, so a register-tier instance may mix both body kinds.
-	// Two forms exist: index 1 carries hoisted memory guards (for
-	// instances whose accesses are EPC-accounted through a touch hook),
-	// index 0 omits them (a guard is pure dispatch overhead when there
-	// is no touch to elide).
-	regOnce  [2]sync.Once
-	regFuncs [2][]compiledFunc
-	regStats [2]RegStats
+	// One form serves every instance, with or without a touch hook.
+	regOnce  sync.Once
+	regFuncs []compiledFunc
+	regStats RegStats
 
 	// The superblock translation (PR 7) is derived from the register
-	// form, once per guard variant, and shared the same way.
-	superOnce  [2]sync.Once
-	superFuncs [2][]compiledFunc
-	superStats [2]SuperStats
+	// form, once, and shared the same way.
+	superOnce  sync.Once
+	superFuncs []compiledFunc
+	superStats SuperStats
 }
 
 // aot returns the fused (AoT) form of the function bodies, translating on
@@ -85,12 +82,8 @@ func (c *Compiled) aot() []compiledFunc {
 
 // reg returns the register-IR form of the function bodies, translating
 // on first use. The result is immutable and shared across instances.
-func (c *Compiled) reg(guarded bool) []compiledFunc {
-	v := 0
-	if guarded {
-		v = 1
-	}
-	c.regOnce[v].Do(func() {
+func (c *Compiled) reg() []compiledFunc {
+	c.regOnce.Do(func() {
 		fused := c.aot()
 		out := make([]compiledFunc, len(c.Funcs))
 		for i := range c.Funcs {
@@ -98,54 +91,47 @@ func (c *Compiled) reg(guarded bool) []compiledFunc {
 			// function's discarded optimisations never inflate the
 			// module's reported stats.
 			var fs RegStats
-			rf, ok := translateReg(c.Module, &c.Funcs[i], &fs, guarded)
+			rf, ok := translateReg(c.Module, &c.Funcs[i], &fs)
 			if ok {
 				out[i] = rf
-				c.regStats[v].merge(fs)
-				c.regStats[v].Funcs++
+				c.regStats.merge(fs)
+				c.regStats.Funcs++
 			} else {
 				out[i] = fused[i]
-				c.regStats[v].Bailouts++
+				c.regStats.Bailouts++
 			}
 		}
-		c.regFuncs[v] = out
+		c.regFuncs = out
 	})
-	return c.regFuncs[v]
+	return c.regFuncs
 }
 
 // super returns the superblock form of the function bodies (PR 7):
 // register bodies with innermost self-loops patched into compiled traces.
 // Functions without a register form stay fused, untraced. The result is
 // immutable and shared across instances.
-func (c *Compiled) super(guarded bool) []compiledFunc {
-	v := 0
-	if guarded {
-		v = 1
-	}
-	c.superOnce[v].Do(func() {
-		regs := c.reg(guarded)
+func (c *Compiled) super() []compiledFunc {
+	c.superOnce.Do(func() {
+		regs := c.reg()
 		out := make([]compiledFunc, len(regs))
-		var st SuperStats
 		for i := range regs {
-			out[i] = translateSuper(&regs[i], &st)
+			out[i] = translateSuper(&regs[i], &c.superStats)
 		}
-		c.superStats[v] = st
-		c.superFuncs[v] = out
+		c.superFuncs = out
 	})
-	return c.superFuncs[v]
+	return c.superFuncs
 }
 
 // code returns the function bodies engine e executes, translating them on
-// first use; guarded selects the form with hoisted EPC-TLB guards (see
-// regOnce).
-func (c *Compiled) code(e Engine, guarded bool) ([]compiledFunc, error) {
+// first use.
+func (c *Compiled) code(e Engine) ([]compiledFunc, error) {
 	switch e {
 	case EngineSuperblock:
-		return c.super(guarded), nil
+		return c.super(), nil
 	case EngineInterp:
 		return c.Funcs, nil
 	case EngineRegister:
-		return c.reg(guarded), nil
+		return c.reg(), nil
 	case EngineAOT:
 		return c.aot(), nil
 	}
@@ -153,36 +139,24 @@ func (c *Compiled) code(e Engine, guarded bool) ([]compiledFunc, error) {
 }
 
 // Translate derives the form engine e executes, so that a loader pays for
-// translation (AoT, like wamrc) and no first instantiation does. Pass the
-// guarded value the instances will run with (Config.TouchGen != nil).
-func (c *Compiled) Translate(e Engine, guarded bool) error {
-	_, err := c.code(e, guarded)
+// translation (AoT, like wamrc) and no first instantiation does.
+func (c *Compiled) Translate(e Engine) error {
+	_, err := c.code(e)
 	return err
 }
 
-// SuperStats reports the superblock-tier translation counters of the
-// guarded or unguarded form — pass the same guarded value the instances
-// run with (Config.TouchGen != nil). Forces the translation if it has not
-// run yet.
-func (c *Compiled) SuperStats(guarded bool) SuperStats {
-	c.super(guarded)
-	if guarded {
-		return c.superStats[1]
-	}
-	return c.superStats[0]
+// SuperStats reports the superblock-tier translation counters. Forces the
+// translation if it has not run yet.
+func (c *Compiled) SuperStats() SuperStats {
+	c.super()
+	return c.superStats
 }
 
-// RegStats reports the register-tier translation counters of the guarded
-// (EPC-accounted) or unguarded form — pass the same guarded value the
-// instances run with (Config.TouchGen != nil), so the counters describe
-// the code that actually executes and the other form is never translated
-// just for reporting. Forces the translation if it has not run yet.
-func (c *Compiled) RegStats(guarded bool) RegStats {
-	c.reg(guarded)
-	if guarded {
-		return c.regStats[1]
-	}
-	return c.regStats[0]
+// RegStats reports the register-tier translation counters. Forces the
+// translation if it has not run yet.
+func (c *Compiled) RegStats() RegStats {
+	c.reg()
+	return c.regStats
 }
 
 // NumInstructions reports the total lowered instruction count across all

@@ -6,8 +6,8 @@
 // (§III-B, Table I; the runtime TWINE embeds in the enclave is §IV-B), plus
 // a second AoT stage (PR 4, EngineRegister) that rewrites each function
 // into a basic-block register IR with constant folding, copy propagation
-// and hoisted bounds checks, and a third AoT stage (PR 7,
-// EngineSuperblock) that compiles those of the register IR's innermost
+// and affine superinstructions, and a third AoT stage
+// (EngineSuperblock) that compiles those of the register IR's innermost
 // self-loops that match an idiom template into single Go closures. The superblock tier is the zero-value Engine:
 // it is the fastest of the four on every workload measured (BENCHMARKS.md,
 // "Tier × workload matrix"), so it is what runs when no option is set. The
@@ -60,30 +60,23 @@
 //     memory access is ever elided by reuse; dead-store elimination
 //     removes only side-effect-free local stores that are overwritten
 //     before any read, branch, call boundary or block end.
-//   - Memory accesses are never reordered or elided: the checked access
-//     ops route through the same memLoad*/memStore* helpers as the
-//     stack tiers (identical bounds traps, messages and touch order).
-//   - Hoisting a bounds check is legal only for a window, inside one
-//     basic block, in which EVERY access is covered by a guard: each
-//     guard proves — per execution — that its accesses' whole span is
-//     in bounds and that every touch would be a no-op (no hook, or one
-//     EPC-TLB-hot page at the current paging generation), and no call,
-//     memory.grow, base-register write or inbound branch target breaks
-//     the window. Only then do raw (check-free, touch-free) accesses
-//     run; any failed guard transfers to a verbatim checked copy of the
-//     window suffix, so paging counters and trap sites are identical on
-//     every path (internal/core/tier_test.go pins this under eviction
-//     pressure and with the working set resident).
+//   - Memory accesses are never reordered, elided or left unchecked: every
+//     access op routes through the same memLoad*/memStore* helpers as the
+//     stack tiers (identical bounds traps, messages and touch order), so
+//     paging counters and trap sites are identical on every path
+//     (internal/core/tier_test.go pins this under eviction pressure and
+//     with the working set resident). The register loop checks every
+//     access it makes; hoisting lives only in idiom traces (below).
 //
 // # Superblock-tier invariants (PR 7)
 //
 // The superblock tier (EngineSuperblock) stacks on the register form: it
 // finds innermost self-loop regions (a back-edge to a dominating header
 // inside one function) and replaces the header of each one that matches
-// an idiom with a trace-enter pseudo-op dispatching to a Go closure. Only the header instruction is
-// patched — interior pcs keep their original instructions, so mid-region
-// branch targets and guard-failure blobs still execute under the
-// register interpreter and re-enter the trace at the next back-edge.
+// an idiom with a trace-enter pseudo-op dispatching to a Go closure. Only
+// the header instruction is patched — interior pcs keep their original
+// instructions, so a mid-region branch target still executes under the
+// register interpreter and re-enters the trace at the next back-edge.
 // Rules, in addition to everything above:
 //
 //   - One trace form exists. An IDIOM trace matches a counted loop
@@ -104,7 +97,7 @@
 //     translation time, and idiom templates force product rounding
 //     (prod := float64(x*y)) so Go's FMA contraction cannot change bits.
 //     Operand order is preserved exactly as the register IR recorded it.
-//   - An idiom trace amortises the PR 4 guard to once per loop TRIP: an
+//   - An idiom trace checks bounds and hotness once per loop TRIP: an
 //     exact int64 proof (coefficients bounded, index line inside [0,2³²)
 //     so u32 wrap is the identity, byte spans in bounds, induction never
 //     wrapping past MaxInt32, every access width-aligned so it cannot
@@ -116,13 +109,12 @@
 //     the shared memLoad*/memStore* helpers in exact program order,
 //     committing the induction local and accumulator every iteration, so
 //     a mid-loop trap leaves the frame exactly as the interpreter would.
-//   - The trip guard extends PR 4's hot-page stability assumption from a
-//     window to a whole trip. For single-threaded instances — every
-//     fidelity configuration in this repo — the proof is exact. Under
-//     concurrent cross-instance eviction the generation word can move
-//     mid-trip, in which case only touch/fault COUNTS can drift (the
-//     same class of slack PR 4's window guards already accept); guest
-//     results, traps and memory state remain bit-exact regardless.
+//   - The trip guard assumes pages proven hot stay hot for the whole
+//     trip. For single-threaded instances — every fidelity
+//     configuration in this repo — the proof is exact. Under concurrent
+//     cross-instance eviction the generation word can move mid-trip, in
+//     which case only touch/fault COUNTS can drift; guest results, traps
+//     and memory state remain bit-exact regardless.
 //   - Retired-instruction accounting: idiom traces charge one dispatch
 //     per iteration plus the trip entry; everything else is the register
 //     interpreter's own count, one per executed instruction.

@@ -26,10 +26,10 @@ func TestEngineNames(t *testing.T) {
 	}
 }
 
-// TestTranslateIsEagerAndExact: Translate derives exactly the form the
-// named engine and guard mode execute — so a loader that calls it pays
-// for translation and no instantiation does — and an engine outside the
-// four tiers is an error at both doors, never a silent fallback.
+// TestTranslateIsEagerAndExact: Translate derives exactly the forms the
+// named engine executes — so a loader that calls it pays for translation
+// and no instantiation does — and an engine outside the four tiers is an
+// error at both doors, never a silent fallback.
 func TestTranslateIsEagerAndExact(t *testing.T) {
 	mod, err := Decode(servingModule())
 	if err != nil {
@@ -39,16 +39,22 @@ func TestTranslateIsEagerAndExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Translate(EngineSuperblock, true); err != nil {
+	if err := c.Translate(EngineRegister); err != nil {
 		t.Fatal(err)
 	}
-	if c.superFuncs[1] == nil || c.regFuncs[1] == nil || c.aotFuncs == nil {
-		t.Error("Translate(super, guarded) left part of the guarded superblock stack untranslated")
+	if c.regFuncs == nil || c.aotFuncs == nil {
+		t.Error("Translate(reg) left part of the register stack untranslated")
 	}
-	if c.superFuncs[0] != nil || c.regFuncs[0] != nil {
-		t.Error("Translate(super, guarded) also translated the unguarded form")
+	if c.superFuncs != nil {
+		t.Error("Translate(reg) also translated the superblock form")
 	}
-	if err := c.Translate(Engine(4), true); err == nil {
+	if err := c.Translate(EngineSuperblock); err != nil {
+		t.Fatal(err)
+	}
+	if c.superFuncs == nil {
+		t.Error("Translate(super) left the superblock form untranslated")
+	}
+	if err := c.Translate(Engine(4)); err == nil {
 		t.Error("Translate accepted engine(4)")
 	}
 	if _, err := Instantiate(c, nil, Config{Engine: Engine(4)}); err == nil {

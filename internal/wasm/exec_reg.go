@@ -1,10 +1,8 @@
 package wasm
 
 import (
-	"encoding/binary"
 	"math"
 	"math/bits"
-	"sync/atomic"
 )
 
 // runRegBody is the register-tier execution loop: three-address
@@ -164,60 +162,6 @@ func (in *Instance) runRegBody(fn *compiledFunc, bp int) {
 		case rOpStoreAff64:
 			addr := uint64(uint32(r[i.a])*uint32(i.imm>>32) + uint32(i.imm))
 			memStore64(mem, addr, uint64(uint32(i.c)), r[i.b])
-
-		// --- hoisted guards + raw windows ---
-		case rOpMemGuard:
-			base := uint64(uint32(r[i.b]))
-			if !regGuardOK(mem, base+(i.imm>>32), base+(i.imm&0xFFFFFFFF)) {
-				pc = int(i.a)
-				continue
-			}
-		case rOpMemGuardAff:
-			base := uint64(uint32(r[i.b])*uint32(i.imm>>32) + uint32(i.imm))
-			lo := base + uint64(uint32(i.c)>>16)
-			hi := base + uint64(uint32(i.c)&0xFFFF)
-			if !regGuardOK(mem, lo, hi) {
-				pc = int(i.a)
-				continue
-			}
-
-		case rOpLoad32U + rawDelta:
-			r[i.a] = uint64(binary.LittleEndian.Uint32(mem.data[uint64(uint32(r[i.b]))+i.imm:]))
-		case rOpLoad64 + rawDelta:
-			r[i.a] = binary.LittleEndian.Uint64(mem.data[uint64(uint32(r[i.b]))+i.imm:])
-		case rOpLoad8U + rawDelta:
-			r[i.a] = uint64(mem.data[uint64(uint32(r[i.b]))+i.imm])
-		case rOpLoad16U + rawDelta:
-			r[i.a] = uint64(binary.LittleEndian.Uint16(mem.data[uint64(uint32(r[i.b]))+i.imm:]))
-		case rOpLoad8S32 + rawDelta:
-			r[i.a] = uint64(uint32(int32(int8(mem.data[uint64(uint32(r[i.b]))+i.imm]))))
-		case rOpLoad16S32 + rawDelta:
-			r[i.a] = uint64(uint32(int32(int16(binary.LittleEndian.Uint16(mem.data[uint64(uint32(r[i.b]))+i.imm:])))))
-		case rOpLoad8S64 + rawDelta:
-			r[i.a] = uint64(int64(int8(mem.data[uint64(uint32(r[i.b]))+i.imm])))
-		case rOpLoad16S64 + rawDelta:
-			r[i.a] = uint64(int64(int16(binary.LittleEndian.Uint16(mem.data[uint64(uint32(r[i.b]))+i.imm:]))))
-		case rOpLoad32S64 + rawDelta:
-			r[i.a] = uint64(int64(int32(binary.LittleEndian.Uint32(mem.data[uint64(uint32(r[i.b]))+i.imm:]))))
-		case rOpStore8 + rawDelta:
-			mem.data[uint64(uint32(r[i.a]))+i.imm] = byte(r[i.b])
-		case rOpStore16 + rawDelta:
-			binary.LittleEndian.PutUint16(mem.data[uint64(uint32(r[i.a]))+i.imm:], uint16(r[i.b]))
-		case rOpStore32 + rawDelta:
-			binary.LittleEndian.PutUint32(mem.data[uint64(uint32(r[i.a]))+i.imm:], uint32(r[i.b]))
-		case rOpStore64 + rawDelta:
-			binary.LittleEndian.PutUint64(mem.data[uint64(uint32(r[i.a]))+i.imm:], r[i.b])
-		case rOpStore64Imm + rawDelta:
-			binary.LittleEndian.PutUint64(mem.data[uint64(uint32(r[i.a]))+uint64(uint32(i.c)):], i.imm)
-		case rOpLoadAff64 + rawDelta:
-			addr := uint64(uint32(r[i.b])*uint32(i.imm>>32)+uint32(i.imm)) + uint64(uint32(i.c))
-			r[i.a] = binary.LittleEndian.Uint64(mem.data[addr:])
-		case rOpLoadAff32 + rawDelta:
-			addr := uint64(uint32(r[i.b])*uint32(i.imm>>32)+uint32(i.imm)) + uint64(uint32(i.c))
-			r[i.a] = uint64(binary.LittleEndian.Uint32(mem.data[addr:]))
-		case rOpStoreAff64 + rawDelta:
-			addr := uint64(uint32(r[i.a])*uint32(i.imm>>32)+uint32(i.imm)) + uint64(uint32(i.c))
-			binary.LittleEndian.PutUint64(mem.data[addr:], r[i.b])
 
 		// --- fused ALU ---
 		case rOpI32AddImm:
@@ -566,28 +510,4 @@ func (in *Instance) runRegBody(fn *compiledFunc, bp int) {
 		}
 		pc++
 	}
-}
-
-// regGuardOK decides whether the raw window may run: the whole span
-// [lo,hi) is in bounds, and every touch within it would provably be a
-// no-op — no hook installed, or the span lies on one EPC-TLB page that
-// is hot at the current paging generation. The guard never traps and
-// never touches, so a failed guard leaves all counters untouched and the
-// checked fallback produces the exact historical behaviour.
-func regGuardOK(mem *Memory, lo, hi uint64) bool {
-	if hi > uint64(len(mem.data)) {
-		return false
-	}
-	if mem.touch == nil {
-		return true
-	}
-	if mem.gen == nil {
-		return false
-	}
-	p := lo >> tlbPageBits
-	if (hi-1)>>tlbPageBits != p {
-		return false
-	}
-	e := &mem.tlb[p&tlbMask]
-	return e.tag == p+1 && e.gen == atomic.LoadUint64(mem.gen)
 }

@@ -8,10 +8,9 @@ import (
 
 // superIdiom is one compiled idiom-template loop. Per entry it re-derives
 // the trip count, then either proves the whole trip safe (every access
-// span in bounds, every page hot at the current paging generation — the
-// PR 4 guard condition amortised from a window to a trip) and runs raw,
-// or falls back to a checked per-iteration loop that replays the exact
-// interpreter-order memLoad*/memStore* sequence. Slot-home temporaries
+// span in bounds, every page hot at the current paging generation) and
+// runs raw, or falls back to a checked per-iteration loop that replays the
+// exact interpreter-order memLoad*/memStore* sequence. Slot-home temporaries
 // are not materialised on exit: the register allocator's per-block LVN
 // reset makes them dead at every block leader, so only the induction
 // local (and a reduce accumulator) carries out of the loop.

@@ -16,10 +16,12 @@ import (
 // FuzzTierDifferential decodes the fuzz input as a little program spec,
 // builds a structured module from it (counted loops over affine f64
 // walks, i32/i64 arithmetic with tee/set chains, br_table ladders,
-// masked and deliberately-wild memory accesses, serve-shaped byte folds
-// that end in a host call), and runs it under all four engines against a
-// fake EPC pager — twice per engine, with a warm ResetFromSnapshot in
-// between, the way Registry.Submit serves a FreshState tenant. Every
+// masked and deliberately-wild memory accesses, sub-word load/store
+// walks that run to the end of memory, unsigned truncations,
+// serve-shaped byte folds that end in a host call), and runs it under all
+// four engines against a fake EPC pager — twice per engine, with a warm
+// ResetFromSnapshot in between, the way Registry.Submit serves a
+// FreshState tenant. Every
 // observable of both calls must agree bit-for-bit with the interpreter:
 // result slots, trap kind AND message, final linear memory, globals, the
 // exact touch-hook call sequence, what the host function saw, and the
@@ -91,10 +93,104 @@ func (r *progReader) u16() uint16 {
 
 func (r *progReader) done() bool { return r.i >= len(r.b) }
 
+// rawOps emits the opcodes wasmgen has no method for: the narrow loads
+// and stores and the unsigned truncations. Each is written as a stand-in
+// of the same length and swapped in by withRawOps.
+type rawOps struct {
+	alt bool   // emit the second stand-in of each pair
+	ops []byte // wanted opcodes, in emission order
+}
+
+// mem emits memory opcode op with offset off.
+func (r *rawOps) mem(f *wasmgen.Func, op byte, off uint32) {
+	if r.alt {
+		f.F32Load(off)
+	} else {
+		f.I32Load(off)
+	}
+	r.ops = append(r.ops, op)
+}
+
+// plain emits opcode op, which has no immediates.
+func (r *rawOps) plain(f *wasmgen.Func, op byte) {
+	if r.alt {
+		f.I64TruncF64S()
+	} else {
+		f.I32TruncF64S()
+	}
+	r.ops = append(r.ops, op)
+}
+
+// withRawOps builds a module twice, with each of the two stand-ins of
+// every pair. The builds differ exactly at the stand-in opcodes, in
+// emission order; those bytes of the first build are replaced with the
+// wanted opcodes (memory ops also get alignment hint 0, valid at every
+// width).
+func withRawOps(build func(raw *rawOps) []byte) []byte {
+	a, b := &rawOps{}, &rawOps{alt: true}
+	ma, mb := build(a), build(b)
+	if len(ma) != len(mb) {
+		panic("withRawOps: builds differ in length")
+	}
+	k := 0
+	for i := 0; i < len(ma); i++ {
+		if ma[i] == mb[i] {
+			continue
+		}
+		ma[i] = a.ops[k]
+		k++
+		if ma[i] >= OpI32Load && ma[i] <= OpI64Store32 {
+			i++
+			ma[i] = 0
+		}
+	}
+	if k != len(a.ops) {
+		panic("withRawOps: stand-ins do not match the recorded opcodes")
+	}
+	return ma
+}
+
+// narrowOp is a sub-word load or store: its opcode, whether its value
+// is an i64, and its access width in bytes.
+type narrowOp struct {
+	op    byte
+	i64   bool
+	width int32
+}
+
+// The narrow memory ops and unsigned truncations, shared by the
+// generator and by TestNarrowOpsParity.
+var (
+	narrowStores = []narrowOp{
+		{OpI32Store8, false, 1}, {OpI32Store16, false, 2},
+		{OpI64Store8, true, 1}, {OpI64Store16, true, 2}, {OpI64Store32, true, 4},
+	}
+	narrowLoads = []narrowOp{
+		{OpI32Load16S, false, 2}, {OpI32Load16U, false, 2},
+		{OpI64Load8S, true, 1}, {OpI64Load8U, true, 1}, {OpI64Load16S, true, 2},
+		{OpI64Load16U, true, 2}, {OpI64Load32S, true, 4}, {OpI64Load32U, true, 4},
+	}
+	// max is the generator's clamp, inside the range after rounding to
+	// f32 where the operand is f32.
+	truncUOps = []struct {
+		op       byte
+		f32, i64 bool
+		max      float64
+	}{
+		{OpI32TruncF32U, true, false, 4e9}, {OpI32TruncF64U, false, false, 4294967295},
+		{OpI64TruncF32U, true, true, 1.8e19}, {OpI64TruncF64U, false, true, 1.8e19},
+	}
+)
+
 // buildTierModule turns a program spec into module bytes. The module
 // imports env.host (i32) -> i32 and exports "run" () -> i64 over a 64 KiB
 // memory seeded with deterministic pseudo-random f64s in its first 24 KiB.
 func buildTierModule(data []byte) []byte {
+	return withRawOps(func(raw *rawOps) []byte { return buildTierProgram(data, raw) })
+}
+
+// buildTierProgram is buildTierModule with the stand-ins still in place.
+func buildTierProgram(data []byte, raw *rawOps) []byte {
 	r := &progReader{b: data}
 	m := wasmgen.NewModule()
 	host := m.ImportFunc("env", "host", wasmgen.Sig(wasmgen.I32).Returns(wasmgen.I32))
@@ -583,6 +679,69 @@ func buildTierModule(data []byte) []byte {
 		f.LocalSet(facc)
 	}
 
+	// stmtNarrow: a sub-word store/load walk (no idiom matches it, so it
+	// runs in the register loop), each element read back by another
+	// narrow load and folded into acc. A quarter of the walks end on the
+	// last byte of memory or one past it.
+	stmtNarrow := func() {
+		st := narrowStores[r.u8()%byte(len(narrowStores))]
+		ld := narrowLoads[r.u8()%byte(len(narrowLoads))]
+		n := int32(r.u8()%24) + 1
+		base := int32(r.u16() % 24000)
+		if r.u8()&3 == 0 {
+			base = 1<<16 - n*st.width + int32(r.u8()&1)
+		}
+		off := uint32(r.u8() % 4)
+		addr := func() {
+			f.LocalGet(L[2])
+			f.I32Const(st.width)
+			f.I32Mul()
+			f.I32Const(base)
+			f.I32Add()
+		}
+		forLoop(L[2], func() { f.I32Const(n) }, 1, func() {
+			addr()
+			emitI32Expr(1)
+			if st.i64 {
+				f.I64ExtendI32S()
+			}
+			raw.mem(f, st.op, 0)
+			f.LocalGet(acc)
+			addr()
+			raw.mem(f, ld.op, off)
+			if !ld.i64 {
+				f.I64ExtendI32U()
+			}
+			f.I64Xor()
+			f.LocalSet(acc)
+		})
+	}
+
+	// stmtTruncU: an unsigned truncation of a float built from facc,
+	// usually clamped into range but sometimes raw, so negative, huge and
+	// NaN inputs get trap parity too.
+	stmtTruncU := func() {
+		tr := truncUOps[r.u8()%byte(len(truncUOps))]
+		f.LocalGet(facc)
+		f.GlobalGet(gF)
+		f.F64Mul()
+		if r.u8() != 0xFD {
+			f.F64Abs()
+			f.F64Const(tr.max)
+			f.F64Min()
+		}
+		if tr.f32 {
+			f.F32DemoteF64()
+		}
+		raw.plain(f, tr.op)
+		if !tr.i64 {
+			f.I64ExtendI32U()
+		}
+		f.LocalGet(acc)
+		f.I64Xor()
+		f.LocalSet(acc)
+	}
+
 	for s := 0; s < 5 && !r.done(); s++ {
 		switch r.u8() % 8 {
 		case 0, 1, 2: // bias toward the superblock surface
@@ -596,13 +755,17 @@ func buildTierModule(data []byte) []byte {
 		case 6:
 			stmtFloatMix()
 		default:
-			switch r.u8() & 3 {
+			switch r.u8() & 7 {
 			case 0:
 				stmtWild()
 			case 1:
 				stmtStencilLoop()
 			case 2:
 				stmtServeLoop()
+			case 4:
+				stmtNarrow()
+			case 5:
+				stmtTruncU()
 			default:
 				stmtAffineLoop()
 			}
@@ -739,6 +902,36 @@ func diffOutcome(a, b tierOutcome) string {
 	return ""
 }
 
+// compareTiers runs module bytes mb under all four engines in one pager
+// mode (see runTierOnce) and requires every tier to match the
+// interpreter on every observable. It returns the compiled module and
+// each engine's outcomes.
+func compareTiers(t *testing.T, mb []byte, mode byte, capPages int) (*Compiled, map[Engine][2]tierOutcome) {
+	t.Helper()
+	mod, err := Decode(mb)
+	if err != nil {
+		t.Fatalf("module does not decode: %v", err)
+	}
+	c, err := Compile(mod)
+	if err != nil {
+		t.Fatalf("module does not compile: %v", err)
+	}
+	outs := map[Engine][2]tierOutcome{}
+	for _, eng := range []Engine{EngineInterp, EngineAOT, EngineRegister, EngineSuperblock} {
+		got, err := runTierOnce(c, eng, mode, capPages)
+		if err != nil {
+			t.Fatalf("%v: %v", eng, err)
+		}
+		outs[eng] = got
+		for call := range got {
+			if d := diffOutcome(outs[EngineInterp][call], got[call]); d != "" {
+				t.Errorf("%v diverged from interp (mode=%d cap=%d call=%d): %s", eng, mode, capPages, call, d)
+			}
+		}
+	}
+	return c, outs
+}
+
 // checkTierDifferential is the fuzz body: build, run under all four
 // engines in the input-selected pager mode, and require every tier to
 // match the interpreter on every observable.
@@ -746,37 +939,10 @@ func checkTierDifferential(t *testing.T, data []byte) {
 	if len(data) < 4 {
 		return
 	}
-	mode := data[0] % 3
-	capPages := int(data[1]%12) + 2
-	mb := buildTierModule(data[2:])
-	mod, err := Decode(mb)
-	if err != nil {
-		t.Fatalf("generated module does not decode: %v", err)
-	}
-	c, err := Compile(mod)
-	if err != nil {
-		t.Fatalf("generated module does not compile: %v", err)
-	}
-	base, err := runTierOnce(c, EngineInterp, mode, capPages)
-	if err != nil {
-		t.Fatalf("interp: %v", err)
-	}
-	outs := map[Engine][2]tierOutcome{}
-	for _, eng := range []Engine{EngineAOT, EngineRegister, EngineSuperblock} {
-		got, err := runTierOnce(c, eng, mode, capPages)
-		if err != nil {
-			t.Fatalf("%v: %v", eng, err)
-		}
-		outs[eng] = got
-		for call := range base {
-			if d := diffOutcome(base[call], got[call]); d != "" {
-				t.Errorf("%v diverged from interp (mode=%d cap=%d call=%d): %s", eng, mode, capPages, call, d)
-			}
-		}
-	}
+	c, outs := compareTiers(t, buildTierModule(data[2:]), data[0]%3, int(data[1]%12)+2)
 	// A module with no idiom trace runs under the superblock tier exactly
 	// as under the register tier, trap or not: same instructions retired.
-	if c.SuperStats(mode == 2).Idioms == 0 {
+	if c.SuperStats().Idioms == 0 {
 		reg, sup := outs[EngineRegister], outs[EngineSuperblock]
 		for call := range reg {
 			if reg[call].retired != sup[call].retired {
@@ -797,6 +963,7 @@ func FuzzTierDifferential(f *testing.F) {
 	f.Add([]byte(seedCopyCycle))
 	f.Add([]byte(seedStencilCopyTail))
 	f.Add([]byte(seedServeLoop))
+	f.Add([]byte(seedNarrowOps))
 	// Broad structured seeds: every statement kind, all pager modes.
 	f.Add([]byte{2, 4, 0, 10, 0, 0, 0x40, 0, 0x40, 0, 1, 2, 0, 0, 3, 7})
 	f.Add([]byte{1, 2, 3, 30, 9, 9, 4, 4, 5, 5, 2, 1, 0, 3, 0xFF, 0x10})
@@ -831,13 +998,23 @@ const (
 	seedServeLoop = "\x02\x01\x07\x02\xff\x40\x00\x01" +
 		"\x03\x08\x01\x00\x01\x00\x11\x00" +
 		"\x07\x02\x7f\x00\x00\x00\x01\x21"
+	// seedNarrowOps alternates stmtNarrow and stmtTruncU: an
+	// i32.store16/i32.load16_s walk, i32.trunc_f64_u, an
+	// i64.store32/i64.load32_u walk ending on the last byte of memory,
+	// i64.trunc_f64_u, and an i64.store16/i64.load16_u walk.
+	seedNarrowOps = "\x02\x04" +
+		"\x07\x04\x01\x00\x07\x10\x00\x01\x01\x00\x02" +
+		"\x07\x05\x01\x00" +
+		"\x07\x04\x04\x07\x03\x00\x00\x00\x00\x00\x01\x34\x12" +
+		"\x07\x05\x03\x00" +
+		"\x07\x04\x03\x05\x05\x20\x03\x02\x03\x02\x00\x05"
 )
 
 // TestTierDifferentialSeeds pins the seed corpus into the plain test
 // run (go test executes f.Add seeds, but not files added later to
 // testdata; this keeps both paths exercised without -fuzz).
 func TestTierDifferentialSeeds(t *testing.T) {
-	for i, s := range []string{seedAffineAlias, seedTeeSetChain, seedCopyCycle, seedStencilCopyTail, seedServeLoop} {
+	for i, s := range []string{seedAffineAlias, seedTeeSetChain, seedCopyCycle, seedStencilCopyTail, seedServeLoop, seedNarrowOps} {
 		t.Run(fmt.Sprintf("regression%d", i), func(t *testing.T) {
 			checkTierDifferential(t, []byte(s))
 		})
@@ -861,7 +1038,7 @@ func TestStencilSeedProducesCopyTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn := &c.reg(false)[0] // module-defined functions only: "run"
+	fn := &c.reg()[0] // module-defined functions only: "run"
 	if !fn.reg {
 		t.Fatal("stencil seed bailed to fused form")
 	}
@@ -875,7 +1052,7 @@ func TestStencilSeedProducesCopyTail(t *testing.T) {
 	if copyTails == 0 {
 		t.Fatal("stencil seed produced no copy-tail back-edges; generator no longer covers the copy-tail path")
 	}
-	st := c.SuperStats(false)
+	st := c.SuperStats()
 	if st.Idioms < copyTails {
 		t.Fatalf("copy-tail loops fell off the idiom path: %d copy tails but stats %+v", copyTails, st)
 	}
@@ -905,7 +1082,7 @@ func TestServeSeedReachesHostCall(t *testing.T) {
 			t.Errorf("call %d: trap %v, %d host calls, want none and 2", call, out.trap, len(out.host))
 		}
 	}
-	if st := c.SuperStats(true); st.RegBail != 0 || st.Loops != 3 || st.Bailouts != 3 {
+	if st := c.SuperStats(); st.RegBail != 0 || st.Loops != 3 || st.Bailouts != 3 {
 		t.Errorf("serve seed loops left the register loop: %+v", st)
 	}
 }

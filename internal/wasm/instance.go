@@ -28,9 +28,9 @@ const (
 	// the differential tests compare every other tier against.
 	EngineInterp
 	// EngineRegister executes the second AoT stage (PR 4): per-function
-	// register IR with constant folding, copy propagation and hoisted
-	// bounds checks; functions the translator cannot prove run in their
-	// fused form.
+	// register IR with constant folding, copy propagation and affine
+	// superinstructions, every memory access checked; functions the
+	// translator cannot prove run in their fused form.
 	EngineRegister
 	// EngineAOT executes a pre-translated form with fused
 	// superinstructions — the stand-in for wamrc's AoT compilation step,
@@ -185,12 +185,7 @@ func newInstance(c *Compiled, imports *ImportObject, cfg Config) (*Instance, err
 		}
 	}
 
-	// The guarded forms pay one guard dispatch per hoisted window to skip
-	// per-access EPC-TLB probes; worth it only when the TLB is live (a
-	// guard can never pass without a generation to validate against, so
-	// a touch hook without TouchGen — the NoEPCTLB ablation — takes the
-	// unguarded form).
-	funcs, err := c.code(cfg.Engine, cfg.TouchGen != nil)
+	funcs, err := c.code(cfg.Engine)
 	if err != nil {
 		return nil, err
 	}

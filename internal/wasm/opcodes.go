@@ -300,26 +300,6 @@ const (
 	rOpLoadAff32  uint16 = 0x31F
 	rOpStoreAff64 uint16 = 0x320
 
-	// Hoisted per-window memory guards. rOpMemGuard: base = u32(r[b]),
-	// span = [base+minOff, base+maxEnd) with imm = minOff<<32|maxEnd.
-	// rOpMemGuardAff: base = u32(u32(r[b])*m + A) with imm = m<<32|A and
-	// c = minOff<<16|maxEnd. If the span is in bounds and either no touch
-	// hook is installed or the whole span lies on one already-hot EPC-TLB
-	// page (at the current paging generation), execution falls through
-	// into the raw window; otherwise pc = a (the checked copy of the
-	// window). The guard itself never traps and never touches, so
-	// counters, trap sites and trap messages are bit-identical either way.
-	rOpMemGuard    uint16 = 0x330
-	rOpMemGuardAff uint16 = 0x331
-
-	// Raw twins of the checked 0x310..0x320 block: same operands, no
-	// bounds check, no touch. Only ever emitted inside a window proven
-	// safe by a preceding guard (see regalloc.go for the legality
-	// argument).
-	rawDelta    uint16 = 0x40
-	rOpRawFirst uint16 = rOpLoad32U + rawDelta // 0x350
-	rOpRawLast  uint16 = rOpStoreAff64 + rawDelta
-
 	// Immediate-fused ALU forms (the register tier's superinstructions).
 	rOpI32AddImm   uint16 = 0x380 // r[a] = u32(r[b]) + u32(imm)
 	rOpI32MulImm   uint16 = 0x381 // r[a] = u32(r[b]) * u32(imm)
@@ -344,9 +324,8 @@ const (
 	// Superblock tier (PR 7). In the superblock form of a function the
 	// header instruction of every compiled self-loop trace is replaced by
 	// sOpTraceEnter; a = index into compiledFunc.traces. Interior pcs of
-	// the region keep their original register instructions, so branches
-	// into the middle of a traced loop (guard-fail blobs, forward jumps)
-	// still execute correctly through runRegBody and re-enter the trace
-	// at the next back-edge.
+	// the region keep their original register instructions, so a forward
+	// jump into the middle of a traced loop still executes correctly
+	// through runRegBody and re-enters the trace at the next back-edge.
 	sOpTraceEnter uint16 = 0x3A0
 )

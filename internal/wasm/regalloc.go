@@ -22,12 +22,10 @@ package wasm
 //     compare-and-branch) collapse the address-arithmetic chains the
 //     PolyBench codegen emits around every array element;
 //   - a store to a local that is provably overwritten before any read,
-//     branch or block end is removed (dead-store elimination);
-//   - per-window memory guards hoist the bounds check + EPC-TLB probe of
-//     a group of same-base accesses: one guard proves the whole span is
-//     in bounds and touch-free, then the window runs raw accesses; if
-//     the guard fails, a checked copy of the window runs instead (see
-//     the legality argument on closeBlock).
+//     branch or block end is removed (dead-store elimination).
+//
+// Every memory access stays checked: bounds and EPC-TLB probes are
+// hoisted only by the superblock tier's idiom traces, once per loop trip.
 //
 // At every basic-block boundary all live slots are materialised into
 // their canonical homes, so join points agree regardless of which
@@ -43,7 +41,6 @@ type RegStats struct {
 	Props      int64 // constant/copy propagations and CSE reuses
 	DeadStores int64 // dead local stores removed
 	Fused      int64 // immediate-fused / affine superinstructions emitted
-	Hoists     int64 // bounds-check guards hoisted (one per window)
 }
 
 // merge accumulates another translation's optimisation counters.
@@ -52,7 +49,6 @@ func (r *RegStats) merge(o RegStats) {
 	r.Props += o.Props
 	r.DeadStores += o.DeadStores
 	r.Fused += o.Fused
-	r.Hoists += o.Hoists
 }
 
 // rdesc describes where an abstract operand-stack slot's value lives.
@@ -121,19 +117,17 @@ type regTranslator struct {
 	homing       map[int]bool  // slots mid-materialisation (cycle detection)
 
 	// Function-level bookkeeping.
-	labels    map[int]int32 // old pc -> new pc of block start
-	expect    map[int]int   // old pc -> operand depth at entry
-	fallbacks [][]ins       // checked window copies, appended at finalize
-	guarded   bool          // emit hoisted memory guards (touch-hook form)
-	bailed    bool
+	labels map[int]int32 // old pc -> new pc of block start
+	expect map[int]int   // old pc -> operand depth at entry
+	bailed bool
 }
 
 // translateReg rewrites src into register form. ok is false when the
 // function uses a pattern the translator does not prove; the caller then
 // keeps the fused stack form for this function.
-func translateReg(m *Module, src *compiledFunc, stats *RegStats, guarded bool) (compiledFunc, bool) {
+func translateReg(m *Module, src *compiledFunc, stats *RegStats) (compiledFunc, bool) {
 	t := &regTranslator{
-		m: m, src: src, stats: stats, guarded: guarded,
+		m: m, src: src, stats: stats,
 		nLoc:         int32(src.numParams + src.numLocals),
 		vnOf:         make(map[int32]uint32),
 		constVN:      make(map[uint64]uint32),
@@ -197,6 +191,44 @@ func translateReg(m *Module, src *compiledFunc, stats *RegStats, guarded bool) (
 	return t.finalize()
 }
 
+// finalize resolves branch targets from old-pc space to register-code
+// indexes and remaps the br_table destinations.
+func (t *regTranslator) finalize() (compiledFunc, bool) {
+	for idx := range t.out {
+		ii := &t.out[idx]
+		switch ii.op {
+		case rOpBr, rOpBrIf, rOpBrIfZ, rOpBrCmp, rOpBrCmpImm:
+			if ii.a < 0 {
+				np, ok := t.labels[int(-ii.a-1)]
+				if !ok {
+					return compiledFunc{}, false
+				}
+				ii.a = np
+			}
+		}
+	}
+	var tables [][]brTarget
+	if len(t.src.brTables) > 0 {
+		tables = make([][]brTarget, len(t.src.brTables))
+		for ti, tbl := range t.src.brTables {
+			nt := make([]brTarget, len(tbl))
+			for i, tg := range tbl {
+				np, ok := t.labels[int(tg.pc)]
+				if !ok {
+					return compiledFunc{}, false
+				}
+				nt[i] = brTarget{pc: np, drop: tg.drop, keep: tg.keep}
+			}
+			tables[ti] = nt
+		}
+	}
+	out := *t.src
+	out.code = t.out
+	out.brTables = tables
+	out.reg = true
+	return out, true
+}
+
 func (t *regTranslator) bail() { t.bailed = true }
 
 func (t *regTranslator) home(slot int) int32 { return t.nLoc + int32(slot) }
@@ -227,6 +259,35 @@ func (t *regTranslator) openBlock(pc, depth int) {
 	for i := 0; i < depth; i++ {
 		h := t.home(i)
 		t.stk = append(t.stk, rdesc{kind: rdReg, reg: h, vn: t.freshVN(h)})
+	}
+}
+
+// closeBlock compacts the just-finished block, dropping the stores DSE
+// marked dead, and remaps its intra-block branch targets to match.
+func (t *regTranslator) closeBlock() {
+	start := t.blockStart
+	n := len(t.out) - start
+	t.clearPendingLocals()
+	mapIdx := make([]int32, n+1)
+	w := start
+	for idx := start; idx < start+n; idx++ {
+		mapIdx[idx-start] = int32(w)
+		if !t.dead[idx] {
+			t.out[w] = t.out[idx]
+			t.dead[w] = false
+			w++
+		}
+	}
+	mapIdx[n] = int32(w)
+	t.out, t.dead = t.out[:w], t.dead[:w]
+	for idx := start; idx < w; idx++ {
+		c := &t.out[idx]
+		switch c.op {
+		case rOpBr, rOpBrIf, rOpBrIfZ, rOpBrCmp, rOpBrCmpImm:
+			if c.a >= int32(start) {
+				c.a = mapIdx[int(c.a)-start]
+			}
+		}
 	}
 }
 

@@ -76,6 +76,17 @@ func regPure(op uint16) bool {
 	return true
 }
 
+// regSideEffectFree reports instructions DSE may remove outright.
+func regSideEffectFree(op uint16) bool {
+	switch op {
+	case rOpConst, rOpCopy, rOpSelect,
+		rOpI32AddImm, rOpI32MulImm, rOpI64AddImm,
+		rOpI32MulAdd, rOpI32MulAddII, rOpF64MulAdd, rOpF64MulImm:
+		return true
+	}
+	return regPure(op)
+}
+
 // regCommutative reports operand-order-insensitive ops (for LVN keys).
 func regCommutative(op uint16) bool {
 	switch byte(op) {

@@ -112,7 +112,7 @@ func TestSuperCopyTailIdiom(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := c.SuperStats(false)
+	st := c.SuperStats()
 	if st.Idioms < 1 {
 		t.Fatalf("stencil loop did not match an idiom (copy tail lost?): %+v", st)
 	}

@@ -142,7 +142,7 @@ func TestSuperMidLoopSnapshotFidelity(t *testing.T) {
 
 	// The comparison must not be vacuous: the kernel has to have been
 	// traced, and tracing has to have paid off in dispatches retired.
-	st := c.SuperStats(false)
+	st := c.SuperStats()
 	if st.Idioms == 0 {
 		t.Fatalf("superblock translated no traces: %+v", st)
 	}

@@ -9,20 +9,19 @@ import "sort"
 // through sOpTraceEnter. A template is one of a small set of
 // PolyBench-shaped bodies (fma-update, min-add, scaled stencil sum, fill,
 // reduce, ...) whose memory accesses are affine in the induction
-// variable. It re-proves the PR 4 guard conditions once per loop trip —
-// every access span in bounds and on hot EPC-TLB pages — and then runs
-// the entire trip raw, or falls to a checked per-iteration loop that
-// replays the exact program-order memLoad*/memStore* sequence when the
-// trip guard fails.
+// variable. It proves once per loop trip that every access span is in
+// bounds and on hot EPC-TLB pages, and then runs the entire trip raw, or
+// falls to a checked per-iteration loop that replays the exact
+// program-order memLoad*/memStore* sequence when the trip guard fails.
 //
 // Every other loop is left to runRegBody, the one executor of the
 // register IR (counted in SuperStats.Bailouts). Only the header pc is
-// patched, so branches into the middle of a traced region (guard-fail
-// blobs) still execute through runRegBody and re-enter the trace at the
-// next back-edge.
+// patched, so a forward jump into the middle of a traced region still
+// executes through runRegBody and re-enters the trace at the next
+// back-edge.
 
-// SuperStats counts superblock-tier translation outcomes for one module
-// form. Reported by Compiled.SuperStats and asserted by
+// SuperStats counts superblock-tier translation outcomes for one module.
+// Reported by Compiled.SuperStats and asserted by
 // super_idiom_test.go and polybench's idiom census so silent coverage
 // loss (loops quietly falling back to the register interpreter) is
 // visible.
@@ -32,14 +31,6 @@ type SuperStats struct {
 	Loops    int // innermost self-loop regions discovered
 	Idioms   int // loops compiled to idiom templates
 	Bailouts int // loops left to the register interpreter
-}
-
-func (s *SuperStats) merge(o SuperStats) {
-	s.Funcs += o.Funcs
-	s.RegBail += o.RegBail
-	s.Loops += o.Loops
-	s.Idioms += o.Idioms
-	s.Bailouts += o.Bailouts
 }
 
 // superTrace executes one compiled loop trace. r is the frame register
@@ -272,9 +263,8 @@ type superFactor struct {
 // template. The grammar is exactly the register-IR shape of a counted
 // DSL loop: header exit test, straight-line body, induction increment,
 // back-edge. Bodies may contain only affine i32 address arithmetic, f64
-// loads/stores, and a recognised f64 combine; anything else (including
-// guarded windows — the trip guard subsumes them) leaves the loop to the
-// register interpreter.
+// loads/stores, and a recognised f64 combine; anything else leaves the
+// loop to the register interpreter.
 func matchIdiom(fn *compiledFunc, start, end int) (superTrace, bool) {
 	code := fn.code
 	nLoc := fn.numParams + fn.numLocals

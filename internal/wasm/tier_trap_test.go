@@ -3,6 +3,7 @@ package wasm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"twine/wasmgen"
@@ -354,6 +355,119 @@ func TestTierTeeSetNoopDSE(t *testing.T) {
 	m2.Export("run", g)
 	if got := runAllEngines(t, m2.Bytes(), 42); got != 5 {
 		t.Fatalf("overwrite: got %d, want 5", got)
+	}
+}
+
+// TestNarrowOpsParity runs every narrow load and store at the last valid
+// address and one past it (as a bare address and as address plus
+// offset), and every unsigned truncation at the last value in range and
+// the first one out of it at both ends, and at NaN. Each case runs on all
+// four tiers in every pager mode and must match the interpreter on
+// results, trap kind and message, memory and touch sequence; the
+// interpreter must trap exactly where the case says.
+func TestNarrowOpsParity(t *testing.T) {
+	// module returns run() -> i64 over one page whose last 16 bytes are
+	// 0x81..0x90, so narrow loads there see their sign bits set.
+	module := func(body func(f *wasmgen.Func, raw *rawOps)) []byte {
+		return withRawOps(func(raw *rawOps) []byte {
+			m := wasmgen.NewModule()
+			m.Memory(1, 1)
+			tail := make([]byte, 16)
+			for i := range tail {
+				tail[i] = byte(0x81 + i)
+			}
+			m.Data(PageSize-16, tail)
+			f := m.Func(wasmgen.Sig().Returns(wasmgen.I64))
+			body(f, raw)
+			f.End()
+			m.Export("run", f)
+			return m.Bytes()
+		})
+	}
+	type tcase struct {
+		name string
+		bin  []byte
+		trap string // the interpreter's trap kind, "" for none
+	}
+	var cases []tcase
+	for _, past := range []int32{0, 1} {
+		trap := ""
+		if past == 1 {
+			trap = TrapOOB.String()
+		}
+		for _, off := range []int32{0, 3} {
+			for _, ld := range narrowLoads {
+				base := PageSize - ld.width + past - off
+				cases = append(cases, tcase{fmt.Sprintf("load%#x/past%d/off%d", ld.op, past, off),
+					module(func(f *wasmgen.Func, raw *rawOps) {
+						f.I32Const(base)
+						raw.mem(f, ld.op, uint32(off))
+						if !ld.i64 {
+							f.I64ExtendI32U()
+						}
+					}), trap})
+			}
+			for _, st := range narrowStores {
+				base := PageSize - st.width + past - off
+				cases = append(cases, tcase{fmt.Sprintf("store%#x/past%d/off%d", st.op, past, off),
+					module(func(f *wasmgen.Func, raw *rawOps) {
+						f.I32Const(base)
+						if st.i64 {
+							f.I64Const(-0x123456789ABCDEF1)
+						} else {
+							f.I32Const(-0x12345679)
+						}
+						raw.mem(f, st.op, uint32(off))
+						f.I32Const(PageSize - 8).I64Load(0)
+					}), trap})
+			}
+		}
+	}
+	for _, tr := range truncUOps {
+		limit := math.Exp2(32)
+		if tr.i64 {
+			limit = math.Exp2(64)
+		}
+		below, aboveNeg := math.Nextafter(limit, 0), math.Nextafter(-1, 0)
+		if tr.f32 {
+			below = float64(math.Nextafter32(float32(limit), 0))
+			aboveNeg = float64(math.Nextafter32(-1, 0))
+		}
+		for _, v := range []struct {
+			x    float64
+			trap string
+		}{{below, ""}, {limit, TrapIntOverflow.String()}, {aboveNeg, ""},
+			{-1, TrapIntOverflow.String()}, {math.NaN(), TrapBadConversion.String()}} {
+			cases = append(cases, tcase{fmt.Sprintf("trunc%#x/%g", tr.op, v.x),
+				module(func(f *wasmgen.Func, raw *rawOps) {
+					if tr.f32 {
+						f.F32Const(float32(v.x))
+					} else {
+						f.F64Const(v.x)
+					}
+					raw.plain(f, tr.op)
+					if !tr.i64 {
+						f.I64ExtendI32U()
+					}
+				}), v.trap})
+		}
+	}
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for mode := byte(0); mode < 3; mode++ {
+				_, outs := compareTiers(t, tc.bin, mode, 2)
+				for call, out := range outs[EngineInterp] {
+					got := ""
+					if out.trap != nil {
+						got = out.trap.Kind.String()
+					}
+					if got != tc.trap {
+						t.Errorf("mode %d call %d: interpreter trap %q, want %q", mode, call, got, tc.trap)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -205,7 +205,8 @@ const (
 	// the reference the other tiers are tested against.
 	EngineInterp = wasm.EngineInterp
 	// EngineRegister runs the register-IR tier (PR 4): per-function
-	// register code with folding, propagation and hoisted guards.
+	// register code with folding, propagation and fused address
+	// arithmetic, every memory access checked.
 	EngineRegister = wasm.EngineRegister
 	// EngineAOT runs the pre-translated, fused instruction stream, the
 	// stand-in for TWINE's ahead-of-time compiled modules and the
