@@ -99,13 +99,12 @@
 //     that tenant's submits) and the latency histogram behind
 //     TenantStats.Latency.
 //
-// Tenants serve FreshState by default: after a successful request the
-// worker is reset in place from the golden snapshot — inside the same
-// serve ECALL, via the allocation-free Instance.ResetFromSnapshot — so
-// every request observes identical initial state without per-request
-// instantiation (PoolStats.WarmResets). TenantConfig.Stateful opts into
-// PR 3 state-carrying workers; TenantConfig.ColdStart is the ablation
-// that instantiates per request (PoolStats.ColdStarts). Worker handoff
+// Tenants serve FreshState: after a successful request the worker is
+// reset in place from the golden snapshot — inside the same serve ECALL,
+// via the allocation-free Instance.ResetFromSnapshot — so every request
+// observes identical initial state without per-request instantiation
+// (PoolStats.WarmResets). TenantConfig.ColdStart is the ablation that
+// instantiates per request (PoolStats.ColdStarts). Worker handoff
 // is FIFO-fair: a freed worker goes to the longest-waiting submit, so
 // hot tenants or hot submitters cannot starve a patient one.
 //
@@ -122,38 +121,40 @@
 // When resident instances outnumber what the EPC holds, the page-level
 // clock sweep thrashes: every request faults its working set back one
 // 4 KiB EWB/ELDU-priced page at a time. The swap tier
-// (RegistryConfig.MaxResident / IdleSuspendAge, swap.go) reclaims at
-// instance granularity instead. Each warm worker is in one of two
-// states:
+// (RegistryConfig.MaxResident, swap.go) reclaims at instance granularity
+// instead. Each warm worker is in one of two states:
 //
 //	warm      — holds an enclave arena; acquirable by Submit.
-//	suspended — Instance released; state lives as a sealed delta
-//	            (globals + table + dirty-vs-golden 4 KiB chunks,
-//	            wasm.SnapshotDelta) in untrusted storage.
+//	suspended — Instance released; nothing kept, inside the enclave or
+//	            out: an idle FreshState worker is its tenant's golden
+//	            snapshot, which the pool holds anyway.
 //
 // warm → suspended happens only while the worker is idle (never under a
-// request), via three triggers: the admission bound (resident workers
-// would exceed MaxResident), enclave-heap pressure (a resume or cold
-// instantiation out of arena memory suspends one victim and retries),
-// and the background reaper (workers idle past IdleSuspendAge).
-// suspended → warm happens transparently inside Submit: unseal, apply
-// the delta to the golden snapshot, re-instantiate, pre-touch the
-// restored extent (the ELDU analogue). Victim selection is working-set-
-// weighted, coldest-largest first: fewest clock-referenced pages, then
-// most resident pages, then longest idle; TenantConfig.Pinned exempts a
-// tenant (it still counts against the bound).
+// request), via two triggers: the admission bound (resident workers
+// would exceed MaxResident) and enclave-heap pressure (a resume or cold
+// instantiation out of arena memory suspends one victim and retries).
+// It is one twine_suspend ECALL running Instance.Release. suspended →
+// warm happens transparently inside Submit: one twine_resume ECALL
+// instantiates the golden snapshot and pre-touches its extent (the ELDU
+// analogue), so a worker whose repair failed comes back golden too.
+// Victim selection is working-set-weighted, coldest-largest first:
+// fewest clock-referenced pages, then most resident pages, then longest
+// idle.
 //
 // Lifecycle invariants (swap_test.go, release_test.go):
 //
 //   - suspension is complete: after suspendWorker the arena's resident
 //     page count is exactly zero and the allocator gets every arena
-//     byte back (Release is EREMOVE — never billed as evictions);
+//     byte back (Release is EREMOVE — never billed as evictions); so
+//     does Pool.Close, for every worker (TestPoolCloseReleasesArenas);
 //   - counters are conserved at rest: Suspends == Resumes + Suspended,
 //     per pool and registry-wide;
 //   - fidelity: a suspended-then-resumed worker is bit-identical to one
 //     that never left the EPC — same results, same trap kinds, same
 //     ECALL/OCALL/fault/eviction counters modulo the suspend and resume
-//     ECALLs themselves (TestSuspendResumeFidelity);
+//     ECALLs themselves (TestSuspendResumeFidelity); a resumed worker
+//     is a fresh snapshot instantiation and a suspend writes nothing
+//     outside the enclave (TestResumedWorkerIsGolden);
 //   - WASI state does not survive suspension: the resume builds a fresh
 //     System from the tenant template, exactly like quarantine repair;
 //   - when no victim is idle the group over-commits rather than blocks

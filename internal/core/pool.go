@@ -103,15 +103,13 @@ type PoolConfig struct {
 	Stderr io.Writer
 
 	// swap, when set, enrolls the pool's warm workers in a registry-wide
-	// swap tier (PR 9): idle workers may be suspended — state sealed to
-	// untrusted storage, EPC arena released — and are transparently
-	// resumed when acquired. swapLabel prefixes the per-worker sealing
-	// labels; pinned exempts this pool's workers from victim selection.
-	// Set by Registry.Register; unexported because the swap group's
-	// lifecycle (and its reaper) belongs to the registry.
-	swap      *swapGroup
-	swapLabel string
-	pinned    bool
+	// swap tier (PR 9): idle workers may be suspended — EPC arena
+	// released, nothing written outside the enclave — and are resumed
+	// from the golden snapshot when acquired. Only FreshState pools
+	// enroll, so an idle worker is always that snapshot. Set by
+	// Registry.Register; unexported because the swap group belongs to
+	// the registry.
+	swap *swapGroup
 }
 
 // PoolStats counts serving activity. Stats() captures the admission-side
@@ -146,16 +144,13 @@ type PoolStats struct {
 	// requests served by a per-request instantiation (ColdStart serving).
 	WarmResets int64
 	ColdStarts int64
-	// Suspends counts workers swapped out of the EPC (state sealed to
-	// untrusted storage, arena discarded); Resumes counts workers swapped
-	// back in on acquisition. Suspended is the current gauge; the
-	// conservation law Suspends == Resumes + Suspended always holds.
-	// SealBytes totals the sealed blob bytes written by suspends — the
-	// swap tier's untrusted-storage traffic (PR 9).
+	// Suspends counts workers swapped out of the EPC (arena discarded);
+	// Resumes counts workers swapped back in on acquisition. Suspended is
+	// the current gauge; the conservation law Suspends == Resumes +
+	// Suspended always holds.
 	Suspends  int64
 	Resumes   int64
 	Suspended int64
-	SealBytes int64
 }
 
 // poolWaiter is one queued Submit. A freed worker is handed directly to
@@ -170,23 +165,19 @@ type poolWaiter struct {
 
 // worker is one pool slot: a stable identity plus whatever currently
 // backs it. A warm worker embeds a live *Instance; a suspended worker
-// (PR 9) has Instance == nil and carries its sealed state instead; a
-// ColdStart pool's slots are pure concurrency tokens (Instance and
-// sealed both nil, distinguished by Pool.cold). The identity fields —
-// id, the WASI fingerprint baseline — survive suspension; descriptor
-// state does not (resume re-clones the WASI system, exactly like
-// repair). Mutated only by the goroutine currently holding the worker,
-// except idleSince (pool lock) and the suspend path (which first steals
-// the worker off the free list, making itself the holder).
+// (PR 9), a retired worker of a closed pool and a ColdStart pool's slot
+// (a pure concurrency token, told apart by Pool.cold) have Instance ==
+// nil. The identity fields — id, the WASI fingerprint baseline — survive
+// suspension; descriptor state does not (resume re-clones the WASI
+// system, exactly like repair). Mutated only by the goroutine currently
+// holding the worker, except idleSince (pool lock), the suspend path
+// (which first steals the worker off the free list, making itself the
+// holder) and Close (which owns a closed pool's free list).
 type worker struct {
 	*Instance
 	id     int
 	fdOpen int
 	fdNext int32
-	// sealed is the worker's suspended state: an AES-GCM blob sealed
-	// under the pool's per-worker label, holding the snapshot delta
-	// against the golden snapshot. Non-nil exactly while suspended.
-	sealed []byte
 	// idleSince is when the worker last entered the free list; victim
 	// selection prefers the longest-idle among equally cold workers.
 	idleSince time.Time
@@ -205,8 +196,6 @@ type Pool struct {
 	submitTimeout time.Duration
 	fresh         bool
 	cold          bool
-	pinned        bool
-	swapLabel     string
 
 	// swap is the registry-wide swap group this pool's warm workers are
 	// enrolled in (nil: no swap tier, workers stay resident until Close).
@@ -238,7 +227,6 @@ type Pool struct {
 	suspends     int64 // atomic
 	resumes      int64 // atomic
 	suspendedNow int64 // atomic gauge
-	sealBytes    int64 // atomic
 
 	hist       latencyHist
 	resumeHist latencyHist
@@ -290,8 +278,6 @@ func (rt *Runtime) NewPool(mod *Module, cfg PoolConfig) (*Pool, error) {
 		submitTimeout: cfg.SubmitTimeout,
 		fresh:         cfg.FreshState,
 		cold:          cfg.ColdStart,
-		pinned:        cfg.pinned,
-		swapLabel:     cfg.swapLabel,
 		free:          make([]*worker, 0, cfg.Workers),
 		closed:        make(chan struct{}),
 	}
@@ -299,9 +285,6 @@ func (rt *Runtime) NewPool(mod *Module, cfg PoolConfig) (*Pool, error) {
 		// Cold pools never enroll: their slots hold no EPC between
 		// requests, so there is nothing to swap out.
 		p.swap = cfg.swap
-	}
-	if p.swapLabel == "" {
-		p.swapLabel = "swap:pool"
 	}
 	p.newSys = func(i int) (*wasi.System, error) {
 		return rt.Sys.Clone(wasi.CloneOptions{
@@ -370,13 +353,6 @@ func (p *Pool) bind(inst *Instance, id int) *worker {
 	return &worker{Instance: inst, id: id, fdOpen: open, fdNext: next, idleSince: time.Now()}
 }
 
-// sealLabel is the worker's sealing label: stable across its
-// suspend/resume cycles, distinct across workers and tenants, so a blob
-// sealed for one worker can never rehydrate another.
-func (p *Pool) sealLabel(id int) string {
-	return fmt.Sprintf("%s:%d", p.swapLabel, id)
-}
-
 // Size returns the number of worker instances.
 func (p *Pool) Size() int { return p.size }
 
@@ -401,7 +377,6 @@ func (p *Pool) Stats() PoolStats {
 	s.Suspends = atomic.LoadInt64(&p.suspends)
 	s.Resumes = atomic.LoadInt64(&p.resumes)
 	s.Suspended = atomic.LoadInt64(&p.suspendedNow)
-	s.SealBytes = atomic.LoadInt64(&p.sealBytes)
 	return s
 }
 
@@ -411,9 +386,9 @@ func (p *Pool) Stats() PoolStats {
 func (p *Pool) Latency() LatencySummary { return p.hist.summary() }
 
 // ResumeLatency returns the swap tier's resume-cost summary: wall time
-// from acquiring a suspended worker to it being serve-ready (unseal,
-// delta apply, re-instantiation, EPC page-in — and any victim suspension
-// the resume had to perform to find headroom).
+// from acquiring a suspended worker to it being serve-ready (snapshot
+// instantiation, EPC page-in — and any victim suspension the resume had
+// to perform to find headroom).
 func (p *Pool) ResumeLatency() LatencySummary { return p.resumeHist.summary() }
 
 // Submit serves one request with no deadline beyond the pool's own
@@ -606,8 +581,8 @@ func (p *Pool) acquire(ctx context.Context) (*worker, error) {
 // with Close goes straight back, so every queued Submit observes
 // ErrPoolClosed deterministically and no worker is leaked out of the
 // free list. Then transparent resume (PR 9): a suspended worker is
-// rehydrated — unsealed, delta-applied, re-instantiated — before the
-// caller sees it, so suspension is invisible to Submit beyond latency.
+// instantiated from the golden snapshot before the caller sees it, so
+// suspension is invisible to Submit beyond latency.
 func (p *Pool) postAcquire(w *worker) (*worker, error) {
 	select {
 	case <-p.closed:
@@ -617,8 +592,8 @@ func (p *Pool) postAcquire(w *worker) (*worker, error) {
 	}
 	if !p.cold && w.Instance == nil {
 		if err := p.resumeWorker(w); err != nil {
-			// The worker keeps its sealed state; the next acquisition
-			// retries the resume.
+			// The worker stays suspended; the next acquisition retries
+			// the resume.
 			p.release(w)
 			return nil, fmt.Errorf("twine: resume worker %d: %w", w.id, err)
 		}
@@ -644,9 +619,19 @@ func (p *Pool) abandon(wtr *poolWaiter) {
 
 // release returns a worker to the pool: a direct handoff to the head
 // waiter when one is queued (FIFO — the handoff, not a broadcast, is
-// what makes wakeup order arrival order), the free list otherwise.
+// what makes wakeup order arrival order), the free list otherwise. A
+// worker coming back to a closed pool gives its arena back first; the
+// waiters of a closed pool leave the queue on their own.
 func (p *Pool) release(w *worker) {
 	p.mu.Lock()
+	if p.closedFlag {
+		p.mu.Unlock()
+		p.retire(w)
+		p.mu.Lock()
+		p.free = append(p.free, w)
+		p.mu.Unlock()
+		return
+	}
 	if len(p.waiters) > 0 {
 		wtr := p.waiters[0]
 		p.waiters = p.waiters[1:]
@@ -695,84 +680,80 @@ func (p *Pool) repair(w *worker) {
 	atomic.AddInt64(&p.repaired, 1)
 }
 
-// suspendWorker swaps a warm worker out of the EPC (PR 9): its state is
-// encoded as a delta against the golden snapshot, sealed under the
-// worker's label inside one twine_suspend ECALL, and its arena is
-// released — EPC residency for the worker drops to exactly zero. The
-// caller must hold the worker exclusively (stolen from the free list or
-// never published). WASI descriptor state does not survive: suspension
-// has repair semantics, the resumed worker gets a fresh clone — the same
-// contract FreshState serving already imposes per request, and the
-// reason victim selection only considers idle workers.
-func (p *Pool) suspendWorker(w *worker) error {
-	label := p.sealLabel(w.id)
-	var blob []byte
-	err := p.rt.Enclave.ECall("twine_suspend", func() error {
-		delta, derr := w.In.SnapshotDelta(p.snap)
-		if derr != nil {
-			return derr
-		}
-		var serr error
-		blob, serr = p.rt.Enclave.Seal(label, delta)
-		return serr
-	})
-	if err != nil {
-		return err
-	}
-	if err := w.Instance.Release(); err != nil {
+// releaseArena returns a warm worker's guest arena to the enclave inside
+// one twine_suspend ECALL — EPC residency for the worker drops to exactly
+// zero and nothing is written outside the enclave. The caller must hold
+// the worker exclusively.
+func (p *Pool) releaseArena(w *worker) error {
+	if err := p.rt.Enclave.ECall("twine_suspend", w.Instance.Release); err != nil {
 		return err
 	}
 	w.Instance = nil
-	w.sealed = blob
-	atomic.AddInt64(&p.suspends, 1)
-	atomic.AddInt64(&p.suspendedNow, 1)
-	atomic.AddInt64(&p.sealBytes, int64(len(blob)))
 	return nil
 }
 
-// resumeWorker swaps a suspended worker back in: unseal, apply the delta
-// to the golden snapshot, re-instantiate, and page the restored memory
-// into the EPC — all inside one twine_resume ECALL, so a resumed
-// worker's next invocation faults exactly like one that never left
-// (ELDU semantics: swap-in writes the pages, so they are resident and
-// referenced). Before allocating, the swap group is asked for headroom,
-// which may synchronously suspend victims elsewhere; if the arena still
-// does not fit (EPC headroom is policy, enclave heap is physics), one
-// more victim is evicted per retry until the group runs out of victims.
+// suspendWorker swaps a warm worker out of the EPC (PR 9) by releasing
+// its arena. The caller must hold the worker exclusively (stolen from
+// the free list). The worker is idle and FreshState, so its state is the
+// golden snapshot the resume instantiates from; a worker whose repair
+// failed comes back golden too. WASI descriptor state does not survive:
+// the resumed worker gets a fresh clone, like repair.
+func (p *Pool) suspendWorker(w *worker) error {
+	if err := p.releaseArena(w); err != nil {
+		return err
+	}
+	atomic.AddInt64(&p.suspends, 1)
+	atomic.AddInt64(&p.suspendedNow, 1)
+	return nil
+}
+
+// retire takes a worker of a closed pool out of service: its arena goes
+// back to the enclave and its residency slot back to the swap group. The
+// slot goes back even when the release fails (the enclave is gone): the
+// worker has left the group either way.
+func (p *Pool) retire(w *worker) {
+	if w.Instance == nil {
+		return
+	}
+	_ = p.releaseArena(w)
+	if p.swap != nil {
+		p.swap.unreserve()
+	}
+}
+
+// resumeWorker swaps a suspended worker back in: instantiate the golden
+// snapshot and page its memory into the EPC, inside one twine_resume
+// ECALL, so a resumed worker's next invocation faults exactly like one
+// that never left (ELDU semantics: swap-in writes the pages, so they are
+// resident and referenced). Before allocating, the swap group is asked
+// for headroom, which may synchronously suspend victims elsewhere; if the
+// arena still does not fit (EPC headroom is policy, enclave heap is
+// physics), one more victim is evicted per retry until the group runs
+// out of victims.
 func (p *Pool) resumeWorker(w *worker) (err error) {
 	start := time.Now()
-	if p.swap != nil {
-		// Reserve the residency slot up front (suspending victims as
-		// needed); a failed resume hands it back.
-		p.swap.reserve()
-		defer func() {
-			if err != nil {
-				p.swap.unreserve()
-			}
-		}()
-	}
+	// Only the swap group suspends, so p.swap is set. Reserve the
+	// residency slot up front (suspending victims as needed); a failed
+	// resume hands it back.
+	p.swap.reserve()
+	defer func() {
+		if err != nil {
+			p.swap.unreserve()
+		}
+	}()
 	sys, err := p.newSys(w.id)
 	if err != nil {
 		return err
 	}
-	label := p.sealLabel(w.id)
 	var inst *Instance
 	for {
 		err = p.rt.Enclave.ECall("twine_resume", func() error {
-			delta, derr := p.rt.Enclave.Unseal(label, w.sealed)
-			if derr != nil {
-				return derr
-			}
-			snap, aerr := wasm.ApplySnapshotDelta(p.snap, delta)
-			if aerr != nil {
-				return aerr
-			}
 			var ierr error
-			inst, ierr = p.rt.instantiate(p.mod, sys, snap)
+			inst, ierr = p.rt.instantiate(p.mod, sys, p.snap)
 			if ierr != nil {
 				return ierr
 			}
-			if n := int64(snap.MemBytes()); n > 0 {
+			if n := int64(p.snap.MemBytes()); n > 0 {
 				_ = inst.mem.Touch(inst.arena, n)
 			}
 			return nil
@@ -780,15 +761,11 @@ func (p *Pool) resumeWorker(w *worker) (err error) {
 		if err == nil {
 			break
 		}
-		if p.swap == nil || !errors.Is(err, sgx.ErrOutOfMemory) {
-			return err
-		}
-		if !p.swap.evictOne() {
+		if !errors.Is(err, sgx.ErrOutOfMemory) || !p.swap.evictOne() {
 			return err
 		}
 	}
 	w.Instance = inst
-	w.sealed = nil
 	w.fdOpen, w.fdNext = sys.FdFingerprint()
 	atomic.AddInt64(&p.resumes, 1)
 	atomic.AddInt64(&p.suspendedNow, -1)
@@ -798,10 +775,9 @@ func (p *Pool) resumeWorker(w *worker) (err error) {
 
 // victimCandidates snapshots this pool's idle, resident, stealable
 // workers for the swap group's victim selection, with their working-set
-// stats. Pinned and cold pools, closed pools, suspended workers and
-// workers idle for less than minIdle are excluded.
-func (p *Pool) victimCandidates(minIdle time.Duration, now time.Time) []swapVictim {
-	if p.pinned || p.cold {
+// stats. Cold pools, closed pools and suspended workers are excluded.
+func (p *Pool) victimCandidates() []swapVictim {
+	if p.cold {
 		return nil
 	}
 	p.mu.Lock()
@@ -814,9 +790,6 @@ func (p *Pool) victimCandidates(minIdle time.Duration, now time.Time) []swapVict
 		if w.Instance == nil {
 			continue
 		}
-		if now.Sub(w.idleSince) < minIdle {
-			continue
-		}
 		res, ref := w.ResidencyStats()
 		out = append(out, swapVictim{p: p, w: w, resident: res, referenced: ref, idleSince: w.idleSince})
 	}
@@ -826,10 +799,14 @@ func (p *Pool) victimCandidates(minIdle time.Duration, now time.Time) []swapVict
 
 // stealWorker removes w from the free list if it is still there,
 // making the caller its exclusive holder. It fails when a concurrent
-// acquire got there first — victim selection then moves on.
+// acquire got there first or the pool closed (Close owns a closed
+// pool's free list) — victim selection then moves on.
 func (p *Pool) stealWorker(w *worker) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.closedFlag {
+		return false
+	}
 	for i, q := range p.free {
 		if q == w {
 			p.free = append(p.free[:i], p.free[i+1:]...)
@@ -893,14 +870,23 @@ func (p *Pool) ServeCtx(ctx context.Context, n int, args func(i int) []uint64, d
 // Close retires the pool. In-flight Submits complete; queued Submits fail
 // with ErrPoolClosed (deterministically — a Submit that wins the race for
 // a freed worker after Close re-checks and returns it, see postAcquire).
-// The runtime and its enclave stay alive (they may serve other pools);
-// destroying the enclave is the runtime owner's call.
+// Every worker's arena goes back to the enclave: the idle ones here, the
+// busy ones when they come back. The runtime and its enclave stay alive
+// (they may serve other pools); destroying the enclave is the runtime
+// owner's call, and closing a pool after it is still fine.
 func (p *Pool) Close() error {
 	p.closeOnce.Do(func() {
 		p.mu.Lock()
 		p.closedFlag = true
+		idle := append([]*worker(nil), p.free...)
 		p.mu.Unlock()
 		close(p.closed)
+		if p.swap != nil {
+			p.swap.leave(p)
+		}
+		for _, w := range idle {
+			p.retire(w)
+		}
 	})
 	return nil
 }

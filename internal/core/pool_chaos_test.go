@@ -380,6 +380,10 @@ func TestPoolFidelity(t *testing.T) {
 			}
 			sum = out[0]
 		}
+		// Closing the pool returns the worker's arena in one ECALL.
+		if err := rt.Enclave.ECall("twine_suspend", inst.Release); err != nil {
+			t.Fatalf("Release: %v", err)
+		}
 		return sum
 	})
 

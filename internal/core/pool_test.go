@@ -245,6 +245,71 @@ func TestPoolSubmitAfterClose(t *testing.T) {
 	}
 }
 
+// TestPoolCloseReleasesArenas: Close returns every worker's arena to the
+// enclave — the idle ones at once, one held across Close when it comes
+// back — and leaves its swap group, so building and closing pools for as
+// long as a runtime lives never exhausts the enclave heap.
+func TestPoolCloseReleasesArenas(t *testing.T) {
+	rt := poolRuntime(t, 2)
+	defer rt.Enclave.Destroy()
+	mod, err := rt.LoadModule(pureModule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, baseline := rt.Enclave.Allocator().Stats()
+	for i := 0; i < 2000; i++ {
+		pool, err := rt.NewPool(mod, PoolConfig{Workers: 2})
+		if err != nil {
+			t.Fatalf("pool %d: %v", i, err)
+		}
+		if _, err := pool.Submit(1); err != nil {
+			t.Fatalf("pool %d Submit: %v", i, err)
+		}
+		if err := pool.Close(); err != nil {
+			t.Fatalf("pool %d Close: %v", i, err)
+		}
+	}
+	inUse := func() int64 { _, _, n := rt.Enclave.Allocator().Stats(); return n }
+	if got := inUse(); got != baseline {
+		t.Fatalf("allocator in-use %d after 2000 closed pools, want %d", got, baseline)
+	}
+
+	sg := &swapGroup{max: 4}
+	pool, err := rt.NewPool(mod, PoolConfig{Workers: 2, swap: sg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := pool.takeWorker(t)
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if inUse() == baseline {
+		t.Fatal("Close released the arena of a worker still serving")
+	}
+	pool.release(held)
+	if got := inUse(); got != baseline {
+		t.Errorf("allocator in-use %d after the held worker came back, want %d", got, baseline)
+	}
+	if n := pool.freeLen(); n != pool.Size() {
+		t.Errorf("free list holds %d workers after Close, want %d", n, pool.Size())
+	}
+	sg.mu.Lock()
+	pools, resident := len(sg.pools), sg.resident.Load()
+	sg.mu.Unlock()
+	if pools != 0 || resident != 0 {
+		t.Errorf("swap group kept the closed pool: %d pools, %d resident", pools, resident)
+	}
+
+	last, err := rt.NewPool(mod, PoolConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Enclave.Destroy()
+	if err := last.Close(); err != nil {
+		t.Errorf("Close after Destroy = %v, want nil", err)
+	}
+}
+
 // TestConcurrentPlainInstancesWASI: plain NewInstance instances carry
 // their own WASI System clones, so concurrent guests doing WASI traffic
 // (fd_write + proc_exit here) never race on a shared descriptor table —

@@ -29,11 +29,11 @@ import (
 //     that tenant's requests (ErrOverloaded) and nobody else's; one
 //     tenant's guest state is unreachable from another's workers.
 //
-// Tenants default to FreshState serving — every request sees the golden
-// snapshot via warm in-place reset — because cross-request isolation is
-// the safe default when request origins are mutually untrusting. A
-// tenant that wants the stateful-serving trade (PR 3) opts in with
-// TenantConfig.Stateful.
+// Tenants serve FreshState — every request sees the golden snapshot via
+// warm in-place reset — because cross-request isolation is the safe
+// default when request origins are mutually untrusting. It is also what
+// lets the swap tier keep nothing of a suspended worker: idle, it is its
+// golden snapshot.
 
 // ErrUnknownTenant is returned by Registry.Submit for a name no Register
 // call created.
@@ -59,18 +59,9 @@ type TenantConfig struct {
 	MaxQueue int
 	// SubmitTimeout bounds a queued Submit's wait (see PoolConfig).
 	SubmitTimeout time.Duration
-	// Stateful opts out of FreshState serving: the tenant's workers keep
-	// guest state across requests (the PR 3 trade).
-	Stateful bool
 	// ColdStart serves by per-request instantiation (the warm-free-list
-	// ablation; see PoolConfig.ColdStart). Mutually exclusive with
-	// Stateful.
+	// ablation; see PoolConfig.ColdStart).
 	ColdStart bool
-	// Pinned exempts this tenant's workers from swap-tier victim
-	// selection (PR 9): they stay EPC-resident whatever the pressure —
-	// for latency-critical tenants that cannot afford a resume on their
-	// path. Pinned workers still count against RegistryConfig.MaxResident.
-	Pinned bool
 	// Stdout/Stderr receive the tenant's guest output (default discard).
 	Stdout io.Writer
 	Stderr io.Writer
@@ -136,6 +127,8 @@ type RegistryStats struct {
 	Suspends  int64
 	Resumes   int64
 	Suspended int64
+	// SealBytes is always 0: a suspend writes nothing outside the
+	// enclave. It stays only for readers that predate that.
 	SealBytes int64
 	// PerTenant maps tenant name to its accounting.
 	PerTenant map[string]TenantStats
@@ -148,17 +141,10 @@ type RegistryConfig struct {
 	// MaxResident bounds how many warm workers may hold EPC arenas at
 	// once across every tenant (0 = unbounded). Registering or resuming
 	// past the bound synchronously suspends the coldest-largest idle
-	// workers — state sealed to untrusted storage, arenas released — and
-	// the next Submit for a suspended tenant transparently resumes one.
+	// workers — arenas released, nothing written outside the enclave —
+	// and the next Submit for a suspended tenant transparently resumes
+	// one from its golden snapshot.
 	MaxResident int
-	// IdleSuspendAge, when positive, starts a background reaper that
-	// suspends any non-pinned worker idle for at least this long, even
-	// under the bound — returning EPC headroom to whatever else the
-	// enclave runs.
-	IdleSuspendAge time.Duration
-	// ReaperInterval is how often the reaper sweeps (default:
-	// IdleSuspendAge/2, floor 10ms). Ignored when IdleSuspendAge is 0.
-	ReaperInterval time.Duration
 }
 
 // Registry is the multi-tenant serving front door: a content-addressed
@@ -173,65 +159,21 @@ type Registry struct {
 	tenants map[string]*Tenant
 	hits    int64
 	closed  bool
-
-	reaperStop chan struct{}
-	reaperDone chan struct{}
 }
 
 // NewRegistry creates an empty registry over the runtime's enclave. The
-// zero RegistryConfig gives the PR 8 registry; MaxResident and/or
-// IdleSuspendAge turn on the swap tier (PR 9).
+// zero RegistryConfig gives the PR 8 registry; MaxResident turns on the
+// swap tier (PR 9).
 func (rt *Runtime) NewRegistry(cfg RegistryConfig) *Registry {
 	r := &Registry{
 		rt:      rt,
 		mods:    make(map[[sha256.Size]byte]*Module),
 		tenants: make(map[string]*Tenant),
 	}
-	if cfg.MaxResident > 0 || cfg.IdleSuspendAge > 0 {
+	if cfg.MaxResident > 0 {
 		r.swap = &swapGroup{max: cfg.MaxResident}
 	}
-	if cfg.IdleSuspendAge > 0 {
-		interval := cfg.ReaperInterval
-		if interval <= 0 {
-			interval = cfg.IdleSuspendAge / 2
-		}
-		if interval < 10*time.Millisecond {
-			interval = 10 * time.Millisecond
-		}
-		r.reaperStop = make(chan struct{})
-		r.reaperDone = make(chan struct{})
-		go r.reap(interval, cfg.IdleSuspendAge)
-	}
 	return r
-}
-
-// reap is the background reaper: every interval it suspends workers idle
-// for at least age. Suspension failures are skipped inside suspendIdle;
-// the reaper itself never errors.
-func (r *Registry) reap(interval, age time.Duration) {
-	defer close(r.reaperDone)
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.reaperStop:
-			return
-		case <-tick.C:
-			r.swap.suspendIdle(age)
-		}
-	}
-}
-
-// SuspendIdle synchronously suspends every eligible worker idle for at
-// least olderThan (0 drains all idle workers) and returns how many were
-// suspended. A no-op 0 when the swap tier is disabled. Useful to shed
-// EPC ahead of known pressure — and for tests that need deterministic
-// suspension without waiting on the reaper.
-func (r *Registry) SuspendIdle(olderThan time.Duration) int {
-	if r.swap == nil {
-		return 0
-	}
-	return r.swap.suspendIdle(olderThan)
 }
 
 // Register creates tenant name serving wasmBytes under cfg. The bytes
@@ -242,9 +184,6 @@ func (r *Registry) SuspendIdle(olderThan time.Duration) int {
 func (r *Registry) Register(name string, wasmBytes []byte, cfg TenantConfig) (*Tenant, error) {
 	if name == "" {
 		return nil, errors.New("twine: empty tenant name")
-	}
-	if cfg.Stateful && cfg.ColdStart {
-		return nil, errors.New("twine: TenantConfig.Stateful and ColdStart are mutually exclusive")
 	}
 	key := sha256.Sum256(wasmBytes)
 
@@ -295,7 +234,7 @@ func (r *Registry) Register(name string, wasmBytes []byte, cfg TenantConfig) (*T
 		HostIO:        cfg.HostIO,
 		MaxQueue:      cfg.MaxQueue,
 		SubmitTimeout: cfg.SubmitTimeout,
-		FreshState:    !cfg.Stateful && !cfg.ColdStart,
+		FreshState:    !cfg.ColdStart,
 		ColdStart:     cfg.ColdStart,
 		Stdout:        cfg.Stdout,
 		Stderr:        cfg.Stderr,
@@ -304,8 +243,6 @@ func (r *Registry) Register(name string, wasmBytes []byte, cfg TenantConfig) (*T
 	// to account for or suspend.
 	if r.swap != nil && !cfg.ColdStart {
 		pcfg.swap = r.swap
-		pcfg.swapLabel = "swap:" + name
-		pcfg.pinned = cfg.Pinned
 	}
 	pool, err := r.rt.NewPool(mod, pcfg)
 	if err != nil {
@@ -375,14 +312,13 @@ func (r *Registry) Stats() RegistryStats {
 		s.Suspends += ts.Pool.Suspends
 		s.Resumes += ts.Pool.Resumes
 		s.Suspended += ts.Pool.Suspended
-		s.SealBytes += ts.Pool.SealBytes
 	}
 	return s
 }
 
-// Close stops the reaper and closes every tenant pool. The runtime and
-// its enclave stay alive; compiled modules remain usable by pools
-// created directly.
+// Close closes every tenant pool, returning their workers' arenas to the
+// enclave. The runtime and its enclave stay alive; compiled modules
+// remain usable by pools created directly.
 func (r *Registry) Close() error {
 	r.mu.Lock()
 	r.closed = true
@@ -391,10 +327,6 @@ func (r *Registry) Close() error {
 		tens = append(tens, t)
 	}
 	r.mu.Unlock()
-	if r.reaperStop != nil {
-		close(r.reaperStop)
-		<-r.reaperDone
-	}
 	for _, t := range tens {
 		t.pool.Close()
 	}

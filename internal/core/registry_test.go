@@ -15,7 +15,8 @@ import (
 // failure. The baseline mirrors the tenant's construction exactly: one
 // WASI clone, one instantiation, one snapshot, then per request one
 // composite ECALL running {invoke; reset-from-snapshot} — what the
-// registry's default FreshState serving does. The front door may add
+// registry's default FreshState serving does — and one ECALL returning
+// the arena at the end, as Close does. The front door may add
 // capacity; it must never add or reorder enclave transitions.
 func TestTenantFidelity(t *testing.T) {
 	const requests = 2
@@ -65,7 +66,8 @@ func TestTenantFidelity(t *testing.T) {
 			}
 			sum = out[0]
 		}
-		return sum, nil
+		// Closing the registry returns the worker's arena in one ECALL.
+		return sum, rt.Enclave.ECall("twine_suspend", inst.Release)
 	}
 
 	// The front door: a one-tenant registry in its default serving mode
@@ -205,18 +207,19 @@ func TestRegistrySharedCompiledCode(t *testing.T) {
 
 // TestRegistryTenantIsolation: tenants sharing compiled code never share
 // mutable state — each pool has its own workers and its own golden
-// snapshot, so a stateful tenant's counter advances independently.
+// snapshot, taken after the tenant's own Init, so a tenant whose Init
+// advanced the counter serves from there and its neighbour does not.
 func TestRegistryTenantIsolation(t *testing.T) {
 	rt := poolRuntime(t, 2)
 	defer rt.Enclave.Destroy()
 	reg := rt.NewRegistry(RegistryConfig{})
 	defer reg.Close()
 
-	a, err := reg.Register("a", counterModule(), TenantConfig{Stateful: true})
+	a, err := reg.Register("a", counterModule(), TenantConfig{Init: "run"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := reg.Register("b", counterModule(), TenantConfig{Stateful: true})
+	b, err := reg.Register("b", counterModule(), TenantConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +231,8 @@ func TestRegistryTenantIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("a submit %d: %v", i, err)
 		}
-		if out[0] != uint64(i) {
-			t.Errorf("a submit %d = %d", i, out[0])
+		if out[0] != 2 {
+			t.Errorf("a submit %d = %d, want 2 (a's golden snapshot holds 1)", i, out[0])
 		}
 	}
 	out, err := b.Submit()
@@ -293,8 +296,8 @@ func TestRegistryPerTenantBackpressure(t *testing.T) {
 	}
 }
 
-// TestRegistryAdmissionErrors: unknown tenants, duplicate names and
-// invalid configs fail cleanly; a closed registry refuses new tenants.
+// TestRegistryAdmissionErrors: unknown tenants, empty and duplicate names
+// fail cleanly; a closed registry refuses new tenants.
 func TestRegistryAdmissionErrors(t *testing.T) {
 	rt := poolRuntime(t, 1)
 	defer rt.Enclave.Destroy()
@@ -305,9 +308,6 @@ func TestRegistryAdmissionErrors(t *testing.T) {
 	}
 	if _, err := reg.Register("", pureModule(), TenantConfig{}); err == nil {
 		t.Error("empty tenant name accepted")
-	}
-	if _, err := reg.Register("x", pureModule(), TenantConfig{Stateful: true, ColdStart: true}); err == nil {
-		t.Error("Stateful+ColdStart accepted")
 	}
 	if _, err := reg.Register("x", pureModule(), TenantConfig{}); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -12,26 +13,27 @@ import (
 // *instances* outnumber what the EPC can hold, the right unit of
 // reclamation is a whole idle instance. A swapGroup is the registry-wide
 // controller: it counts resident warm workers across every enrolled
-// pool, and when the count exceeds MaxResident — or the reaper finds
-// workers idle past the age threshold — it suspends victims: seal the
-// worker's state to untrusted storage, release its arena. Suspension is
-// invisible to Submit: acquiring a suspended worker transparently
-// resumes it (Pool.resumeWorker).
+// pool, and when the count exceeds MaxResident it suspends victims:
+// release the worker's arena. An idle registry worker is its tenant's
+// golden snapshot (FreshState), so there is no state to keep and nothing
+// leaves the enclave. Suspension is invisible to Submit: acquiring a
+// suspended worker transparently resumes it (Pool.resumeWorker).
 //
 // Victim selection is working-set-weighted, coldest-largest first: fewest
 // referenced pages (the clock has swept them — the instance is not in the
 // current working set), then most resident pages (reclaims the most EPC),
 // then longest idle (LRU tiebreak, which is what keeps a hot set resident
 // under a skewed tenant mix). Only idle workers are eligible — a worker
-// serving a request is never quiesced under it — and pinned pools are
-// exempt.
+// serving a request is never quiesced under it.
 type swapGroup struct {
-	// max is the resident warm-worker bound (0 = unbounded: only the
-	// reaper suspends).
+	// max is the resident warm-worker bound.
 	max int
 
+	// mu serialises enrollment and reclamation. resident is atomic so a
+	// worker leaving a closed pool can give its slot back from any path,
+	// including one that runs under mu.
 	mu       sync.Mutex
-	resident int // warm workers currently holding an arena (+ reservations)
+	resident atomic.Int64 // warm workers currently holding an arena (+ reservations)
 	pools    []*Pool
 }
 
@@ -50,8 +52,21 @@ type swapVictim struct {
 func (sg *swapGroup) enroll(p *Pool, workers int) {
 	sg.mu.Lock()
 	sg.pools = append(sg.pools, p)
-	sg.resident += workers
+	sg.resident.Add(int64(workers))
 	sg.shrinkLocked(sg.max)
+	sg.mu.Unlock()
+}
+
+// leave drops a closed pool from victim selection. Its resident workers
+// give their slots back one by one as their arenas are released.
+func (sg *swapGroup) leave(p *Pool) {
+	sg.mu.Lock()
+	for i, q := range sg.pools {
+		if q == p {
+			sg.pools = append(sg.pools[:i], sg.pools[i+1:]...)
+			break
+		}
+	}
 	sg.mu.Unlock()
 }
 
@@ -62,15 +77,14 @@ func (sg *swapGroup) enroll(p *Pool, workers int) {
 func (sg *swapGroup) reserve() {
 	sg.mu.Lock()
 	sg.shrinkLocked(sg.max - 1)
-	sg.resident++
+	sg.resident.Add(1)
 	sg.mu.Unlock()
 }
 
-// unreserve hands a reservation back (the resume failed).
+// unreserve hands a residency slot back (a resume failed, or a worker of
+// a closed pool released its arena).
 func (sg *swapGroup) unreserve() {
-	sg.mu.Lock()
-	sg.resident--
-	sg.mu.Unlock()
+	sg.resident.Add(-1)
 }
 
 // shrinkLocked suspends coldest-largest idle victims until at most
@@ -79,11 +93,8 @@ func (sg *swapGroup) unreserve() {
 // reclamation — the same discipline a kernel reclaim path has, and what
 // keeps two concurrent resumes from suspending twice as much as needed.
 func (sg *swapGroup) shrinkLocked(target int) {
-	if sg.max <= 0 {
-		return
-	}
-	for sg.resident > target {
-		if !sg.suspendOneLocked(0) {
+	for sg.resident.Load() > int64(target) {
+		if !sg.suspendOneLocked() {
 			return
 		}
 	}
@@ -95,20 +106,7 @@ func (sg *swapGroup) shrinkLocked(target int) {
 func (sg *swapGroup) evictOne() bool {
 	sg.mu.Lock()
 	defer sg.mu.Unlock()
-	return sg.suspendOneLocked(0)
-}
-
-// suspendIdle suspends every eligible worker idle for at least age,
-// coldest first (the background reaper's harvest; age 0 drains all idle
-// workers). Returns how many were suspended.
-func (sg *swapGroup) suspendIdle(age time.Duration) int {
-	sg.mu.Lock()
-	defer sg.mu.Unlock()
-	n := 0
-	for sg.suspendOneLocked(age) {
-		n++
-	}
-	return n
+	return sg.suspendOneLocked()
 }
 
 // victimLess orders candidates best-victim-first: fewest referenced
@@ -129,11 +127,10 @@ func victimLess(a, b swapVictim) bool {
 // referenced pages, then most resident pages, then longest idle. A
 // candidate stolen from under us (a concurrent acquire won) or failing
 // to suspend is skipped; false means no victim could be suspended.
-func (sg *swapGroup) suspendOneLocked(minIdle time.Duration) bool {
-	now := time.Now()
+func (sg *swapGroup) suspendOneLocked() bool {
 	var cands []swapVictim
 	for _, p := range sg.pools {
-		cands = append(cands, p.victimCandidates(minIdle, now)...)
+		cands = append(cands, p.victimCandidates()...)
 	}
 	sort.Slice(cands, func(i, j int) bool { return victimLess(cands[i], cands[j]) })
 	for _, v := range cands {
@@ -145,7 +142,7 @@ func (sg *swapGroup) suspendOneLocked(minIdle time.Duration) bool {
 			continue
 		}
 		v.p.release(v.w)
-		sg.resident--
+		sg.resident.Add(-1)
 		return true
 	}
 	return false

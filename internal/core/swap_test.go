@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -11,14 +12,14 @@ import (
 )
 
 // PR 9 swap-tier coverage: suspend/resume fidelity against a
-// never-suspended control, the MaxResident bound and its conservation
-// law, pinned-tenant exemption, victim ordering, the reaper, and the
+// never-suspended control, resume from the golden snapshot, the
+// MaxResident bound and its conservation law, victim ordering, and the
 // heap-pressure eviction retry.
 
-// accumModule builds the swap tests' stateful guest: run(x) accumulates
-// x into two cells on different 4 KiB chunks (so a suspend delta spans
-// chunks) and returns their sum; run(13) traps after no mutation. State
-// surviving a suspend/resume cycle is visible in the running sum.
+// accumModule builds the swap tests' guest: run(x) accumulates x into two
+// cells on different 4 KiB chunks and returns their sum; run(13) traps
+// after no mutation. A worker that resumes with anything but its golden
+// state shows it in the sum.
 func accumModule() []byte {
 	m := wasmgen.NewModule()
 	m.Memory(2, 2)
@@ -37,6 +38,16 @@ func accumModule() []byte {
 	return m.Bytes()
 }
 
+// suspendAll suspends idle resident workers, coldest first, until none
+// is left, and returns how many it suspended.
+func suspendAll(r *Registry) int {
+	n := 0
+	for r.swap.evictOne() {
+		n++
+	}
+	return n
+}
+
 type fidelityRun struct {
 	outs     []uint64
 	last     [4]int64 // ECalls/OCalls/faults/evictions around the final submit
@@ -46,9 +57,9 @@ type fidelityRun struct {
 	resumes  int64
 }
 
-// driveFidelity runs the same stateful schedule with or without a
-// suspend/resume cycle in the middle, on a fresh single-TCS runtime with
-// switchless off so enclave transitions count exactly.
+// driveFidelity runs the same schedule with or without a suspend/resume
+// cycle in the middle, on a fresh single-TCS runtime with switchless off
+// so enclave transitions count exactly.
 func driveFidelity(t *testing.T, withSwap bool) fidelityRun {
 	t.Helper()
 	cfg := testConfig(func(c *Config) {
@@ -73,7 +84,7 @@ func driveFidelity(t *testing.T, withSwap bool) fidelityRun {
 	}
 	reg := rt.NewRegistry(rcfg)
 	defer reg.Close()
-	ten, err := reg.Register("acc", accumModule(), TenantConfig{Stateful: true})
+	ten, err := reg.Register("acc", accumModule(), TenantConfig{})
 	if err != nil {
 		t.Fatalf("Register: %v", err)
 	}
@@ -102,8 +113,8 @@ func driveFidelity(t *testing.T, withSwap bool) fidelityRun {
 	submit(2)
 	submit(3)
 	if withSwap {
-		if n := reg.SuspendIdle(0); n != 1 {
-			t.Fatalf("SuspendIdle = %d, want 1", n)
+		if n := suspendAll(reg); n != 1 {
+			t.Fatalf("suspendAll = %d, want 1", n)
 		}
 	}
 	submit(4) // on the swap run this request transparently resumes
@@ -121,12 +132,12 @@ func driveFidelity(t *testing.T, withSwap bool) fidelityRun {
 }
 
 // TestSuspendResumeFidelity is the PR 9 acceptance guard: a worker that
-// was suspended to sealed storage and resumed must be bit-identical to
-// one that never left the EPC — same results, same trap kind, and, once
-// resumed, the same enclave transition counters per request. Over the
-// whole run the swap side may differ by exactly its own ECALLs (one
-// twine_suspend, one twine_resume) and the faults of paging the restored
-// state back in — nothing else.
+// was suspended and resumed must be bit-identical to one that never left
+// the EPC — same results, same trap kind, and, once resumed, the same
+// enclave transition counters per request. Over the whole run the swap
+// side may differ by exactly its own ECALLs (one twine_suspend, one
+// twine_resume) and the faults of paging the golden snapshot back in —
+// nothing else.
 func TestSuspendResumeFidelity(t *testing.T) {
 	ctrl := driveFidelity(t, false)
 	swap := driveFidelity(t, true)
@@ -165,11 +176,94 @@ func TestSuspendResumeFidelity(t *testing.T) {
 	}
 }
 
+// TestResumedWorkerIsGolden pins the rule of the swap tier: an idle
+// worker is its tenant's golden snapshot, so a suspend keeps nothing and
+// a resume instantiates that snapshot. A byte written into the idle
+// worker's memory — what a repair that failed would leave — does not
+// survive the cycle, nothing is sealed, and the cycle costs one ECALL per
+// suspend and per resume and no OCALL.
+func TestResumedWorkerIsGolden(t *testing.T) {
+	rt := poolRuntime(t, 2)
+	defer rt.Enclave.Destroy()
+	reg := rt.NewRegistry(RegistryConfig{MaxResident: 1})
+	defer reg.Close()
+
+	a, err := reg.Register("a", accumModule(), TenantConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := a.Submit(1); err != nil || out[0] != 2 {
+		t.Fatalf("first submit = %v, %v", out, err)
+	}
+	w := a.Pool().takeWorker(t)
+	if err := w.In.Memory().WriteByteAt(8, 5); err != nil {
+		t.Fatal(err)
+	}
+	a.Pool().release(w)
+
+	before := rt.Enclave.Stats()
+	// Under a bound of one, registering and serving b pushes a's worker
+	// out (whichever of the two workers registration picks); serving a
+	// then resumes it. Besides suspends and resumes that is one
+	// instantiation ECALL and two serve ECALLs.
+	b, err := reg.Register("b", accumModule(), TenantConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Submit(1); err != nil {
+		t.Fatal(err)
+	}
+	out, err := a.Submit(1)
+	if err != nil {
+		t.Fatalf("resuming submit: %v", err)
+	}
+	after := rt.Enclave.Stats()
+
+	fresh, err := wasm.InstantiateFromSnapshot(a.Module().Compiled, rt.Imports, a.Pool().snap, wasm.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := fresh.Memory().Bytes(0, uint32(fresh.Memory().Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w = a.Pool().takeWorker(t)
+	mem, err := w.In.Memory().Bytes(0, uint32(w.In.Memory().Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mem, golden) {
+		t.Error("resumed worker's memory differs from a fresh snapshot instantiation")
+	}
+	a.Pool().release(w)
+	want, err := fresh.Invoke("run", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0] != want[0] {
+		t.Errorf("resumed worker answered %d, a fresh snapshot instance %d", out[0], want[0])
+	}
+
+	s := reg.Stats()
+	if s.SealBytes != 0 {
+		t.Errorf("SealBytes = %d, want 0: a suspend writes nothing outside the enclave", s.SealBytes)
+	}
+	if as := a.Stats().Pool; as.Suspends != 1 || as.Resumes != 1 {
+		t.Fatalf("a: Suspends/Resumes = %d/%d, want 1/1", as.Suspends, as.Resumes)
+	}
+	if got, want := after.ECalls-before.ECalls, 3+s.Suspends+s.Resumes; got != want {
+		t.Errorf("cycle took %d ECALLs, want %d (instantiate + two serves + one per suspend and resume)", got, want)
+	}
+	if got := after.OCalls - before.OCalls; got != 0 {
+		t.Errorf("cycle took %d OCALLs, want 0", got)
+	}
+}
+
 // TestSwapBoundConservation: with four one-worker tenants under
 // MaxResident 2, two are always suspended at rest, submits to suspended
-// tenants transparently resume (displacing others), every tenant's
-// accumulator survives arbitrarily many swap cycles, and the counters
-// obey Suspends == Resumes + Suspended.
+// tenants transparently resume (displacing others) and answer what a
+// fresh worker answers, and the counters obey Suspends == Resumes +
+// Suspended.
 func TestSwapBoundConservation(t *testing.T) {
 	rt := poolRuntime(t, 2)
 	defer rt.Enclave.Destroy()
@@ -178,7 +272,7 @@ func TestSwapBoundConservation(t *testing.T) {
 
 	const tenants = 4
 	for i := 0; i < tenants; i++ {
-		if _, err := reg.Register(fmt.Sprintf("t%d", i), accumModule(), TenantConfig{Stateful: true}); err != nil {
+		if _, err := reg.Register(fmt.Sprintf("t%d", i), accumModule(), TenantConfig{}); err != nil {
 			t.Fatalf("register t%d: %v", i, err)
 		}
 	}
@@ -192,16 +286,14 @@ func TestSwapBoundConservation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d t%d: %v", round, i, err)
 			}
-			// Two cells accumulate 1 per round; state must have survived
-			// this tenant's suspensions.
-			if out[0] != uint64(2*round) {
-				t.Errorf("round %d t%d = %d, want %d (state lost across swap)", round, i, out[0], 2*round)
+			if out[0] != 2 {
+				t.Errorf("round %d t%d = %d, want 2", round, i, out[0])
 			}
 		}
 	}
 
 	s := reg.Stats()
-	if s.Suspends == 0 || s.Resumes == 0 || s.SealBytes == 0 {
+	if s.Suspends == 0 || s.Resumes == 0 {
 		t.Fatalf("round-robin under pressure did not exercise the swap tier: %+v", s)
 	}
 	if s.Suspends != s.Resumes+s.Suspended {
@@ -210,47 +302,10 @@ func TestSwapBoundConservation(t *testing.T) {
 	if s.Suspended != tenants-2 {
 		t.Errorf("at rest %d suspended, want %d (bound not enforced)", s.Suspended, tenants-2)
 	}
-}
-
-// TestSwapPinnedExempt: a pinned tenant's workers are never chosen as
-// victims — pressure lands entirely on the unpinned tenant.
-func TestSwapPinnedExempt(t *testing.T) {
-	rt := poolRuntime(t, 2)
-	defer rt.Enclave.Destroy()
-	reg := rt.NewRegistry(RegistryConfig{MaxResident: 1})
-	defer reg.Close()
-
-	pinned, err := reg.Register("pinned", accumModule(), TenantConfig{Stateful: true, Pinned: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := reg.Register("plain", accumModule(), TenantConfig{Stateful: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Registering "plain" pushed residency to 2 over a bound of 1; the
-	// only eligible victim is plain's own worker.
-	if s := reg.Stats(); s.Suspended != 1 || pinned.Stats().Pool.Suspends != 0 {
-		t.Fatalf("registration pressure chose the wrong victim: %+v", s)
-	}
-
-	// Serving the suspended tenant over-commits (the pinned worker cannot
-	// be displaced) and an explicit drain re-suspends only the unpinned one.
-	if out, err := plain.Submit(2); err != nil || out[0] != 4 {
-		t.Fatalf("plain submit = %v, %v", out, err)
-	}
-	if n := reg.SuspendIdle(0); n != 1 {
-		t.Fatalf("SuspendIdle = %d, want 1 (only the unpinned worker)", n)
-	}
-	if got := pinned.Stats().Pool.Suspends; got != 0 {
-		t.Errorf("pinned tenant suspended %d times, want 0", got)
-	}
-	if got := plain.Stats().Pool.Suspends; got != 2 {
-		t.Errorf("plain tenant suspended %d times, want 2", got)
-	}
-	// The pinned tenant stayed warm and correct throughout.
-	if out, err := pinned.Submit(3); err != nil || out[0] != 6 {
-		t.Fatalf("pinned submit = %v, %v", out, err)
+	for name, ts := range s.PerTenant {
+		if ts.ResumeLatency.Count != ts.Pool.Resumes {
+			t.Errorf("%s: resume histogram saw %d resumes, counters saw %d", name, ts.ResumeLatency.Count, ts.Pool.Resumes)
+		}
 	}
 }
 
@@ -291,11 +346,11 @@ func TestSwapResumeEvictsUnderHeapPressure(t *testing.T) {
 	// A high bound: the only pressure in this test is the heap itself.
 	reg := rt.NewRegistry(RegistryConfig{MaxResident: 100})
 	defer reg.Close()
-	a, err := reg.Register("a", accumModule(), TenantConfig{Stateful: true})
+	a, err := reg.Register("a", accumModule(), TenantConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := reg.Register("b", accumModule(), TenantConfig{Stateful: true})
+	b, err := reg.Register("b", accumModule(), TenantConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,8 +367,8 @@ func TestSwapResumeEvictsUnderHeapPressure(t *testing.T) {
 	}
 	// Suspend both workers: the only free heap is now their two arena
 	// holes. Consume one, leaving room for exactly one resumed arena.
-	if n := reg.SuspendIdle(0); n != 2 {
-		t.Fatalf("SuspendIdle = %d, want 2", n)
+	if n := suspendAll(reg); n != 2 {
+		t.Fatalf("suspendAll = %d, want 2", n)
 	}
 	if _, err := alloc.Alloc(64); err != nil {
 		t.Fatalf("consuming an arena hole: %v", err)
@@ -329,53 +384,12 @@ func TestSwapResumeEvictsUnderHeapPressure(t *testing.T) {
 		t.Fatalf("resume under heap exhaustion: %v", err)
 	}
 	if out[0] != 2 {
-		t.Errorf("b.Submit = %d, want 2 (state lost)", out[0])
+		t.Errorf("b.Submit = %d, want 2", out[0])
 	}
 	if s := a.Stats().Pool; s.Suspends != 2 || s.Suspended != 1 {
 		t.Errorf("heap pressure did not displace the idle worker: %+v", s)
 	}
 	if s := reg.Stats(); s.Suspends != s.Resumes+s.Suspended {
 		t.Errorf("conservation broken: %+v", s)
-	}
-}
-
-// TestSwapReaper: with IdleSuspendAge set, an idle worker is suspended in
-// the background without any admission pressure, and the next Submit
-// transparently resumes it with its state intact.
-func TestSwapReaper(t *testing.T) {
-	rt := poolRuntime(t, 2)
-	defer rt.Enclave.Destroy()
-	reg := rt.NewRegistry(RegistryConfig{IdleSuspendAge: 20 * time.Millisecond, ReaperInterval: 10 * time.Millisecond})
-	defer reg.Close()
-
-	ten, err := reg.Register("idle", accumModule(), TenantConfig{Stateful: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out, err := ten.Submit(5); err != nil || out[0] != 10 {
-		t.Fatalf("first submit = %v, %v", out, err)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for ten.Stats().Pool.Suspended == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("reaper never suspended the idle worker")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	out, err := ten.Submit(7)
-	if err != nil {
-		t.Fatalf("post-reap submit: %v", err)
-	}
-	if out[0] != 24 {
-		t.Errorf("post-reap submit = %d, want 24 (state lost)", out[0])
-	}
-	s := ten.Stats()
-	if s.Pool.Resumes == 0 || s.Pool.Suspends != s.Pool.Resumes+s.Pool.Suspended {
-		t.Errorf("reaper counters inconsistent: %+v", s.Pool)
-	}
-	if s.ResumeLatency.Count != s.Pool.Resumes {
-		t.Errorf("resume histogram saw %d resumes, counters saw %d", s.ResumeLatency.Count, s.Pool.Resumes)
 	}
 }

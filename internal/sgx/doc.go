@@ -143,9 +143,8 @@
 //     free, only bringing it back (ELDU, via Touch) is priced;
 //   - Memory.RangeResidency reports per-arena resident and referenced
 //     page counts — the working-set signal victim selection sorts by
-//     (a page still marked referenced survived the last clock sweep);
-//   - Enclave.Seal/Unseal protect the suspended state in untrusted
-//     storage (AES-256-GCM, label as AAD); SealKey memoises the derived
-//     per-label key, so steady-state suspends pay AES over the delta,
-//     not key derivation (sealkey_bench_test.go shows the win).
+//     (a page still marked referenced survived the last clock sweep).
+//
+// A suspended instance keeps no state (its tenant's golden snapshot is
+// what resumes it), so suspension seals nothing.
 package sgx

@@ -258,7 +258,7 @@ func (m *Memory) pageWork(p int) {
 // Discard removes the pages covering [off, off+n) from the EPC without
 // paying eviction cost — EREMOVE semantics, not EWB: the owner declares
 // the contents dead (a released guest arena, a suspended instance whose
-// state now lives in a sealed blob), so there is nothing to encrypt and
+// golden snapshot lives on), so there is nothing to encrypt and
 // write back, and no fault or eviction is counted. Page state can regress
 // (referenced → absent), so the paging generation is bumped — once, if
 // anything changed — before the state changes, keeping the EPC-TLB

@@ -27,9 +27,8 @@ func (p *Platform) deriveSealRoot(measurement [32]byte) [32]byte {
 //
 // Derivation is memoised per label: the inputs are fixed for the
 // enclave's lifetime, so the first call per label pays the HKDF and every
-// further Seal/Unseal under that label is a map lookup — the swap tier
-// seals and unseals under a handful of per-worker labels on its hot path
-// (see BenchmarkSealKey for the win).
+// further Seal/Unseal under that label is a map lookup (see
+// BenchmarkSealKey for the win).
 func (e *Enclave) SealKey(label string) [32]byte {
 	e.sealMu.RLock()
 	k, ok := e.sealKeys[label]

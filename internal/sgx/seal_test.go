@@ -30,8 +30,8 @@ func TestSealEmptyPlaintext(t *testing.T) {
 	}
 }
 
-// TestSealSnapshotSizedPayload: multi-MB payloads (the swap tier seals
-// instance snapshots) round-trip bit-exactly, and a single flipped bit
+// TestSealSnapshotSizedPayload: multi-MB payloads (the size of an
+// instance snapshot) round-trip bit-exactly, and a single flipped bit
 // anywhere in a large blob is rejected.
 func TestSealSnapshotSizedPayload(t *testing.T) {
 	e := newTestEnclave(t)
@@ -60,8 +60,7 @@ func TestSealSnapshotSizedPayload(t *testing.T) {
 
 // TestSealNonceUniqueness: repeated seals of the same (label, plaintext)
 // must produce distinct blobs — nonce reuse under one AES-GCM key is
-// catastrophic, and the swap tier re-seals the same worker label on every
-// suspend.
+// catastrophic, and a label is typically sealed under many times.
 func TestSealNonceUniqueness(t *testing.T) {
 	e := newTestEnclave(t)
 	const seals = 256

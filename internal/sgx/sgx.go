@@ -195,9 +195,7 @@ type Enclave struct {
 
 	// sealKeys caches per-label derived sealing keys. Key derivation is
 	// pure (platform, measurement, label) — the cache can never go stale —
-	// and the swap tier seals/unseals under a small set of per-worker
-	// labels on its hot path, so the HKDF runs once per label instead of
-	// once per Seal/Unseal.
+	// so the HKDF runs once per label instead of once per Seal/Unseal.
 	sealMu   sync.RWMutex
 	sealKeys map[string][32]byte
 

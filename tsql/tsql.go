@@ -56,9 +56,6 @@ type Config struct {
 	// PlatformSeed selects the simulated CPU identity; databases sealed
 	// by one platform cannot be opened on another.
 	PlatformSeed string
-	// StandardIPFS runs Intel's stock protected-FS behaviour instead of
-	// the paper's §V-F optimisation (default false: optimised).
-	StandardIPFS bool
 	// SGX overrides the enclave geometry (zero = paper defaults).
 	SGX sgx.Config
 
@@ -83,15 +80,11 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.CacheKiB <= 0 {
 		cfg.CacheKiB = litedb.DefaultCachePages * litedb.PageSize / 1024
 	}
-	mode := ipfs.ModeOptimized
-	if cfg.StandardIPFS {
-		mode = ipfs.ModeStandard
-	}
 	rt, err := core.NewRuntime(core.Config{
 		PlatformSeed: cfg.PlatformSeed,
 		SGX:          cfg.SGX,
 		FS:           core.FSIPFS,
-		IPFSMode:     mode,
+		IPFSMode:     ipfs.ModeOptimized,
 		HostFS:       cfg.HostFS,
 	})
 	if err != nil {

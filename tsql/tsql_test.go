@@ -105,18 +105,3 @@ func TestInMemoryDatabase(t *testing.T) {
 		t.Errorf("avg = %v, %v", row, err)
 	}
 }
-
-func TestStandardIPFSMode(t *testing.T) {
-	db, err := tsql.Open(smallCfg(func(c *tsql.Config) { c.StandardIPFS = true }))
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer db.Close()
-	if _, err := db.Exec(`CREATE TABLE t (x INTEGER); INSERT INTO t VALUES (1)`); err != nil {
-		t.Fatalf("exec: %v", err)
-	}
-	row, err := db.QueryRow(`SELECT x FROM t`)
-	if err != nil || row[0].Int() != 1 {
-		t.Errorf("row = %v, %v", row, err)
-	}
-}

@@ -56,13 +56,13 @@
 //
 // Under EPC pressure the registry swaps at instance granularity (PR 9):
 // RegistryConfig.MaxResident bounds how many warm workers hold enclave
-// arenas at once, and RegistryConfig.IdleSuspendAge starts a background
-// reaper. Beyond the bound, the coldest idle instances (working-set-
-// weighted victim selection) are suspended — their state sealed to
-// untrusted storage as a delta against the golden snapshot, their EPC
-// released — and a Submit against a suspended tenant transparently
-// resumes it. A resumed worker is bit-identical to one that never left
-// the EPC; the zero RegistryConfig disables the tier entirely.
+// arenas at once. Beyond the bound, the coldest idle instances
+// (working-set-weighted victim selection) are suspended — their EPC
+// released, nothing written outside the enclave, since an idle worker is
+// its tenant's golden snapshot — and a Submit against a suspended tenant
+// transparently resumes it from that snapshot. A resumed worker is
+// bit-identical to one that never left the EPC; the zero RegistryConfig
+// disables the tier entirely.
 //
 // Accounting is typed and per layer: Runtime.Enclave.Stats (crossings,
 // paging, TCS use), PoolStats / RegistryStats, Runtime.HostRetryStats, and
@@ -126,9 +126,8 @@ type (
 	// See Runtime.NewRegistry.
 	Registry = core.Registry
 	// RegistryConfig shapes a Registry's EPC-pressure lifecycle (PR 9):
-	// MaxResident bounds warm workers holding enclave arenas,
-	// IdleSuspendAge/ReaperInterval drive the background reaper. The
-	// zero value disables the swap tier (PR 8 behaviour).
+	// MaxResident bounds warm workers holding enclave arenas. The zero
+	// value disables the swap tier (PR 8 behaviour).
 	RegistryConfig = core.RegistryConfig
 	// Tenant is one registered (module, config) pair and its serving
 	// pool.
