@@ -7,7 +7,10 @@
 //
 // Two file system implementations are provided: DirFS, rooted at a real
 // directory, and MemFS, an in-memory tree used by tests and benchmarks to
-// remove disk variance. Failure injection over either is chaos.WrapFS.
+// remove disk variance. MemFS stores a regular file in 4 KiB chunks and
+// leaves holes unallocated, so a file costs the host what it holds. Both
+// agree byte for byte on every write, read and truncate (FuzzFileContent).
+// Failure injection over either is chaos.WrapFS.
 package hostfs
 
 import (

@@ -3,6 +3,7 @@ package hostfs
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -296,48 +297,116 @@ func TestReadOnlyHandleRejectsWrites(t *testing.T) {
 }
 
 // TestMemFSMatchesModel is the property test: a random sequence of
-// positional writes against MemFS must read back identically to a plain
-// byte-slice model.
+// positional writes and truncates, at offsets spanning sixteen 4 KiB
+// chunks, must read back identically to a plain byte-slice model after
+// every op, on both backends. A truncate followed by a write past the new
+// end must expose zeros, never the bytes the truncate cut off.
 func TestMemFSMatchesModel(t *testing.T) {
 	type op struct {
-		Off  uint16
-		Data []byte
+		Truncate bool
+		Off      uint16
+		Data     []byte
 	}
-	check := func(ops []op) bool {
-		fsys := NewMemFS()
-		f, err := fsys.OpenFile("model", ORead|OWrite|OCreate)
-		if err != nil {
-			return false
-		}
-		defer f.Close()
-		var model []byte
-		for _, o := range ops {
-			off := int64(o.Off % 8192)
-			if _, err := f.WriteAt(o.Data, off); err != nil {
+	eachFS(t, "model", func(t *testing.T, fsys FS) {
+		check := func(ops []op) bool {
+			f, err := fsys.OpenFile("model", ORead|OWrite|OCreate|OTrunc)
+			if err != nil {
 				return false
 			}
-			if need := off + int64(len(o.Data)); need > int64(len(model)) {
-				grown := make([]byte, need)
-				copy(grown, model)
-				model = grown
+			defer f.Close()
+			var model []byte
+			for _, o := range ops {
+				off := int64(o.Off)
+				if o.Truncate {
+					err = f.Truncate(off)
+					model = resizeModel(model, off)
+				} else {
+					_, err = f.WriteAt(o.Data, off)
+					model = writeModel(model, o.Data, off)
+				}
+				if err != nil || !sameContent(f, model) {
+					return false
+				}
 			}
-			copy(model[off:], o.Data)
+			return true
 		}
-		info, err := f.Stat()
-		if err != nil || info.Size != int64(len(model)) {
-			return false
+		if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+			t.Error(err)
 		}
-		got := make([]byte, len(model))
-		if len(model) > 0 {
-			if _, err := f.ReadAt(got, 0); err != nil {
-				return false
-			}
+	})
+}
+
+// TestMemFSHoldsWhatItStores pins MemFS's cost: a file appended in 4 KiB
+// writes allocates, and keeps after a collection, its size and nothing
+// more (no doubled buffer, no copies left over from growing), and a
+// truncate that extends a file allocates no data for the hole.
+func TestMemFSHoldsWhatItStores(t *testing.T) {
+	const size = 48 << 20
+	limit := uint64(size + size/100)
+	fsys := NewMemFS()
+	f, _ := fsys.OpenFile("big", ORead|OWrite|OCreate)
+	defer f.Close()
+	buf := bytes.Repeat([]byte{0x5A}, 4096)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for off := int64(0); off < size; off += int64(len(buf)) {
+		if _, err := f.WriteAt(buf, off); err != nil {
+			t.Fatalf("WriteAt: %v", err)
 		}
-		return bytes.Equal(got, model)
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("appending %d MiB allocated %.1f MiB", size>>20, float64(got)/(1<<20))
 	}
+	if got := after.HeapAlloc - before.HeapAlloc; after.HeapAlloc > before.HeapAlloc && got > limit {
+		t.Errorf("a %d MiB file holds %.1f MiB of heap", size>>20, float64(got)/(1<<20))
+	}
+	if info, _ := f.Stat(); info.Size != size {
+		t.Fatalf("size = %d, want %d", info.Size, size)
+	}
+
+	g, _ := fsys.OpenFile("sparse", ORead|OWrite|OCreate)
+	defer g.Close()
+	runtime.ReadMemStats(&before)
+	if err := g.Truncate(256 << 20); err != nil {
+		t.Fatalf("Truncate: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("extending an empty file to 256 MiB allocated %.1f MiB", float64(got)/(1<<20))
+	}
+}
+
+// writeModel and resizeModel apply WriteAt and Truncate to a byte-slice
+// model of a file.
+func writeModel(model, p []byte, off int64) []byte {
+	if len(p) == 0 {
+		return model
+	}
+	if end := off + int64(len(p)); end > int64(len(model)) {
+		model = resizeModel(model, end)
+	}
+	copy(model[off:], p)
+	return model
+}
+
+func resizeModel(model []byte, size int64) []byte {
+	grown := make([]byte, size)
+	copy(grown, model)
+	return grown
+}
+
+// sameContent reports whether f's size and every byte match model.
+func sameContent(f File, model []byte) bool {
+	info, err := f.Stat()
+	if err != nil || info.Size != int64(len(model)) {
+		return false
+	}
+	got := make([]byte, len(model)+1)
+	n, err := f.ReadAt(got, 0)
+	return err == nil && n == len(model) && bytes.Equal(got[:n], model)
 }
 
 func TestRealClockMonotonic(t *testing.T) {

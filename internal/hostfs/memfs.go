@@ -2,6 +2,7 @@ package hostfs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -11,6 +12,12 @@ import (
 // MemFS is an in-memory hierarchical file system. It implements FS with
 // full support for directories, hard links and symbolic links, so the WASI
 // layer can be exercised end to end without touching the disk.
+//
+// A regular file is its size plus a slice of 4 KiB chunks, the size of an
+// IPFS node and a litedb page, so a node read or write copies one chunk. A
+// nil chunk is a hole and reads as zeros. A file therefore holds its
+// written bytes rounded up to 4 KiB: growing it copies no data and leaves
+// no slack, and a truncate drops the chunks past the new end.
 //
 // MemFS is safe for concurrent use.
 type MemFS struct {
@@ -23,13 +30,19 @@ type MemFS struct {
 type memNode struct {
 	ino      uint64
 	typ      FileType
-	data     []byte
+	size     int64               // regular files
+	chunks   []*[chunkSize]byte  // regular files; nil is a hole
 	children map[string]*memNode // directories
 	target   string              // symlinks
 	mtime    time.Time
 	atime    time.Time
 	nlink    int
 }
+
+// chunkSize is the unit a MemFS file is stored in. Bytes of the last chunk
+// past the file's size are always zero, so a write or truncate that extends
+// the file exposes zeros, never bytes an earlier truncate cut off.
+const chunkSize = 4096
 
 // NewMemFS returns an empty in-memory file system.
 func NewMemFS() *MemFS {
@@ -147,7 +160,7 @@ func (fs *MemFS) OpenFile(name string, flag int) (File, error) {
 		return &memFile{fs: fs, node: node, name: leafName(name)}, nil
 	}
 	if flag&OTrunc != 0 {
-		node.data = nil
+		node.size, node.chunks = 0, nil
 		node.mtime = fs.clock.Now()
 	}
 	return &memFile{fs: fs, node: node, name: leafName(name), writable: flag&OWrite != 0}, nil
@@ -258,7 +271,7 @@ func (fs *MemFS) stat(name string, follow bool) (FileInfo, error) {
 }
 
 func nodeInfo(name string, n *memNode) FileInfo {
-	size := int64(len(n.data))
+	size := n.size
 	if n.typ == TypeSymlink {
 		size = int64(len(n.target))
 	}
@@ -380,7 +393,7 @@ func (fs *MemFS) TotalBytes() int64 {
 			return
 		}
 		seen[n] = true
-		total += int64(len(n.data))
+		total += n.size
 		for _, c := range n.children {
 			visit(c)
 		}
@@ -411,10 +424,21 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, ErrInvalid
 	}
-	if off >= int64(len(f.node.data)) {
+	if off >= f.node.size {
 		return 0, nil // EOF as a short read; WASI maps n==0 to EOF
 	}
-	n := copy(p, f.node.data[off:])
+	n := int(min(int64(len(p)), f.node.size-off))
+	for done := 0; done < n; {
+		pos := off + int64(done)
+		c, lo := f.node.chunks[pos/chunkSize], int(pos%chunkSize)
+		k := min(chunkSize-lo, n-done)
+		if c == nil {
+			clear(p[done : done+k])
+		} else {
+			copy(p[done:done+k], c[lo:])
+		}
+		done += k
+	}
 	f.node.atime = f.fs.clock.Now()
 	return n, nil
 }
@@ -432,27 +456,40 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, ErrInvalid
 	}
-	if need := off + int64(len(p)); need > int64(len(f.node.data)) {
-		f.node.data = growBuf(f.node.data, need)
+	if len(p) == 0 {
+		return 0, nil // POSIX: an empty write does not extend the file
 	}
-	copy(f.node.data[off:], p)
+	if end := off + int64(len(p)); end > f.node.size {
+		f.node.resize(end)
+	}
+	for done := 0; done < len(p); {
+		pos := off + int64(done)
+		i := pos / chunkSize
+		if f.node.chunks[i] == nil {
+			f.node.chunks[i] = new([chunkSize]byte)
+		}
+		done += copy(f.node.chunks[i][pos%chunkSize:], p[done:])
+	}
 	f.node.mtime = f.fs.clock.Now()
 	return len(p), nil
 }
 
-// growBuf extends data to length need with amortised doubling, so writers
-// that extend files incrementally stay linear.
-func growBuf(data []byte, need int64) []byte {
-	if need <= int64(cap(data)) {
-		return data[:need]
+// resize sets a regular file's size. Growing adds holes; shrinking drops
+// the chunks past the new end and zeroes the cut-off tail of the last one.
+// Slots past len(chunks) are nil (shrinking clears them), so a regrown
+// slice holds holes.
+func (n *memNode) resize(size int64) {
+	keep := int((size + chunkSize - 1) / chunkSize)
+	if size < n.size {
+		clear(n.chunks[keep:])
+		n.chunks = n.chunks[:keep]
+		if tail := size % chunkSize; tail != 0 && n.chunks[keep-1] != nil {
+			clear(n.chunks[keep-1][tail:])
+		}
+	} else if keep > len(n.chunks) {
+		n.chunks = slices.Grow(n.chunks, keep-len(n.chunks))[:keep]
 	}
-	newCap := int64(cap(data)) * 2
-	if newCap < need {
-		newCap = need
-	}
-	grown := make([]byte, need, newCap)
-	copy(grown, data)
-	return grown
+	n.size = size
 }
 
 // Truncate implements File.
@@ -468,14 +505,7 @@ func (f *memFile) Truncate(size int64) error {
 	if size < 0 {
 		return ErrInvalid
 	}
-	switch {
-	case size <= int64(len(f.node.data)):
-		f.node.data = f.node.data[:size]
-	default:
-		grown := make([]byte, size)
-		copy(grown, f.node.data)
-		f.node.data = grown
-	}
+	f.node.resize(size)
 	f.node.mtime = f.fs.clock.Now()
 	return nil
 }

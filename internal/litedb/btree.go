@@ -641,7 +641,13 @@ func (t *Tree) fragmentedSpace(d []byte, cellLen func([]byte) int) int {
 }
 
 // splitAndInsert divides pg's cells (plus the pending one) between pg and
-// a fresh right sibling.
+// a fresh right sibling, balanced by bytes. One split is not balanced: when
+// pg is the last leaf of the tree (no next leaf) and the new cell goes after
+// all of its cells, the cell is the largest key in the tree, so pg keeps
+// its n cells and the new cell opens the right sibling alone. This is
+// SQLite's balance_quick: a rowid-ordered load, or an index built from
+// ascending keys, fills every leaf instead of leaving each one half full,
+// and the sealed file holds a third fewer pages.
 func (t *Tree) splitAndInsert(pg *Page, idx int, cell []byte, leaf bool, cellLen func([]byte) int) (*splitResult, error) {
 	n := cellCount(pg.data)
 	cells := make([][]byte, 0, n+1)
@@ -669,6 +675,9 @@ func (t *Tree) splitAndInsert(pg *Page, idx int, cell []byte, leaf bool, cellLen
 	}
 	if mid >= len(cells) {
 		mid = len(cells) - 1
+	}
+	if leaf && idx == n && rightPtr(pg.data) == 0 {
+		mid = n
 	}
 
 	right, err := t.pg.Alloc()

@@ -2,6 +2,7 @@ package litedb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -492,33 +493,229 @@ func TestBtreeMatchesModel(t *testing.T) {
 		if p.Commit() != nil {
 			return false
 		}
-		// Verify via point lookups.
-		for rowid, want := range model {
-			got, ok, err := tree.Get(rowid)
-			if err != nil || !ok || !bytes.Equal(got, want) {
-				return false
-			}
-		}
-		// Verify via scan: exactly the model's keys in order.
-		var keys []int64
-		for k := range model {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		cur, err := tree.Cursor()
-		if err != nil {
-			return false
-		}
-		for _, k := range keys {
-			if !cur.Valid() || cur.Rowid() != k {
-				return false
-			}
-			cur.Next()
-		}
-		return !cur.Valid()
+		return matchesModel(tree, model)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// matchesModel reports whether a table tree holds exactly the model's rows:
+// every row by point lookup, and the model's keys in order by a scan.
+func matchesModel(tree *Tree, model map[int64][]byte) bool {
+	for rowid, want := range model {
+		got, ok, err := tree.Get(rowid)
+		if err != nil || !ok || !bytes.Equal(got, want) {
+			return false
+		}
+	}
+	var keys []int64
+	for k := range model {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	cur, err := tree.Cursor()
+	if err != nil {
+		return false
+	}
+	for _, k := range keys {
+		if !cur.Valid() || cur.Rowid() != k {
+			return false
+		}
+		cur.Next()
+	}
+	return !cur.Valid()
+}
+
+// auditTree runs PRAGMA integrity_check's walk over a pager that holds one
+// tree (page kinds, key order within and across pages and against every
+// separator, the leaf chain, overflow chains, the freelist, every page
+// used once) and returns the tree's entry count.
+func auditTree(t *testing.T, p *Pager, tree *Tree) int64 {
+	t.Helper()
+	c := &checker{p: p, used: make([]bool, p.NPages()+1)}
+	c.used[1] = true // header
+	if err := c.freelist(); err != nil {
+		t.Fatalf("freelist: %v", err)
+	}
+	entries, err := c.tree(tree, "tree")
+	if err != nil {
+		t.Fatalf("tree: %v", err)
+	}
+	for no := uint32(2); no <= p.NPages(); no++ {
+		if !c.used[no] {
+			c.failf("page %d is never used", no)
+		}
+	}
+	if len(c.problems) > 0 {
+		t.Fatalf("integrity: %v", c.problems)
+	}
+	return entries
+}
+
+// leafPages returns copies of a tree's leaves in key order: down the
+// leftmost path, then along the next-leaf chain.
+func leafPages(t *testing.T, tree *Tree) [][]byte {
+	t.Helper()
+	var leaves [][]byte
+	no := tree.root
+	for no != 0 {
+		pg, err := tree.pg.Get(no)
+		if err != nil {
+			t.Fatalf("Get(%d): %v", no, err)
+		}
+		d := append([]byte(nil), pg.data...)
+		tree.pg.Unpin(pg)
+		switch {
+		case isLeaf(d):
+			leaves = append(leaves, d)
+			no = rightPtr(d)
+		case cellCount(d) == 0:
+			no = rightPtr(d)
+		default:
+			no = binary.BigEndian.Uint32(cellBytes(d, 0)) // first child
+		}
+	}
+	return leaves
+}
+
+// TestAppendFillsLeaves pins the quick-balance split: inserting the largest
+// key of a tree fills its leaf before it opens the next one, so an
+// ascending load leaves every leaf but the last with no room for another
+// cell of the same size, and the file holds about a third fewer pages than
+// 50/50 splits would leave (1 507 and 301 pages).
+func TestAppendFillsLeaves(t *testing.T) {
+	full := func(t *testing.T, tree *Tree) {
+		t.Helper()
+		leaves := leafPages(t, tree)
+		cellLen := tree.leafCellLen()
+		for i, d := range leaves[:len(leaves)-1] {
+			last := cellLen(cellBytes(d, cellCount(d)-1))
+			if free := tree.fragmentedSpace(d, cellLen); free >= last+2 {
+				t.Fatalf("leaf %d of %d: %d cells, %d bytes free for a %d-byte cell", i, len(leaves), cellCount(d), free, last)
+			}
+		}
+	}
+	for _, c := range []struct {
+		payload  int
+		maxPages uint32
+	}{{1024, 1010}, {200, 165}} {
+		t.Run(fmt.Sprintf("table/%dB", c.payload), func(t *testing.T) {
+			p := newTestPager(t)
+			mustBegin(t, p)
+			tree, _ := CreateTree(p, false)
+			payload := bytes.Repeat([]byte{0x5A}, c.payload)
+			for i := int64(1); i <= 3000; i++ {
+				if err := tree.Insert(i, payload); err != nil {
+					t.Fatalf("Insert(%d): %v", i, err)
+				}
+			}
+			mustCommit(t, p)
+			if got := p.NPages(); got > c.maxPages {
+				t.Errorf("3000 ascending %d-byte rows take %d pages, want <= %d", c.payload, got, c.maxPages)
+			}
+			full(t, tree)
+			if n := auditTree(t, p, tree); n != 3000 {
+				t.Errorf("audit counted %d rows", n)
+			}
+		})
+	}
+	t.Run("index", func(t *testing.T) {
+		p := newTestPager(t)
+		mustBegin(t, p)
+		tree, _ := CreateTree(p, true)
+		for i := int64(1000); i < 4000; i++ {
+			key := EncodeRecord(nil, []Value{TextVal(fmt.Sprintf("key-%06d-%080d", i, 0)), IntVal(i)})
+			if err := tree.InsertKey(key); err != nil {
+				t.Fatalf("InsertKey(%d): %v", i, err)
+			}
+		}
+		mustCommit(t, p)
+		full(t, tree)
+		if n := auditTree(t, p, tree); n != 3000 {
+			t.Errorf("audit counted %d keys", n)
+		}
+	})
+}
+
+// TestSplitHistoriesStayConsistent drives a table tree through ascending,
+// descending and random-order loads, each followed by random middle
+// inserts, deletes, and replaces of the last row with a same-size, a
+// larger and an overflowing payload. After every phase the integrity walk
+// is clean and the tree matches a map model.
+func TestSplitHistoriesStayConsistent(t *testing.T) {
+	const n = 1500
+	rng := rand.New(rand.NewSource(11))
+	ascending := make([]int64, n)
+	for i := range ascending {
+		ascending[i] = int64(2 * (i + 1)) // even rowids; odd ones go in the middle later
+	}
+	descending := make([]int64, n)
+	for i, r := range ascending {
+		descending[n-1-i] = r
+	}
+	random := make([]int64, n)
+	for i, j := range rng.Perm(n) {
+		random[i] = ascending[j]
+	}
+	for _, h := range []struct {
+		name  string
+		order []int64
+	}{{"ascending", ascending}, {"descending", descending}, {"random", random}} {
+		t.Run(h.name, func(t *testing.T) {
+			p := newTestPager(t)
+			mustBegin(t, p)
+			tree, _ := CreateTree(p, false)
+			model := map[int64][]byte{}
+			put := func(rowid int64, size int) {
+				t.Helper()
+				data := bytes.Repeat([]byte{byte(rowid), byte(size)}, size/2)
+				if err := tree.Insert(rowid, data); err != nil {
+					t.Fatalf("Insert(%d, %d bytes): %v", rowid, len(data), err)
+				}
+				model[rowid] = data
+			}
+			phase := func(name string) {
+				t.Helper()
+				mustCommit(t, p)
+				if got := auditTree(t, p, tree); got != int64(len(model)) {
+					t.Fatalf("after %s: audit counted %d rows, model holds %d", name, got, len(model))
+				}
+				if !matchesModel(tree, model) {
+					t.Fatalf("after %s: tree differs from the model", name)
+				}
+				mustBegin(t, p)
+			}
+			for _, r := range h.order {
+				put(r, 100+int(r%7)*60)
+			}
+			phase("load")
+			for i := 0; i < 300; i++ {
+				put(int64(2*rng.Intn(n)+1), 40+rng.Intn(400))
+			}
+			phase("middle inserts")
+			for i := 0; i < 300; i++ {
+				r := int64(rng.Intn(2*n) + 1)
+				if _, err := tree.Delete(r); err != nil {
+					t.Fatalf("Delete(%d): %v", r, err)
+				}
+				delete(model, r)
+			}
+			phase("deletes")
+			last, err := tree.MaxRowid()
+			if err != nil {
+				t.Fatalf("MaxRowid: %v", err)
+			}
+			for _, size := range []int{len(model[last]), len(model[last]) + 300, 1400, 6000} {
+				put(last, size)
+				phase(fmt.Sprintf("replacing the last row with %d bytes", size))
+			}
+			for r := last + 1; r <= last+40; r++ {
+				put(r, 700)
+			}
+			phase("appends after the replaces")
+			mustCommit(t, p)
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package litedb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -79,5 +80,37 @@ func TestIntegrityCheck(t *testing.T) {
 	})
 	if got := integrity(t, db); len(got) != 1 || got[0] != "ok" {
 		t.Fatalf("integrity_check after the damage was rolled back: %v", got)
+	}
+}
+
+// TestSameSizeUpdateKeepsPages is sql_write in miniature: an ascending
+// load leaves every leaf full, then an UPDATE of every row with a payload
+// of the same size must fit each row back into its own leaf (through
+// defragmentation) without growing the file, and leave it consistent.
+func TestSameSizeUpdateKeepsPages(t *testing.T) {
+	db := openTestDB(t)
+	mustExec(t, db, `CREATE TABLE kv (id INTEGER PRIMARY KEY, data BLOB)`)
+	const rows = 600
+	mustExec(t, db, `BEGIN`)
+	for i := int64(1); i <= rows; i++ {
+		mustExec(t, db, `INSERT INTO kv (id, data) VALUES (?, ?)`, IntVal(i), BlobVal(make([]byte, 1024)))
+	}
+	mustExec(t, db, `COMMIT`)
+	pages := db.pager.NPages()
+	for i := int64(1); i <= rows; i++ {
+		data := bytes.Repeat([]byte{byte(i)}, 1024)
+		if n := mustExec(t, db, `UPDATE kv SET data = ? WHERE id = ?`, BlobVal(data), IntVal(i)); n != 1 {
+			t.Fatalf("UPDATE id %d affected %d rows", i, n)
+		}
+	}
+	if got := db.pager.NPages(); got != pages {
+		t.Errorf("same-size UPDATEs grew the file from %d to %d pages", pages, got)
+	}
+	if got := integrity(t, db); len(got) != 1 || got[0] != "ok" {
+		t.Fatalf("integrity_check after the UPDATEs: %v", got)
+	}
+	got := rowsAsText(mustQuery(t, db, `SELECT COUNT(*), SUM(length(data)) FROM kv`))
+	if want := fmt.Sprintf("%d|%d", rows, rows*1024); len(got) != 1 || got[0] != want {
+		t.Errorf("COUNT, SUM(length) = %v, want %s", got, want)
 	}
 }
