@@ -60,17 +60,17 @@
 //
 // The serving pool bounds and contains failure instead of letting it
 // spread. Admission control first: PoolConfig.MaxQueue caps how many
-// submits may wait for a worker and PoolConfig.SubmitTimeout (or a
-// context deadline via SubmitCtx/ServeCtx) bounds how long they wait;
-// work the pool cannot take fails fast with ErrOverloaded, leaving no
-// side effect. Containment second: a request that returns an error has
-// run arbitrary guest code against its worker's memory, so the pool
-// assumes the worker is corrupt, quarantines it, and repairs it from the
-// instantiation snapshot (memory/globals/table restored in-place, a
-// fresh WASI System) before it serves again. Two error classes are
-// exempt: sgx.ErrDestroyed (the enclave is gone — nothing to repair)
-// and chaos-transient errors ("the call never happened" — guest state
-// is intact, and the WASI boundary retries them under
+// submits may wait for a worker and a context deadline (SubmitCtx/
+// ServeCtx) bounds how long one waits, for a worker and for a TCS; work
+// the pool cannot take fails fast with ErrOverloaded, leaving no side
+// effect. Containment second: a request that entered the enclave and
+// failed has run arbitrary guest code against its worker's memory, so
+// the pool assumes the worker is corrupt, quarantines it, and repairs
+// it from the instantiation snapshot (memory/globals/table restored
+// in-place, a fresh WASI System) before it serves again. Two error
+// classes are exempt: sgx.ErrDestroyed (the enclave is gone — nothing to
+// repair) and chaos-transient errors ("the call never happened" — guest
+// state is intact, and the WASI boundary retries them under
 // Config.HostRetryMax before the pool ever sees one). PoolStats counts
 // all of it: Rejected, TimedOut, QueueDepth, Quarantined, Repaired.
 //

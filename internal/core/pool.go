@@ -45,7 +45,8 @@ import (
 //
 //   - Admission control. An overloaded pool fails fast (ErrOverloaded)
 //     instead of queueing without bound: MaxQueue caps how many Submits
-//     may wait, SubmitTimeout / a context deadline bounds how long.
+//     may wait, and the caller's context deadline bounds how long — for
+//     a worker and for a TCS alike.
 //   - Quarantine and repair. A request failure can leave a long-lived
 //     worker with corrupted guest state (a trap aborts mid-mutation).
 //     Failed workers are quarantined and repaired from the pool snapshot
@@ -82,10 +83,6 @@ type PoolConfig struct {
 	// control, so overload surfaces as fast rejections rather than
 	// unbounded latency.
 	MaxQueue int
-	// SubmitTimeout bounds how long a queued Submit waits for a worker
-	// (0 = forever). On expiry the Submit fails with an error wrapping
-	// ErrOverloaded. A tighter context deadline passed to SubmitCtx wins.
-	SubmitTimeout time.Duration
 	// FreshState serves every request from the golden snapshot (PR 8):
 	// after a successful request the worker is reset in place inside the
 	// same serve ECALL, and its WASI descriptor table is re-cloned when
@@ -127,8 +124,8 @@ type PoolStats struct {
 	// Rejected counts Submits refused at admission because the queue was
 	// already MaxQueue deep.
 	Rejected int64
-	// TimedOut counts queued Submits abandoned on SubmitTimeout or a
-	// context deadline.
+	// TimedOut counts Submits whose context deadline expired while they
+	// waited for a worker or for a TCS, before they entered the enclave.
 	TimedOut int64
 	// QueueDepth is the number of Submits currently waiting for a worker
 	// (a gauge, not a counter).
@@ -187,15 +184,14 @@ type worker struct {
 // Submit and Serve are safe for concurrent use; Close may race them (a
 // queued Submit observes ErrPoolClosed deterministically).
 type Pool struct {
-	rt            *Runtime
-	mod           *Module
-	entry         string
-	hostIO        func() error
-	size          int
-	maxQueue      int
-	submitTimeout time.Duration
-	fresh         bool
-	cold          bool
+	rt       *Runtime
+	mod      *Module
+	entry    string
+	hostIO   func() error
+	size     int
+	maxQueue int
+	fresh    bool
+	cold     bool
 
 	// swap is the registry-wide swap group this pool's warm workers are
 	// enrolled in (nil: no swap tier, workers stay resident until Close).
@@ -239,9 +235,9 @@ var (
 	// ErrPoolClosed is returned by Submit after Close.
 	ErrPoolClosed = errors.New("twine: pool closed")
 	// ErrOverloaded is returned (possibly wrapped) when admission control
-	// refuses or abandons a Submit: the queue is MaxQueue deep, or no
-	// worker freed up within SubmitTimeout / the context deadline. It is
-	// the caller's backpressure signal — shed load or retry later.
+	// refuses or abandons a Submit: the queue is MaxQueue deep, or the
+	// context deadline expired before a worker and a TCS were both free.
+	// It is the caller's backpressure signal — shed load or retry later.
 	ErrOverloaded = errors.New("twine: pool overloaded")
 )
 
@@ -269,17 +265,16 @@ func (rt *Runtime) NewPool(mod *Module, cfg PoolConfig) (*Pool, error) {
 	}
 
 	p := &Pool{
-		rt:            rt,
-		mod:           mod,
-		entry:         cfg.Entry,
-		hostIO:        cfg.HostIO,
-		size:          cfg.Workers,
-		maxQueue:      cfg.MaxQueue,
-		submitTimeout: cfg.SubmitTimeout,
-		fresh:         cfg.FreshState,
-		cold:          cfg.ColdStart,
-		free:          make([]*worker, 0, cfg.Workers),
-		closed:        make(chan struct{}),
+		rt:       rt,
+		mod:      mod,
+		entry:    cfg.Entry,
+		hostIO:   cfg.HostIO,
+		size:     cfg.Workers,
+		maxQueue: cfg.MaxQueue,
+		fresh:    cfg.FreshState,
+		cold:     cfg.ColdStart,
+		free:     make([]*worker, 0, cfg.Workers),
+		closed:   make(chan struct{}),
 	}
 	if !p.cold {
 		// Cold pools never enroll: their slots hold no EPC between
@@ -391,21 +386,20 @@ func (p *Pool) Latency() LatencySummary { return p.hist.summary() }
 // to perform to find headroom).
 func (p *Pool) ResumeLatency() LatencySummary { return p.resumeHist.summary() }
 
-// Submit serves one request with no deadline beyond the pool's own
-// SubmitTimeout: it binds a free worker (queueing while all are busy,
-// subject to admission control), enters the enclave, runs the
+// Submit serves one request with no deadline: it binds a free worker
+// (queueing while all are busy, subject to admission control), enters
+// the enclave (waiting for a TCS while all are busy), runs the
 // per-request host I/O (if any) and the entry function against args, and
 // returns the results. Safe for any number of concurrent callers.
 func (p *Pool) Submit(args ...uint64) ([]uint64, error) {
 	return p.SubmitCtx(context.Background(), args...)
 }
 
-// SubmitCtx is Submit bounded by ctx: a Submit still waiting for a
-// worker when ctx's deadline expires fails with an error wrapping
-// ErrOverloaded (plain cancellation returns ctx.Err()). The deadline
-// covers admission, not guest execution — once a worker is bound the
-// request runs to completion, the same containment boundary the enclave
-// itself has (an ECALL cannot be interrupted from outside).
+// SubmitCtx is Submit bounded by ctx: a Submit still waiting for a worker
+// or for a TCS when ctx's deadline expires fails with an error wrapping
+// ErrOverloaded and leaves its worker untouched (plain cancellation
+// returns ctx.Err()). The deadline does not cover guest execution: once
+// inside the enclave a request runs to completion.
 func (p *Pool) SubmitCtx(ctx context.Context, args ...uint64) ([]uint64, error) {
 	start := time.Now()
 	w, err := p.acquire(ctx)
@@ -416,9 +410,9 @@ func (p *Pool) SubmitCtx(ctx context.Context, args ...uint64) ([]uint64, error) 
 	var out []uint64
 	var serr error
 	if p.cold {
-		out, serr = p.serveCold(args)
+		out, serr = p.serveCold(ctx, args)
 	} else {
-		out, serr = p.serveWarm(w, args)
+		out, serr = p.serveWarm(ctx, w, args)
 	}
 	p.release(w)
 	p.hist.observe(time.Since(start))
@@ -433,10 +427,13 @@ func (p *Pool) SubmitCtx(ctx context.Context, args ...uint64) ([]uint64, error) 
 // the worker is reset to the golden snapshot inside the same serve ECALL
 // after a successful invoke — the warm free-list hot path — and its WASI
 // state is re-cloned only when the request changed the descriptor-table
-// shape. Failures quarantine and repair exactly as in stateful mode.
-func (p *Pool) serveWarm(w *worker, args []uint64) ([]uint64, error) {
+// shape. Failures of a request that entered the enclave quarantine and
+// repair exactly as in stateful mode.
+func (p *Pool) serveWarm(ctx context.Context, w *worker, args []uint64) ([]uint64, error) {
 	var out []uint64
-	serr := p.rt.Enclave.ECall("twine_serve", func() error {
+	entered := false
+	serr := p.rt.Enclave.ECallCtx(ctx, "twine_serve", func() error {
+		entered = true
 		if p.hostIO != nil {
 			if err := p.rt.Enclave.OCall("serve.io", p.hostIO); err != nil {
 				return err
@@ -458,6 +455,9 @@ func (p *Pool) serveWarm(w *worker, args []uint64) ([]uint64, error) {
 		return nil
 	})
 	if serr != nil {
+		if !entered {
+			return nil, p.waitErr(ctx, serr)
+		}
 		if quarantinable(serr) {
 			atomic.AddInt64(&p.quarantined, 1)
 			p.repair(w)
@@ -486,7 +486,7 @@ func (p *Pool) serveWarm(w *worker, args []uint64) ([]uint64, error) {
 // baseline FreshState is priced against. The acquired slot only bounds
 // concurrency; no quarantine is needed because nothing outlives the
 // request.
-func (p *Pool) serveCold(args []uint64) ([]uint64, error) {
+func (p *Pool) serveCold(ctx context.Context, args []uint64) ([]uint64, error) {
 	id := int(atomic.AddInt64(&p.coldSeq, 1))
 	sys, err := p.newSys(id)
 	if err != nil {
@@ -499,7 +499,9 @@ func (p *Pool) serveCold(args []uint64) ([]uint64, error) {
 	defer cw.Release()
 	atomic.AddInt64(&p.coldStarts, 1)
 	var out []uint64
-	serr := p.rt.Enclave.ECall("twine_serve", func() error {
+	entered := false
+	serr := p.rt.Enclave.ECallCtx(ctx, "twine_serve", func() error {
+		entered = true
 		if p.hostIO != nil {
 			if err := p.rt.Enclave.OCall("serve.io", p.hostIO); err != nil {
 				return err
@@ -509,10 +511,10 @@ func (p *Pool) serveCold(args []uint64) ([]uint64, error) {
 		out, ierr = cw.In.Invoke(p.entry, args...)
 		return ierr
 	})
-	if serr != nil {
-		return nil, serr
+	if !entered {
+		serr = p.waitErr(ctx, serr)
 	}
-	return out, nil
+	return out, serr
 }
 
 // acquire binds a free worker under the pool's admission policy. Wakeup
@@ -530,7 +532,7 @@ func (p *Pool) acquire(ctx context.Context) (*worker, error) {
 		w := p.free[len(p.free)-1]
 		p.free = p.free[:len(p.free)-1]
 		p.mu.Unlock()
-		return p.postAcquire(w)
+		return p.postAcquire(ctx, w)
 	}
 	// Every worker is busy (or earlier arrivals are queued): join the
 	// queue, subject to admission control. The depth check and the
@@ -546,30 +548,12 @@ func (p *Pool) acquire(ctx context.Context) (*worker, error) {
 	p.waiters = append(p.waiters, wtr)
 	p.mu.Unlock()
 
-	var expire <-chan time.Time
-	if p.submitTimeout > 0 {
-		t := time.NewTimer(p.submitTimeout)
-		defer t.Stop()
-		expire = t.C
-	}
 	select {
 	case w := <-wtr.ch:
-		return p.postAcquire(w)
-	case <-expire:
-		p.abandon(wtr)
-		p.mu.Lock()
-		p.timedOut++
-		p.mu.Unlock()
-		return nil, fmt.Errorf("%w: no worker within %v", ErrOverloaded, p.submitTimeout)
+		return p.postAcquire(ctx, w)
 	case <-ctx.Done():
 		p.abandon(wtr)
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			p.mu.Lock()
-			p.timedOut++
-			p.mu.Unlock()
-			return nil, fmt.Errorf("%w: %w", ErrOverloaded, ctx.Err())
-		}
-		return nil, ctx.Err()
+		return nil, p.waitErr(ctx, ctx.Err())
 	case <-p.closed:
 		p.abandon(wtr)
 		return nil, ErrPoolClosed
@@ -583,7 +567,7 @@ func (p *Pool) acquire(ctx context.Context) (*worker, error) {
 // free list. Then transparent resume (PR 9): a suspended worker is
 // instantiated from the golden snapshot before the caller sees it, so
 // suspension is invisible to Submit beyond latency.
-func (p *Pool) postAcquire(w *worker) (*worker, error) {
+func (p *Pool) postAcquire(ctx context.Context, w *worker) (*worker, error) {
 	select {
 	case <-p.closed:
 		p.release(w)
@@ -591,17 +575,34 @@ func (p *Pool) postAcquire(w *worker) (*worker, error) {
 	default:
 	}
 	if !p.cold && w.Instance == nil {
-		if err := p.resumeWorker(w); err != nil {
+		if err := p.resumeWorker(ctx, w); err != nil {
 			// The worker stays suspended; the next acquisition retries
 			// the resume.
 			p.release(w)
+			if err == ctx.Err() {
+				return nil, p.waitErr(ctx, err)
+			}
 			return nil, fmt.Errorf("twine: resume worker %d: %w", w.id, err)
 		}
 	}
 	return w, nil
 }
 
-// abandon removes a waiter that gave up (timeout, cancellation, close).
+// waitErr is the error of a request that never entered the enclave. If
+// ctx's deadline ended its wait, for a worker or for a TCS, that is
+// overload: ErrOverloaded wrapping ctx.Err(), counted in TimedOut. Any
+// other error, a cancellation included, is returned unchanged.
+func (p *Pool) waitErr(ctx context.Context, err error) error {
+	if err != context.DeadlineExceeded || err != ctx.Err() {
+		return err
+	}
+	p.mu.Lock()
+	p.timedOut++
+	p.mu.Unlock()
+	return fmt.Errorf("%w: %w", ErrOverloaded, err)
+}
+
+// abandon removes a waiter that gave up (deadline, cancellation, close).
 // If a concurrent release already popped it, the handoff is in flight:
 // receive the worker and put it back so pool capacity is not leaked.
 func (p *Pool) abandon(wtr *poolWaiter) {
@@ -644,7 +645,9 @@ func (p *Pool) release(w *worker) {
 	p.mu.Unlock()
 }
 
-// quarantinable classifies a request failure (PR 6). A guest trap or an
+// quarantinable classifies the failure of a request that entered the
+// enclave (PR 6); a request that never entered ran nothing against its
+// worker and is not classified at all. A guest trap or an
 // unclassified host error aborted the request at an arbitrary point: the
 // worker's memory may hold a half-applied mutation, so it must be
 // repaired before serving again. Two classes are exempt: a destroyed
@@ -684,8 +687,8 @@ func (p *Pool) repair(w *worker) {
 // one twine_suspend ECALL — EPC residency for the worker drops to exactly
 // zero and nothing is written outside the enclave. The caller must hold
 // the worker exclusively.
-func (p *Pool) releaseArena(w *worker) error {
-	if err := p.rt.Enclave.ECall("twine_suspend", w.Instance.Release); err != nil {
+func (p *Pool) releaseArena(ctx context.Context, w *worker) error {
+	if err := p.rt.Enclave.ECallCtx(ctx, "twine_suspend", w.Instance.Release); err != nil {
 		return err
 	}
 	w.Instance = nil
@@ -698,8 +701,8 @@ func (p *Pool) releaseArena(w *worker) error {
 // golden snapshot the resume instantiates from; a worker whose repair
 // failed comes back golden too. WASI descriptor state does not survive:
 // the resumed worker gets a fresh clone, like repair.
-func (p *Pool) suspendWorker(w *worker) error {
-	if err := p.releaseArena(w); err != nil {
+func (p *Pool) suspendWorker(ctx context.Context, w *worker) error {
+	if err := p.releaseArena(ctx, w); err != nil {
 		return err
 	}
 	atomic.AddInt64(&p.suspends, 1)
@@ -715,7 +718,7 @@ func (p *Pool) retire(w *worker) {
 	if w.Instance == nil {
 		return
 	}
-	_ = p.releaseArena(w)
+	_ = p.releaseArena(context.Background(), w)
 	if p.swap != nil {
 		p.swap.unreserve()
 	}
@@ -729,13 +732,13 @@ func (p *Pool) retire(w *worker) {
 // for headroom, which may synchronously suspend victims elsewhere; if the
 // arena still does not fit (EPC headroom is policy, enclave heap is
 // physics), one more victim is evicted per retry until the group runs
-// out of victims.
-func (p *Pool) resumeWorker(w *worker) (err error) {
+// out of victims. ctx bounds each of those ECALLs' wait for a TCS.
+func (p *Pool) resumeWorker(ctx context.Context, w *worker) (err error) {
 	start := time.Now()
 	// Only the swap group suspends, so p.swap is set. Reserve the
 	// residency slot up front (suspending victims as needed); a failed
 	// resume hands it back.
-	p.swap.reserve()
+	p.swap.reserve(ctx)
 	defer func() {
 		if err != nil {
 			p.swap.unreserve()
@@ -747,7 +750,7 @@ func (p *Pool) resumeWorker(w *worker) (err error) {
 	}
 	var inst *Instance
 	for {
-		err = p.rt.Enclave.ECall("twine_resume", func() error {
+		err = p.rt.Enclave.ECallCtx(ctx, "twine_resume", func() error {
 			var ierr error
 			inst, ierr = p.rt.instantiate(p.mod, sys, p.snap)
 			if ierr != nil {
@@ -761,7 +764,7 @@ func (p *Pool) resumeWorker(w *worker) (err error) {
 		if err == nil {
 			break
 		}
-		if !errors.Is(err, sgx.ErrOutOfMemory) || !p.swap.evictOne() {
+		if !errors.Is(err, sgx.ErrOutOfMemory) || !p.swap.evictOne(ctx) {
 			return err
 		}
 	}

@@ -110,39 +110,11 @@ func TestPoolOverloadExactCounters(t *testing.T) {
 	}
 }
 
-// TestPoolSubmitTimeout: a queued Submit abandons the wait after
-// SubmitTimeout with an ErrOverloaded-wrapped error, counted in TimedOut;
-// once a worker frees, the next Submit succeeds.
-func TestPoolSubmitTimeout(t *testing.T) {
-	rt := poolRuntime(t, 2)
-	defer rt.Enclave.Destroy()
-	mod, err := rt.LoadModule(pureModule())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := rt.NewPool(mod, PoolConfig{Workers: 1, SubmitTimeout: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	release := occupy(t, pool)
-	if _, err := pool.Submit(1); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("Submit = %v, want timeout wrapping ErrOverloaded", err)
-	}
-	if s := pool.Stats(); s.TimedOut != 1 || s.Rejected != 0 || s.QueueDepth != 0 {
-		t.Errorf("stats = %+v, want exactly 1 timed-out", s)
-	}
-	release()
-	if _, err := pool.Submit(1); err != nil {
-		t.Fatalf("Submit after worker freed: %v", err)
-	}
-}
-
 // TestPoolSubmitCtxDeadline: a context deadline bounds the wait (counted
-// with the timeouts, classifiable as ErrOverloaded), while plain
-// cancellation surfaces as the bare context error — cancellation is the
-// caller's choice, not the pool's saturation.
+// in TimedOut, classifiable as ErrOverloaded, leaving no one queued),
+// while plain cancellation surfaces as the bare context error —
+// cancellation is the caller's choice, not the pool's saturation. Once a
+// worker frees, the next Submit succeeds.
 func TestPoolSubmitCtxDeadline(t *testing.T) {
 	rt := poolRuntime(t, 2)
 	defer rt.Enclave.Destroy()
@@ -157,13 +129,15 @@ func TestPoolSubmitCtxDeadline(t *testing.T) {
 	defer pool.Close()
 
 	release := occupy(t, pool)
-	defer release()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 	_, err = pool.SubmitCtx(ctx, 1)
 	if !errors.Is(err, ErrOverloaded) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("SubmitCtx = %v, want ErrOverloaded wrapping DeadlineExceeded", err)
+	}
+	if s := pool.Stats(); s.TimedOut != 1 || s.Rejected != 0 || s.QueueDepth != 0 {
+		t.Errorf("stats = %+v, want exactly 1 timed-out and an empty queue", s)
 	}
 
 	ctx2, cancel2 := context.WithCancel(context.Background())
@@ -179,6 +153,10 @@ func TestPoolSubmitCtxDeadline(t *testing.T) {
 	}
 	if s := pool.Stats(); s.TimedOut != 1 {
 		t.Errorf("TimedOut = %d, want 1 (the deadline, not the cancellation)", s.TimedOut)
+	}
+	release()
+	if _, err := pool.Submit(1); err != nil {
+		t.Fatalf("Submit after worker freed: %v", err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 )
 
 // The multi-tenant front door (PR 8). TWINE's trust argument is
@@ -57,8 +56,6 @@ type TenantConfig struct {
 	// (0 = unbounded). Per-tenant, so one tenant saturating its share
 	// never consumes another's admission capacity.
 	MaxQueue int
-	// SubmitTimeout bounds a queued Submit's wait (see PoolConfig).
-	SubmitTimeout time.Duration
 	// ColdStart serves by per-request instantiation (the warm-free-list
 	// ablation; see PoolConfig.ColdStart).
 	ColdStart bool
@@ -228,16 +225,15 @@ func (r *Registry) Register(name string, wasmBytes []byte, cfg TenantConfig) (*T
 		workers = 1
 	}
 	pcfg := PoolConfig{
-		Workers:       workers,
-		Entry:         cfg.Entry,
-		Init:          cfg.Init,
-		HostIO:        cfg.HostIO,
-		MaxQueue:      cfg.MaxQueue,
-		SubmitTimeout: cfg.SubmitTimeout,
-		FreshState:    !cfg.ColdStart,
-		ColdStart:     cfg.ColdStart,
-		Stdout:        cfg.Stdout,
-		Stderr:        cfg.Stderr,
+		Workers:    workers,
+		Entry:      cfg.Entry,
+		Init:       cfg.Init,
+		HostIO:     cfg.HostIO,
+		MaxQueue:   cfg.MaxQueue,
+		FreshState: !cfg.ColdStart,
+		ColdStart:  cfg.ColdStart,
+		Stdout:     cfg.Stdout,
+		Stderr:     cfg.Stderr,
 	}
 	// Cold-start pools hold no warm workers — nothing for the swap tier
 	// to account for or suspend.

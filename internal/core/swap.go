@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -53,7 +54,7 @@ func (sg *swapGroup) enroll(p *Pool, workers int) {
 	sg.mu.Lock()
 	sg.pools = append(sg.pools, p)
 	sg.resident.Add(int64(workers))
-	sg.shrinkLocked(sg.max)
+	sg.shrinkLocked(context.Background(), sg.max)
 	sg.mu.Unlock()
 }
 
@@ -74,9 +75,9 @@ func (sg *swapGroup) leave(p *Pool) {
 // until the incoming worker fits under the bound. When no victim is idle
 // the group over-commits — admission pressure then falls through to the
 // page-level clock sweep, and the next release/idle cycle re-balances.
-func (sg *swapGroup) reserve() {
+func (sg *swapGroup) reserve(ctx context.Context) {
 	sg.mu.Lock()
-	sg.shrinkLocked(sg.max - 1)
+	sg.shrinkLocked(ctx, sg.max-1)
 	sg.resident.Add(1)
 	sg.mu.Unlock()
 }
@@ -92,9 +93,13 @@ func (sg *swapGroup) unreserve() {
 // held; pool locks and the suspend ECALLs nest inside, serialising
 // reclamation — the same discipline a kernel reclaim path has, and what
 // keeps two concurrent resumes from suspending twice as much as needed.
-func (sg *swapGroup) shrinkLocked(target int) {
+// A victim's suspend waits for a TCS under ctx, the deadline of the
+// request whose resume asked for headroom; since sg.mu is held across
+// that wait, a second concurrent resume can wait up to the first one's
+// deadline before it gets to reclaim.
+func (sg *swapGroup) shrinkLocked(ctx context.Context, target int) {
 	for sg.resident.Load() > int64(target) {
-		if !sg.suspendOneLocked() {
+		if !sg.suspendOneLocked(ctx) {
 			return
 		}
 	}
@@ -103,10 +108,10 @@ func (sg *swapGroup) shrinkLocked(target int) {
 // evictOne suspends a single victim regardless of the bound — the
 // allocation-pressure path: a resume (or cold instantiation) that cannot
 // find enclave heap for an arena frees one instance's worth and retries.
-func (sg *swapGroup) evictOne() bool {
+func (sg *swapGroup) evictOne(ctx context.Context) bool {
 	sg.mu.Lock()
 	defer sg.mu.Unlock()
-	return sg.suspendOneLocked()
+	return sg.suspendOneLocked(ctx)
 }
 
 // victimLess orders candidates best-victim-first: fewest referenced
@@ -126,8 +131,9 @@ func victimLess(a, b swapVictim) bool {
 // suspendOneLocked picks and suspends the single best victim: fewest
 // referenced pages, then most resident pages, then longest idle. A
 // candidate stolen from under us (a concurrent acquire won) or failing
-// to suspend is skipped; false means no victim could be suspended.
-func (sg *swapGroup) suspendOneLocked() bool {
+// to suspend (ctx ended its wait for a TCS, say) is put back resident
+// and skipped; false means no victim could be suspended.
+func (sg *swapGroup) suspendOneLocked(ctx context.Context) bool {
 	var cands []swapVictim
 	for _, p := range sg.pools {
 		cands = append(cands, p.victimCandidates()...)
@@ -137,7 +143,7 @@ func (sg *swapGroup) suspendOneLocked() bool {
 		if !v.p.stealWorker(v.w) {
 			continue
 		}
-		if err := v.p.suspendWorker(v.w); err != nil {
+		if err := v.p.suspendWorker(ctx, v.w); err != nil {
 			v.p.release(v.w)
 			continue
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -42,7 +43,7 @@ func accumModule() []byte {
 // is left, and returns how many it suspended.
 func suspendAll(r *Registry) int {
 	n := 0
-	for r.swap.evictOne() {
+	for r.swap.evictOne(context.Background()) {
 		n++
 	}
 	return n

@@ -1,6 +1,7 @@
 package sgx
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -162,7 +163,14 @@ func TestDestroyWakesTCSWaiters(t *testing.T) {
 	go func() {
 		waiterDone <- e.ECall("waiter", func() error { return nil })
 	}()
-	for e.Stats().TCSWaits == 0 {
+	// A waiter whose context is still live is woken by Destroy too.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctxWaiterDone := make(chan error, 1)
+	go func() {
+		ctxWaiterDone <- e.ECallCtx(ctx, "ctx-waiter", func() error { return nil })
+	}()
+	for e.Stats().TCSWaits < 2 {
 		runtime.Gosched()
 	}
 
@@ -179,6 +187,9 @@ func TestDestroyWakesTCSWaiters(t *testing.T) {
 
 	if err := <-waiterDone; !errors.Is(err, ErrDestroyed) {
 		t.Errorf("parked waiter = %v, want ErrDestroyed", err)
+	}
+	if err := <-ctxWaiterDone; !errors.Is(err, ErrDestroyed) {
+		t.Errorf("parked ECallCtx waiter = %v, want ErrDestroyed", err)
 	}
 	if err := <-holderDone; err != nil {
 		t.Errorf("holder = %v, want nil (it entered before Destroy)", err)

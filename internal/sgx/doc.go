@@ -120,14 +120,14 @@
 //
 // # Fault containment (PR 6)
 //
-// One knob keeps a saturated or failing enclave from hanging its
-// callers. Config.TCSWaitTimeout bounds how long an ECall parks waiting
-// for a free TCS: on expiry it returns ErrTCSTimeout (counted in
-// Stats.TCSTimeouts) instead of queueing unboundedly — the enclave-level
-// analogue of the serving pool's admission control, and the signal a
-// server uses to shed load. The ring has no fault hook of its own: a
-// slow untrusted host is a host closure that stalls, which the drain
-// worker runs like any other, so switchless_chaos_test.go's
+// The caller's context keeps a saturated enclave from hanging its
+// callers. ECallCtx parks waiting for a free TCS only until ctx is done,
+// then returns ctx.Err() without entering (the parked call counts in
+// Stats.TCSWaits, not in ECalls) — the enclave-level half of the serving
+// pool's admission control, and the signal a server uses to shed load.
+// Once a call is inside, nothing interrupts it. The ring has no fault
+// hook of its own: a slow untrusted host is a host closure that stalls,
+// which the drain worker runs like any other, so switchless_chaos_test.go's
 // Destroy-during-stalled-drain and result-preservation tests stall the
 // closures they enqueue.
 //

@@ -1,6 +1,7 @@
 package sgx
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -86,12 +87,6 @@ type Config struct {
 	// stays bound across the OCALLs of its ECALL, exactly as the SGX SDK
 	// reserves the TCS for the outstanding enclave frame.
 	TCSNum int
-	// TCSWaitTimeout bounds how long an ECALL parks waiting for a free
-	// TCS (0 = forever, the historical behaviour). On expiry the ECALL
-	// fails with ErrTCSTimeout instead of queueing without bound — the
-	// enclave-level half of PR 6's admission control (the pool-level half
-	// is core.PoolConfig.MaxQueue/SubmitTimeout).
-	TCSWaitTimeout time.Duration
 	// HeapMode selects the allocator strategy.
 	HeapMode HeapMode
 	// Debug marks the enclave as debuggable; it is reflected in reports
@@ -131,7 +126,6 @@ func TestConfig() Config {
 // Package errors.
 var (
 	ErrDestroyed      = errors.New("sgx: enclave destroyed")
-	ErrTCSTimeout     = errors.New("sgx: no TCS freed within the wait bound")
 	ErrOutsideEnclave = errors.New("sgx: OCALL issued from outside the enclave")
 	ErrInsideEnclave  = errors.New("sgx: ECALL issued from inside the enclave")
 	ErrOutOfMemory    = errors.New("sgx: enclave out of memory")
@@ -170,8 +164,6 @@ type Stats struct {
 	// TCSWaits counts ECALLs that found every TCS busy and had to park
 	// until a slot freed — the enclave's saturation signal.
 	TCSWaits int64
-	// TCSTimeouts counts parked ECALLs abandoned on TCSWaitTimeout.
-	TCSTimeouts int64
 	// TCSBusy is the number of TCS bound at the instant of the snapshot.
 	TCSBusy int64
 	// TCSMaxBusy is the high-water mark of simultaneously bound TCS.
@@ -275,14 +267,13 @@ func (e *Enclave) Reserved() *Reserved { return e.reserved }
 // Stats returns a coherent copy of the enclave activity counters.
 func (e *Enclave) Stats() Stats {
 	s := Stats{
-		ECalls:      atomic.LoadInt64(&e.ecalls),
-		OCalls:      atomic.LoadInt64(&e.ocalls),
-		PageFaults:  e.mem.Faults(),
-		Evictions:   e.mem.Evictions(),
-		TCSWaits:    atomic.LoadInt64(&e.tcs.waits),
-		TCSBusy:     atomic.LoadInt64(&e.tcs.busy),
-		TCSMaxBusy:  atomic.LoadInt64(&e.tcs.maxBusy),
-		TCSTimeouts: atomic.LoadInt64(&e.tcs.timeouts),
+		ECalls:     atomic.LoadInt64(&e.ecalls),
+		OCalls:     atomic.LoadInt64(&e.ocalls),
+		PageFaults: e.mem.Faults(),
+		Evictions:  e.mem.Evictions(),
+		TCSWaits:   atomic.LoadInt64(&e.tcs.waits),
+		TCSBusy:    atomic.LoadInt64(&e.tcs.busy),
+		TCSMaxBusy: atomic.LoadInt64(&e.tcs.maxBusy),
 	}
 	if e.ring != nil {
 		s.SwitchlessCalls = e.ring.calls.Load()
@@ -309,6 +300,13 @@ func (e *Enclave) isDestroyed() bool { return atomic.LoadInt32(&e.destroyed) != 
 // from distinct goroutines run concurrently, each bound to a TCS; when
 // every TCS is busy the call blocks until one frees.
 func (e *Enclave) ECall(name string, fn func() error) error {
+	return e.ECallCtx(context.Background(), name, fn)
+}
+
+// ECallCtx is ECall whose wait for a free TCS ends when ctx is done: a
+// caller still parked then gets ctx.Err() and fn never runs. Once
+// inside, fn runs to completion.
+func (e *Enclave) ECallCtx(ctx context.Context, name string, fn func() error) error {
 	if e.isDestroyed() {
 		return ErrDestroyed
 	}
@@ -316,7 +314,7 @@ func (e *Enclave) ECall(name string, fn func() error) error {
 	if e.tcs.holds(tok) {
 		return fmt.Errorf("%w: %s", ErrInsideEnclave, name)
 	}
-	slot, err := e.tcs.acquire(tok, e.destroyCh, e.cfg.TCSWaitTimeout)
+	slot, err := e.tcs.acquire(ctx, tok, e.destroyCh)
 	if err != nil {
 		return err
 	}

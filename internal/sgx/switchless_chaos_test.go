@@ -1,6 +1,7 @@
 package sgx
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -9,8 +10,8 @@ import (
 
 // Fault coverage for the enclave layer: a stalling host closure must
 // delay (not corrupt) switchless responses, Destroy must stay lossless
-// while the drain worker is stalled mid-request, and a bounded TCS wait
-// must convert enclave saturation into ErrTCSTimeout. Faults come only
+// while the drain worker is stalled mid-request, and a caller's context
+// must end its wait on a saturated enclave. Faults come only
 // from the host, so a stall is a host closure that sleeps.
 
 // TestSwitchlessDrainStallPreservesResults: with every request's host
@@ -117,14 +118,14 @@ func TestSwitchlessDestroyDuringStalledDrain(t *testing.T) {
 	}
 }
 
-// TestECallTCSWaitTimeout: with every TCS held, a bounded-wait ECALL
-// fails with ErrTCSTimeout (and is counted) instead of parking forever;
-// with the holder gone the next ECALL succeeds.
-func TestECallTCSWaitTimeout(t *testing.T) {
+// TestECallCtxTCSWait: with every TCS held, an ECALL whose context ends
+// while it is parked fails with the context's error — a deadline and a
+// cancellation alike — without running fn or counting as an ECALL; with
+// the holder gone the next ECALL succeeds.
+func TestECallCtxTCSWait(t *testing.T) {
 	cfg := TestConfig()
 	cfg.TCSNum = 1
-	cfg.TCSWaitTimeout = 2 * time.Millisecond
-	e, err := NewPlatform("tcs-timeout").NewEnclave(cfg, []byte("code"))
+	e, err := NewPlatform("tcs-ctx").NewEnclave(cfg, []byte("code"))
 	if err != nil {
 		t.Fatalf("NewEnclave: %v", err)
 	}
@@ -132,8 +133,9 @@ func TestECallTCSWaitTimeout(t *testing.T) {
 
 	inside := make(chan struct{})
 	release := make(chan struct{})
+	holderDone := make(chan error, 1)
 	go func() {
-		_ = e.ECall("holder", func() error {
+		holderDone <- e.ECall("holder", func() error {
 			close(inside)
 			<-release
 			return nil
@@ -141,26 +143,39 @@ func TestECallTCSWaitTimeout(t *testing.T) {
 	}()
 	<-inside
 
-	if err := e.ECall("starved", func() error { return nil }); !errors.Is(err, ErrTCSTimeout) {
-		t.Fatalf("ECall with all TCS busy = %v, want ErrTCSTimeout", err)
+	ran := false
+	starved := func() error { ran = true; return nil }
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+	defer cancel()
+	if err := e.ECallCtx(ctx, "starved", starved); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("ECallCtx past its deadline with all TCS busy = %v, want DeadlineExceeded", err)
 	}
-	st := e.Stats()
-	if st.TCSTimeouts != 1 || st.TCSWaits != 1 {
-		t.Errorf("stats = %+v, want 1 TCS wait and 1 timeout", st)
+	if st := e.Stats(); st.TCSWaits != 1 || st.ECalls != 1 {
+		t.Errorf("stats = %+v, want 1 TCS wait and only the holder's ECALL", st)
+	}
+
+	cctx, ccancel := context.WithCancel(context.Background())
+	res := make(chan error, 1)
+	go func() { res <- e.ECallCtx(cctx, "cancelled", starved) }()
+	for e.Stats().TCSWaits < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	ccancel()
+	if err := <-res; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ECallCtx = %v, want context.Canceled", err)
+	}
+	if ran {
+		t.Error("fn ran although its ECALL never got a TCS")
+	}
+	if st := e.Stats(); st.ECalls != 1 {
+		t.Errorf("ECalls = %d, want 1: a starved call never entered", st.ECalls)
 	}
 
 	close(release)
-	// The freed TCS admits the next caller; retry briefly to absorb the
-	// holder's exit latency.
-	deadline := time.Now().Add(time.Second)
-	for {
-		if err := e.ECall("retry", func() error { return nil }); err == nil {
-			break
-		} else if !errors.Is(err, ErrTCSTimeout) {
-			t.Fatalf("retry ECall: %v", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("TCS never freed after the holder exited")
-		}
+	if err := <-holderDone; err != nil {
+		t.Fatalf("holder: %v", err)
+	}
+	if err := e.ECallCtx(ctx, "next", starved); err != nil || !ran {
+		t.Fatalf("ECallCtx on a free TCS = %v (ran %v), want it to run even with ctx done", err, ran)
 	}
 }

@@ -1,9 +1,9 @@
 package sgx
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
-	"time"
 )
 
 // Thread control structures (TCS).
@@ -36,10 +36,9 @@ type tcsPool struct {
 	free   chan int         // indices of unbound TCS: receive = acquire, send = release
 	owners []atomic.Uintptr // owners[i] is the gtoken bound to TCS i, 0 when free
 
-	busy     int64 // currently bound TCS (atomic)
-	maxBusy  int64 // high-water mark (atomic)
-	waits    int64 // ECALLs that found every TCS busy (atomic)
-	timeouts int64 // parked ECALLs abandoned on the wait bound (atomic)
+	busy    int64 // currently bound TCS (atomic)
+	maxBusy int64 // high-water mark (atomic)
+	waits   int64 // ECALLs that found every TCS busy (atomic)
 }
 
 func newTCSPool(n int) *tcsPool {
@@ -68,27 +67,20 @@ func (p *tcsPool) holds(tok uintptr) bool {
 
 // acquire binds a TCS to tok and returns its index, blocking while all
 // are busy. destroyed is closed when the enclave is torn down so parked
-// callers fail with ErrDestroyed instead of waiting forever; timeout > 0
-// additionally bounds the wait (Config.TCSWaitTimeout), failing the
-// caller with ErrTCSTimeout so a saturated enclave surfaces backpressure
+// callers fail with ErrDestroyed instead of waiting forever; a caller
+// whose ctx is done first fails with ctx.Err(), so the caller's deadline
+// bounds the wait and a saturated enclave surfaces as backpressure
 // instead of unbounded latency.
-func (p *tcsPool) acquire(tok uintptr, destroyed <-chan struct{}, timeout time.Duration) (int, error) {
+func (p *tcsPool) acquire(ctx context.Context, tok uintptr, destroyed <-chan struct{}) (int, error) {
 	var slot int
 	select {
 	case slot = <-p.free:
 	default:
 		atomic.AddInt64(&p.waits, 1)
-		var expire <-chan time.Time
-		if timeout > 0 {
-			t := time.NewTimer(timeout)
-			defer t.Stop()
-			expire = t.C
-		}
 		select {
 		case slot = <-p.free:
-		case <-expire:
-			atomic.AddInt64(&p.timeouts, 1)
-			return 0, ErrTCSTimeout
+		case <-ctx.Done():
+			return 0, ctx.Err()
 		case <-destroyed:
 			return 0, ErrDestroyed
 		}

@@ -29,11 +29,12 @@
 //	out, err := pool.Submit(args...)          // one request, any goroutine
 //	err = pool.Serve(n, argsFn, doneFn)       // a batch across all workers
 //
-// Serving is fault-contained (PR 6): PoolConfig.MaxQueue and SubmitTimeout
-// bound admission (rejected work fails fast with ErrOverloaded),
-// Pool.SubmitCtx honours context deadlines, and a request that corrupts its
-// worker — a Wasm trap, a failed host interaction — quarantines that worker
-// and repairs it from the instantiation snapshot before it serves again.
+// Serving is fault-contained (PR 6): PoolConfig.MaxQueue bounds admission
+// (rejected work fails fast with ErrOverloaded), Pool.SubmitCtx's context
+// deadline bounds the wait for a worker and for a TCS, and a request that
+// corrupts its worker — a Wasm trap, a failed host interaction —
+// quarantines that worker and repairs it from the instantiation snapshot
+// before it serves again.
 // Transient host faults are retried at the WASI boundary
 // (Config.HostRetryMax) and never quarantine. The seeded fault-injection
 // harness behind the fault tests is exported as FaultPlan/FaultInjector.
@@ -113,8 +114,8 @@ type (
 	Pool = core.Pool
 	// PoolConfig sizes a Pool (workers, entry function, optional one-time
 	// init and per-request untrusted host I/O) and bounds its admission:
-	// MaxQueue caps waiting submits, SubmitTimeout bounds the wait for a
-	// free worker (PR 6).
+	// MaxQueue caps waiting submits (PR 6); the caller's context bounds
+	// how long one waits (Pool.SubmitCtx).
 	PoolConfig = core.PoolConfig
 	// PoolStats counts completed requests, pool-level waits, the
 	// fault-containment activity (rejected/timed-out admissions,
@@ -216,9 +217,11 @@ const (
 // Serving-pool admission errors (PR 6).
 var (
 	// ErrOverloaded reports an admission-control rejection: the pool's
-	// wait queue was full, or the submit's deadline expired before a
-	// worker freed up. Overloaded requests left no side effect and are
-	// safe to resubmit (typically after client-side backoff).
+	// wait queue was full, or the submit's context deadline expired
+	// before it had both a worker and a TCS (the error then wraps
+	// context.DeadlineExceeded too). Overloaded requests left no side
+	// effect and are safe to resubmit (typically after client-side
+	// backoff).
 	ErrOverloaded = core.ErrOverloaded
 	// ErrPoolClosed reports a submit against a closed pool, including
 	// submits that were queued when Close began.
