@@ -109,4 +109,18 @@ func main() {
 		*requests, elapsed.Round(time.Millisecond), float64(*requests)/elapsed.Seconds(), uint32(out[0]))
 	fmt.Printf("enclave: %d ECALLs, TCS busy high-water %d/%d, %d entries waited, pool queued %d\n",
 		es.ECalls, es.TCSMaxBusy, rt.Enclave.TCSCount(), es.TCSWaits, ps.Waits)
+
+	// Every request starts from the golden snapshot, so the pool must
+	// answer exactly what a plain instance does.
+	inst, err := rt.NewInstance(mod)
+	if err != nil {
+		log.Fatal(err)
+	}
+	want, err := inst.Invoke("handle", 42)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if uint32(out[0]) != uint32(want[0]) {
+		log.Fatalf("handle(42) = %d through the pool, %d on a plain instance", uint32(out[0]), uint32(want[0]))
+	}
 }

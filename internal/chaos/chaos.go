@@ -2,9 +2,9 @@
 // one fault wrapper. It runs a seeded, deterministic fault *plan* against
 // the untrusted host (WrapFS): faults come only from the host, and every
 // layer above sees them the way it would see a real one — the WASI
-// boundary retries transient ones (wasi.RetryPolicy), the serving pool
-// exempts them from quarantine. Embedders reach the same plans through
-// PoolConfig.HostIO wrappers.
+// boundary retries transient ones (wasi.RetryPolicy) and hands one that
+// escapes the retry budget to the guest as an errno. Embedders reach the
+// same plans through PoolConfig.HostIO wrappers.
 //
 // The design contract is determinism: whether operation i is selected is
 // a pure function of (Plan, i). Two runs with the same plan against the

@@ -39,8 +39,8 @@ func submitWithin(t *testing.T, ctx context.Context, ten *Tenant) (time.Duration
 
 // TestDeadlineCoversTCSWait: a tenant whose requests hold every TCS
 // cannot keep a neighbour's request waiting past its deadline. The
-// neighbour's request fails as overload, never entered the enclave (no
-// quarantine, no repair ECALL), and its tenant serves once the TCS frees.
+// neighbour's request fails as overload, never entered the enclave (not
+// served, no reset), and its tenant serves once the TCS frees.
 // A cancelled request reads as the bare cancellation.
 func TestDeadlineCoversTCSWait(t *testing.T) {
 	rt := poolRuntime(t, 2)
@@ -90,8 +90,8 @@ func TestDeadlineCoversTCSWait(t *testing.T) {
 	if took > deadline+100*time.Millisecond {
 		t.Errorf("quiet SubmitCtx took %v, want within %v of its %v deadline", took, 100*time.Millisecond, deadline)
 	}
-	if s := quiet.Stats().Pool; s.TimedOut != 1 || s.Quarantined != 0 || s.Repaired != 0 {
-		t.Errorf("quiet stats = %+v, want 1 timed out, none quarantined or repaired", s)
+	if s := quiet.Stats().Pool; s.TimedOut != 1 || s.Requests != 0 || s.WarmResets != 0 {
+		t.Errorf("quiet stats = %+v, want 1 timed out, none served or reset", s)
 	}
 	if got := rt.Enclave.Stats().ECalls; got != ecalls {
 		t.Errorf("ECalls %d -> %d: a request that never entered paid an ECALL", ecalls, got)

@@ -63,23 +63,28 @@
 // submits may wait for a worker and a context deadline (SubmitCtx/
 // ServeCtx) bounds how long one waits, for a worker and for a TCS; work
 // the pool cannot take fails fast with ErrOverloaded, leaving no side
-// effect. Containment second: a request that entered the enclave and
-// failed has run arbitrary guest code against its worker's memory, so
-// the pool assumes the worker is corrupt, quarantines it, and repairs
-// it from the instantiation snapshot (memory/globals/table restored
-// in-place, a fresh WASI System) before it serves again. Two error
-// classes are exempt: sgx.ErrDestroyed (the enclave is gone — nothing to
-// repair) and chaos-transient errors ("the call never happened" — guest
-// state is intact, and the WASI boundary retries them under
-// Config.HostRetryMax before the pool ever sees one). PoolStats counts
-// all of it: Rejected, TimedOut, QueueDepth, Quarantined, Repaired.
+// effect. Containment second, with one serving contract: every request
+// that entered the enclave ends with its worker reset to the golden
+// snapshot, inside the serve ECALL it already paid, whether it returned
+// or failed. A failed request has run arbitrary guest code against its
+// worker's memory; the reset it pays anyway scrubs that, so failure needs
+// no classification and no second ECALL. The reset restores memory,
+// globals and table in place (Instance.ResetFromSnapshot) and the WASI
+// descriptor table (wasi.System.Reset: the guest's open handles closed,
+// so their writes are flushed, then stdio and the preopens restored with
+// their initial rights). Transient host faults are retried at the WASI
+// boundary under Config.HostRetryMax; one that escapes reaches the guest
+// as an errno. PoolStats counts admission (Rejected, TimedOut,
+// QueueDepth) and serving (Requests, WarmResets — one per request).
 //
-// Fault-containment fidelity invariant: on a fault-free run the whole
-// machinery is inert — a 1-worker pool's ECALL/OCALL/fault/eviction
-// counters and results are bit-identical to a sequential NewInstance
-// run (pool_chaos_test.go). Faults come only from the host: the tests
-// wrap Config.HostFS in chaos.WrapFS, whose zero Plan or nil Injector is
-// a strict no-op.
+// Serving fidelity invariant: a 1-worker pool's or 1-tenant registry's
+// ECALL/OCALL/fault/eviction counters and results are bit-identical to
+// a sequential loop of one hand-rolled {invoke; reset} ECALL per request
+// over one instance (TestPoolFidelity, both front doors), and a reset
+// worker is bit-identical to a fresh snapshot instantiation
+// (wasm/reset_test.go). Faults come only from the host: the tests wrap
+// Config.HostFS in chaos.WrapFS, whose zero Plan or nil Injector is a
+// strict no-op.
 //
 // # Multi-tenant serving (PR 8)
 //
@@ -99,22 +104,11 @@
 //     that tenant's submits) and the latency histogram behind
 //     TenantStats.Latency.
 //
-// Tenants serve FreshState: after a successful request the worker is
-// reset in place from the golden snapshot — inside the same serve ECALL,
-// via the allocation-free Instance.ResetFromSnapshot — so every request
-// observes identical initial state without per-request instantiation
-// (PoolStats.WarmResets). TenantConfig.ColdStart is the ablation that
-// instantiates per request (PoolStats.ColdStarts). Worker handoff
-// is FIFO-fair: a freed worker goes to the longest-waiting submit, so
-// hot tenants or hot submitters cannot starve a patient one.
-//
-// Multi-tenant fidelity invariant: a 1-tenant registry at 1 TCS with
-// switchless off serves with ECALL/OCALL/fault/eviction
-// counters and results bit-identical to a sequential
-// invoke-plus-reset loop over one instance (registry_test.go), and a
-// warm-reset worker is bit-identical to a fresh snapshot instantiation
-// (wasm/reset_test.go) — warm serving is an optimisation, never an
-// observable state change.
+// A tenant's pool serves under the same contract as any pool: every
+// request observes the golden snapshot without per-request
+// instantiation. Worker handoff is FIFO-fair: a freed worker goes to the
+// longest-waiting submit, so hot tenants or hot submitters cannot starve
+// a patient one.
 //
 // # EPC-pressure lifecycle (PR 9)
 //
@@ -126,17 +120,17 @@
 //
 //	warm      — holds an enclave arena; acquirable by Submit.
 //	suspended — Instance released; nothing kept, inside the enclave or
-//	            out: an idle FreshState worker is its tenant's golden
-//	            snapshot, which the pool holds anyway.
+//	            out: an idle worker is its tenant's golden snapshot,
+//	            which the pool holds anyway.
 //
 // warm → suspended happens only while the worker is idle (never under a
 // request), via two triggers: the admission bound (resident workers
-// would exceed MaxResident) and enclave-heap pressure (a resume or cold
-// instantiation out of arena memory suspends one victim and retries).
+// would exceed MaxResident) and enclave-heap pressure (a resume out of
+// arena memory suspends one victim and retries).
 // It is one twine_suspend ECALL running Instance.Release. suspended →
 // warm happens transparently inside Submit: one twine_resume ECALL
 // instantiates the golden snapshot and pre-touches its extent (the ELDU
-// analogue), so a worker whose repair failed comes back golden too.
+// analogue).
 // Victim selection is working-set-weighted, coldest-largest first:
 // fewest clock-referenced pages, then most resident pages, then longest
 // idle.
@@ -155,8 +149,9 @@
 //     ECALLs themselves (TestSuspendResumeFidelity); a resumed worker
 //     is a fresh snapshot instantiation and a suspend writes nothing
 //     outside the enclave (TestResumedWorkerIsGolden);
-//   - WASI state does not survive suspension: the resume builds a fresh
-//     System from the tenant template, exactly like quarantine repair;
+//   - nothing of the WASI state is lost: an idle worker's descriptor
+//     table is the one NewSystem built, and the resume builds a fresh
+//     System from the tenant template;
 //   - when no victim is idle the group over-commits rather than blocks
 //     — pressure falls through to the page-level clock sweep and the
 //     next release/idle cycle re-balances.

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"twine/internal/chaos"
 	"twine/internal/sgx"
 	"twine/internal/wasi"
 	"twine/internal/wasm"
@@ -26,32 +25,20 @@ import (
 // the expensive way (decode, AoT translation, linking, data segments,
 // start function — all inside an ECALL), its post-initialisation state is
 // snapshotted once, and every further worker is stamped out as a memory
-// copy. Workers are long-lived; whether they are stateful across requests
-// is the pool's serving mode:
+// copy. Workers are long-lived, but no request sees another's state: a
+// worker is reset to the golden snapshot at the end of every request,
+// failed or not, inside the serve ECALL the request already paid. The
+// reset covers guest memory, globals and table (Instance.ResetFromSnapshot,
+// one in-place copy) and the WASI descriptor table (wasi.System.Reset,
+// which closes what the guest left open). Wasm linear memory has no
+// internal protection, so this reset is what keeps one request's
+// corruption — a trap mid-mutation, a hostile input — away from the next.
+// State that must outlive a request lives in an Instance or an EmbeddedDB.
 //
-//   - Default (PR 3): workers keep their guest state between requests —
-//     the standard stateful-serving trade.
-//   - FreshState (PR 8): every request sees the golden snapshot. A
-//     completed worker is reset in place (Instance.ResetFromSnapshot —
-//     the PR 6 repair path promoted to the hot path, inside the same
-//     serve ECALL) before re-entering the free list, so per-request
-//     isolation costs one in-place memory copy, not a re-instantiation.
-//   - ColdStart (PR 8, ablation): every request instantiates a fresh
-//     instance from the snapshot and releases it afterwards — what
-//     per-request isolation costs without warm free lists, the baseline
-//     TestPoolColdStartServing holds warm reset's answers against.
-//
-// PR 6 adds fault containment on both sides of that trade:
-//
-//   - Admission control. An overloaded pool fails fast (ErrOverloaded)
-//     instead of queueing without bound: MaxQueue caps how many Submits
-//     may wait, and the caller's context deadline bounds how long — for
-//     a worker and for a TCS alike.
-//   - Quarantine and repair. A request failure can leave a long-lived
-//     worker with corrupted guest state (a trap aborts mid-mutation).
-//     Failed workers are quarantined and repaired from the pool snapshot
-//     — the same bytes a fresh worker is stamped from — before they serve
-//     again, so one poisoned request cannot poison its successors.
+// Admission control (PR 6): an overloaded pool fails fast (ErrOverloaded)
+// instead of queueing without bound. MaxQueue caps how many Submits may
+// wait, and the caller's context deadline bounds how long — for a worker
+// and for a TCS alike.
 //
 // PR 8 also makes acquisition FIFO-fair: waiters queue in arrival order
 // and a freed worker is handed directly to the head waiter, so a stream
@@ -83,17 +70,6 @@ type PoolConfig struct {
 	// control, so overload surfaces as fast rejections rather than
 	// unbounded latency.
 	MaxQueue int
-	// FreshState serves every request from the golden snapshot (PR 8):
-	// after a successful request the worker is reset in place inside the
-	// same serve ECALL, and its WASI descriptor table is re-cloned when
-	// the request changed its shape. Per-request isolation on warm
-	// workers — the registry's default serving mode.
-	FreshState bool
-	// ColdStart instantiates a fresh instance per request from the
-	// snapshot and releases it afterwards (PR 8). It exists to price
-	// FreshState: same isolation, none of the warm-free-list machinery.
-	// Mutually exclusive with FreshState.
-	ColdStart bool
 	// Stdout/Stderr receive the workers' guest output (default: discard;
 	// a shared writer would interleave concurrent workers' output).
 	Stdout io.Writer
@@ -102,10 +78,9 @@ type PoolConfig struct {
 	// swap, when set, enrolls the pool's warm workers in a registry-wide
 	// swap tier (PR 9): idle workers may be suspended — EPC arena
 	// released, nothing written outside the enclave — and are resumed
-	// from the golden snapshot when acquired. Only FreshState pools
-	// enroll, so an idle worker is always that snapshot. Set by
-	// Registry.Register; unexported because the swap group belongs to
-	// the registry.
+	// from the golden snapshot when acquired: an idle worker is always
+	// that snapshot. Set by Registry.Register; unexported because the
+	// swap group belongs to the registry.
 	swap *swapGroup
 }
 
@@ -115,7 +90,9 @@ type PoolConfig struct {
 // MaxQueue (PR 8 — previously the gauge was sampled non-atomically with
 // the counters).
 type PoolStats struct {
-	// Requests is the number of completed Submit calls.
+	// Requests is the number of Submits served: they entered the enclave
+	// and ran, and their worker was reset, whether the guest returned or
+	// failed. Rejected and TimedOut count the Submits that never entered.
 	Requests int64
 	// Waits is the number of Submits that found every worker busy and had
 	// to queue — the pool-level saturation signal (the enclave-level one
@@ -130,17 +107,14 @@ type PoolStats struct {
 	// QueueDepth is the number of Submits currently waiting for a worker
 	// (a gauge, not a counter).
 	QueueDepth int64
-	// Quarantined counts workers pulled from service after a request
-	// failure; Repaired counts those successfully reset from the pool
-	// snapshot (the difference is repairs that themselves failed and will
-	// be retried on the worker's next failure).
-	Quarantined int64
-	Repaired    int64
-	// WarmResets counts requests whose worker was reset in place from the
-	// warm free list (FreshState serving, PR 8); ColdStarts counts
-	// requests served by a per-request instantiation (ColdStart serving).
+	// WarmResets counts workers reset to the golden snapshot at the end
+	// of a request; every served request pays one, so it equals Requests.
 	WarmResets int64
-	ColdStarts int64
+	// Quarantined and ColdStarts are always 0: a failed request's worker
+	// is reset like any other, and every request runs on a warm worker.
+	// They stay only for readers that predate that.
+	Quarantined int64
+	ColdStarts  int64
 	// Suspends counts workers swapped out of the EPC (arena discarded);
 	// Resumes counts workers swapped back in on acquisition. Suspended is
 	// the current gauge; the conservation law Suspends == Resumes +
@@ -162,19 +136,15 @@ type poolWaiter struct {
 
 // worker is one pool slot: a stable identity plus whatever currently
 // backs it. A warm worker embeds a live *Instance; a suspended worker
-// (PR 9), a retired worker of a closed pool and a ColdStart pool's slot
-// (a pure concurrency token, told apart by Pool.cold) have Instance ==
-// nil. The identity fields — id, the WASI fingerprint baseline — survive
-// suspension; descriptor state does not (resume re-clones the WASI
-// system, exactly like repair). Mutated only by the goroutine currently
-// holding the worker, except idleSince (pool lock), the suspend path
-// (which first steals the worker off the free list, making itself the
-// holder) and Close (which owns a closed pool's free list).
+// (PR 9) and a retired worker of a closed pool have Instance == nil. The
+// id survives suspension; a resumed worker gets a fresh WASI clone.
+// Mutated only by the goroutine currently holding the worker, except
+// idleSince (pool lock), the suspend path (which first steals the worker
+// off the free list, making itself the holder) and Close (which owns a
+// closed pool's free list).
 type worker struct {
 	*Instance
-	id     int
-	fdOpen int
-	fdNext int32
+	id int
 	// idleSince is when the worker last entered the free list; victim
 	// selection prefers the longest-idle among equally cold workers.
 	idleSince time.Time
@@ -190,16 +160,14 @@ type Pool struct {
 	hostIO   func() error
 	size     int
 	maxQueue int
-	fresh    bool
-	cold     bool
 
 	// swap is the registry-wide swap group this pool's warm workers are
 	// enrolled in (nil: no swap tier, workers stay resident until Close).
 	swap *swapGroup
 
-	// snap is the post-init state every worker was stamped from; warm
-	// reset, repair and swap resume restore it. newSys builds a worker's
-	// WASI clone.
+	// snap is the post-init state every worker was stamped from; the
+	// per-request reset and swap resume restore it. newSys builds a
+	// worker's WASI clone.
 	snap   *wasm.Snapshot
 	newSys func(i int) (*wasi.System, error)
 
@@ -215,11 +183,7 @@ type Pool struct {
 	closedFlag bool
 
 	requests     int64 // atomic
-	quarantined  int64 // atomic
-	repaired     int64 // atomic
 	warmResets   int64 // atomic
-	coldStarts   int64 // atomic
-	coldSeq      int64 // atomic: cold instances' WASI identity sequence
 	suspends     int64 // atomic
 	resumes      int64 // atomic
 	suspendedNow int64 // atomic gauge
@@ -243,13 +207,9 @@ var (
 
 // NewPool builds a serving pool of cfg.Workers instances of mod. The
 // first instance is fully instantiated (and optionally initialised via
-// cfg.Init); the rest are copied from its snapshot. In ColdStart mode the
-// first instance exists only to produce the snapshot: its arena is
-// released and the pool's slots are pure concurrency tokens.
+// cfg.Init); its state is the golden snapshot the rest are copied from
+// and every request's reset restores.
 func (rt *Runtime) NewPool(mod *Module, cfg PoolConfig) (*Pool, error) {
-	if cfg.FreshState && cfg.ColdStart {
-		return nil, errors.New("twine: PoolConfig.FreshState and ColdStart are mutually exclusive")
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = rt.Enclave.TCSCount()
 	}
@@ -271,15 +231,9 @@ func (rt *Runtime) NewPool(mod *Module, cfg PoolConfig) (*Pool, error) {
 		hostIO:   cfg.HostIO,
 		size:     cfg.Workers,
 		maxQueue: cfg.MaxQueue,
-		fresh:    cfg.FreshState,
-		cold:     cfg.ColdStart,
+		swap:     cfg.swap,
 		free:     make([]*worker, 0, cfg.Workers),
 		closed:   make(chan struct{}),
-	}
-	if !p.cold {
-		// Cold pools never enroll: their slots hold no EPC between
-		// requests, so there is nothing to swap out.
-		p.swap = cfg.swap
 	}
 	p.newSys = func(i int) (*wasi.System, error) {
 		return rt.Sys.Clone(wasi.CloneOptions{
@@ -299,26 +253,19 @@ func (rt *Runtime) NewPool(mod *Module, cfg PoolConfig) (*Pool, error) {
 		return nil, err
 	}
 	if cfg.Init != "" {
-		if _, err := first.Invoke(cfg.Init); err != nil {
+		// The golden state is Init's memory over the descriptor table
+		// NewSystem built: what Init left open is closed in its ECALL.
+		if err := rt.Enclave.ECall("twine_invoke", func() error {
+			if _, err := first.In.Invoke(cfg.Init); err != nil {
+				return err
+			}
+			return first.Sys.Reset()
+		}); err != nil {
 			return nil, fmt.Errorf("twine: pool init %q: %w", cfg.Init, err)
 		}
 	}
 	p.snap = first.In.Snapshot()
-
-	if p.cold {
-		// The snapshot holds its own copy of the golden state; the
-		// template instance's arena is returned to the enclave and the
-		// free list degenerates to cfg.Workers concurrency tokens.
-		if err := first.Release(); err != nil {
-			return nil, err
-		}
-		for i := 0; i < cfg.Workers; i++ {
-			p.free = append(p.free, &worker{id: i, idleSince: time.Now()})
-		}
-		return p, nil
-	}
-
-	p.free = append(p.free, p.bind(first, 0))
+	p.free = append(p.free, &worker{Instance: first, id: 0, idleSince: time.Now()})
 
 	// Workers 1..N-1: copy-from-snapshot.
 	for i := 1; i < cfg.Workers; i++ {
@@ -330,7 +277,7 @@ func (rt *Runtime) NewPool(mod *Module, cfg PoolConfig) (*Pool, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.free = append(p.free, p.bind(w, i))
+		p.free = append(p.free, &worker{Instance: w, id: i, idleSince: time.Now()})
 	}
 	if p.swap != nil {
 		// Enroll under the registry-wide resident bound: the group may
@@ -339,13 +286,6 @@ func (rt *Runtime) NewPool(mod *Module, cfg PoolConfig) (*Pool, error) {
 		p.swap.enroll(p, len(p.free))
 	}
 	return p, nil
-}
-
-// bind wraps an instance as a pool worker, recording its identity and
-// clean WASI fingerprint.
-func (p *Pool) bind(inst *Instance, id int) *worker {
-	open, next := inst.Sys.FdFingerprint()
-	return &worker{Instance: inst, id: id, fdOpen: open, fdNext: next, idleSince: time.Now()}
 }
 
 // Size returns the number of worker instances.
@@ -365,10 +305,7 @@ func (p *Pool) Stats() PoolStats {
 	}
 	p.mu.Unlock()
 	s.Requests = atomic.LoadInt64(&p.requests)
-	s.Quarantined = atomic.LoadInt64(&p.quarantined)
-	s.Repaired = atomic.LoadInt64(&p.repaired)
 	s.WarmResets = atomic.LoadInt64(&p.warmResets)
-	s.ColdStarts = atomic.LoadInt64(&p.coldStarts)
 	s.Suspends = atomic.LoadInt64(&p.suspends)
 	s.Resumes = atomic.LoadInt64(&p.resumes)
 	s.Suspended = atomic.LoadInt64(&p.suspendedNow)
@@ -389,8 +326,9 @@ func (p *Pool) ResumeLatency() LatencySummary { return p.resumeHist.summary() }
 // Submit serves one request with no deadline: it binds a free worker
 // (queueing while all are busy, subject to admission control), enters
 // the enclave (waiting for a TCS while all are busy), runs the
-// per-request host I/O (if any) and the entry function against args, and
-// returns the results. Safe for any number of concurrent callers.
+// per-request host I/O (if any) and the entry function against args,
+// resets the worker, and returns the results. Safe for any number of
+// concurrent callers.
 func (p *Pool) Submit(args ...uint64) ([]uint64, error) {
 	return p.SubmitCtx(context.Background(), args...)
 }
@@ -406,115 +344,48 @@ func (p *Pool) SubmitCtx(ctx context.Context, args ...uint64) ([]uint64, error) 
 	if err != nil {
 		return nil, err
 	}
-
-	var out []uint64
-	var serr error
-	if p.cold {
-		out, serr = p.serveCold(ctx, args)
-	} else {
-		out, serr = p.serveWarm(ctx, w, args)
-	}
+	out, err := p.serve(ctx, w, args)
 	p.release(w)
 	p.hist.observe(time.Since(start))
-	if serr != nil {
-		return nil, serr
-	}
-	atomic.AddInt64(&p.requests, 1)
-	return out, nil
+	return out, err
 }
 
-// serveWarm serves one request on a long-lived worker. In FreshState mode
-// the worker is reset to the golden snapshot inside the same serve ECALL
-// after a successful invoke — the warm free-list hot path — and its WASI
-// state is re-cloned only when the request changed the descriptor-table
-// shape. Failures of a request that entered the enclave quarantine and
-// repair exactly as in stateful mode.
-func (p *Pool) serveWarm(ctx context.Context, w *worker, args []uint64) ([]uint64, error) {
+// serve runs one request on w in one twine_serve ECALL: the host I/O
+// OCALL, the entry function, then the reset — guest memory, globals and
+// table back to the golden snapshot, the WASI descriptor table back to
+// the one NewSystem built — whether the request failed or not. A request
+// that never entered the enclave ran nothing against w.
+func (p *Pool) serve(ctx context.Context, w *worker, args []uint64) ([]uint64, error) {
 	var out []uint64
 	entered := false
-	serr := p.rt.Enclave.ECallCtx(ctx, "twine_serve", func() error {
+	err := p.rt.Enclave.ECallCtx(ctx, "twine_serve", func() error {
 		entered = true
+		var err error
 		if p.hostIO != nil {
-			if err := p.rt.Enclave.OCall("serve.io", p.hostIO); err != nil {
-				return err
-			}
+			err = p.rt.Enclave.OCall("serve.io", p.hostIO)
 		}
-		var ierr error
-		out, ierr = w.In.Invoke(p.entry, args...)
-		if ierr != nil || !p.fresh {
-			return ierr
+		if err == nil {
+			out, err = w.In.Invoke(p.entry, args...)
 		}
-		// Warm reset on the hot path: the worker re-enters the free list
-		// already stamped back to the golden snapshot, for one in-place
-		// copy inside the ECALL the request already paid — no extra
-		// transition, no arena allocation, no re-linking.
 		if rerr := w.In.ResetFromSnapshot(p.snap); rerr != nil {
-			return fmt.Errorf("twine: warm reset: %w", rerr)
+			return fmt.Errorf("twine: reset worker %d: %w", w.id, rerr)
+		}
+		// Closing what the guest left open flushes its writes; a failed
+		// flush fails a request that had succeeded.
+		if rerr := w.Sys.Reset(); err == nil {
+			err = rerr
 		}
 		atomic.AddInt64(&p.warmResets, 1)
-		return nil
-	})
-	if serr != nil {
-		if !entered {
-			return nil, p.waitErr(ctx, serr)
-		}
-		if quarantinable(serr) {
-			atomic.AddInt64(&p.quarantined, 1)
-			p.repair(w)
-		}
-		return nil, serr
-	}
-	if p.fresh {
-		if open, next := w.Sys.FdFingerprint(); open != w.fdOpen || next != w.fdNext {
-			// The request dirtied the descriptor table: per-request
-			// isolation requires a fresh WASI clone (cheap — a new fd map
-			// over the shared storage; no enclave crossing). On clone
-			// failure the worker keeps serving with the dirty table and
-			// the next failure path re-clones via repair.
-			if sys, err := p.newSys(w.id); err == nil {
-				w.Sys = sys
-				w.In.SetHostCtx(sys)
-				w.fdOpen, w.fdNext = sys.FdFingerprint()
-			}
-		}
-	}
-	return out, nil
-}
-
-// serveCold serves one request on a fresh instance stamped from the pool
-// snapshot and released afterwards — the per-request instantiation
-// baseline FreshState is priced against. The acquired slot only bounds
-// concurrency; no quarantine is needed because nothing outlives the
-// request.
-func (p *Pool) serveCold(ctx context.Context, args []uint64) ([]uint64, error) {
-	id := int(atomic.AddInt64(&p.coldSeq, 1))
-	sys, err := p.newSys(id)
-	if err != nil {
-		return nil, err
-	}
-	cw, err := p.rt.newInstance(p.mod, sys, p.snap)
-	if err != nil {
-		return nil, err
-	}
-	defer cw.Release()
-	atomic.AddInt64(&p.coldStarts, 1)
-	var out []uint64
-	entered := false
-	serr := p.rt.Enclave.ECallCtx(ctx, "twine_serve", func() error {
-		entered = true
-		if p.hostIO != nil {
-			if err := p.rt.Enclave.OCall("serve.io", p.hostIO); err != nil {
-				return err
-			}
-		}
-		var ierr error
-		out, ierr = cw.In.Invoke(p.entry, args...)
-		return ierr
+		return err
 	})
 	if !entered {
-		serr = p.waitErr(ctx, serr)
+		return nil, p.waitErr(ctx, err)
 	}
-	return out, serr
+	atomic.AddInt64(&p.requests, 1)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // acquire binds a free worker under the pool's admission policy. Wakeup
@@ -574,7 +445,7 @@ func (p *Pool) postAcquire(ctx context.Context, w *worker) (*worker, error) {
 		return nil, ErrPoolClosed
 	default:
 	}
-	if !p.cold && w.Instance == nil {
+	if w.Instance == nil {
 		if err := p.resumeWorker(ctx, w); err != nil {
 			// The worker stays suspended; the next acquisition retries
 			// the resume.
@@ -645,44 +516,6 @@ func (p *Pool) release(w *worker) {
 	p.mu.Unlock()
 }
 
-// quarantinable classifies the failure of a request that entered the
-// enclave (PR 6); a request that never entered ran nothing against its
-// worker and is not classified at all. A guest trap or an
-// unclassified host error aborted the request at an arbitrary point: the
-// worker's memory may hold a half-applied mutation, so it must be
-// repaired before serving again. Two classes are exempt: a destroyed
-// enclave (sgx.ErrDestroyed — every worker is dead and there is nothing
-// to reset them into), and a transient host fault that escaped the WASI
-// boundary's bounded retry (chaos.IsTransient — the fault was outside
-// the enclave; by the transient contract the guest-visible operation
-// never happened, so the worker's state is the pre-request state).
-func quarantinable(err error) bool {
-	return !errors.Is(err, sgx.ErrDestroyed) && !chaos.IsTransient(err)
-}
-
-// repair rebuilds a quarantined worker in place: guest memory, globals
-// and table are reset to the pool snapshot inside an ECALL (the reset
-// mutates in-enclave state, so it is accounted like any enclave entry)
-// and the WASI system is re-cloned, discarding descriptor state the
-// failed request may have dirtied. On failure the worker is returned to
-// service unrepaired — never leaking free-list capacity — and the next
-// failure retries.
-func (p *Pool) repair(w *worker) {
-	sys, err := p.newSys(w.id)
-	if err != nil {
-		return
-	}
-	if err := p.rt.Enclave.ECall("twine_repair", func() error {
-		return w.In.ResetFromSnapshot(p.snap)
-	}); err != nil {
-		return
-	}
-	w.Sys = sys
-	w.In.SetHostCtx(sys)
-	w.fdOpen, w.fdNext = sys.FdFingerprint()
-	atomic.AddInt64(&p.repaired, 1)
-}
-
 // releaseArena returns a warm worker's guest arena to the enclave inside
 // one twine_suspend ECALL — EPC residency for the worker drops to exactly
 // zero and nothing is written outside the enclave. The caller must hold
@@ -697,10 +530,9 @@ func (p *Pool) releaseArena(ctx context.Context, w *worker) error {
 
 // suspendWorker swaps a warm worker out of the EPC (PR 9) by releasing
 // its arena. The caller must hold the worker exclusively (stolen from
-// the free list). The worker is idle and FreshState, so its state is the
-// golden snapshot the resume instantiates from; a worker whose repair
-// failed comes back golden too. WASI descriptor state does not survive:
-// the resumed worker gets a fresh clone, like repair.
+// the free list). An idle worker is the golden snapshot the resume
+// instantiates from, and its descriptor table is the one NewSystem
+// built, so nothing is lost: the resumed worker gets a fresh clone.
 func (p *Pool) suspendWorker(ctx context.Context, w *worker) error {
 	if err := p.releaseArena(ctx, w); err != nil {
 		return err
@@ -769,7 +601,6 @@ func (p *Pool) resumeWorker(ctx context.Context, w *worker) (err error) {
 		}
 	}
 	w.Instance = inst
-	w.fdOpen, w.fdNext = sys.FdFingerprint()
 	atomic.AddInt64(&p.resumes, 1)
 	atomic.AddInt64(&p.suspendedNow, -1)
 	p.resumeHist.observe(time.Since(start))
@@ -778,11 +609,8 @@ func (p *Pool) resumeWorker(ctx context.Context, w *worker) (err error) {
 
 // victimCandidates snapshots this pool's idle, resident, stealable
 // workers for the swap group's victim selection, with their working-set
-// stats. Cold pools, closed pools and suspended workers are excluded.
+// stats. Closed pools and suspended workers are excluded.
 func (p *Pool) victimCandidates() []swapVictim {
-	if p.cold {
-		return nil
-	}
 	p.mu.Lock()
 	if p.closedFlag {
 		p.mu.Unlock()

@@ -4,24 +4,25 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"twine/internal/chaos"
 	"twine/internal/hostfs"
-	"twine/internal/sgx"
 	"twine/internal/wasi"
 	"twine/internal/wasm"
 	"twine/wasmgen"
 )
 
 // PR 6 pool fault-containment coverage: admission control (overload,
-// deadlines), deterministic Close, and worker quarantine + repair.
+// deadlines), deterministic Close, and the reset that follows a failed
+// request.
 
 // trapModule builds a worker with a poisoned path: run(0) bumps a memory
-// counter and returns it (the stateful baseline); run(x≠0) first bumps
-// the counter, then traps — leaving the mutation behind, exactly the
-// half-applied state quarantine must scrub.
+// counter and returns it; run(x≠0) first bumps the counter, then traps —
+// leaving the mutation behind, exactly the half-applied state the
+// per-request reset must scrub.
 func trapModule() []byte {
 	m := wasmgen.NewModule()
 	m.Memory(1, 1)
@@ -104,7 +105,7 @@ func TestPoolOverloadExactCounters(t *testing.T) {
 		t.Fatalf("queued Submit: %v", err)
 	}
 
-	want := PoolStats{Requests: 1, Waits: 2, Rejected: 1}
+	want := PoolStats{Requests: 1, WarmResets: 1, Waits: 2, Rejected: 1}
 	if got := pool.Stats(); got != want {
 		t.Errorf("stats = %+v, want %+v", got, want)
 	}
@@ -210,67 +211,92 @@ func TestPoolCloseReleasesQueuedSubmits(t *testing.T) {
 	}
 }
 
-// TestPoolQuarantineRepair: a trapping request leaves a half-applied
-// mutation in its worker; the pool must quarantine the worker and reset
-// it to the snapshot, so the next request sees pristine state — not the
-// trap's leftovers.
-func TestPoolQuarantineRepair(t *testing.T) {
+// TestPoolFailedRequestOneECall pins the rule for a failed request: a
+// request that writes guest memory and then traps is reset inside the
+// serve ECALL it already paid — one ECALL in all, no repair ECALL after
+// it — and the next request on that worker answers like a fresh
+// instance, over a worker whose memory is the golden snapshot again. A
+// request failed by an unknown host error costs the same one ECALL.
+func TestPoolFailedRequestOneECall(t *testing.T) {
 	rt := poolRuntime(t, 1)
 	defer rt.Enclave.Destroy()
 	mod, err := rt.LoadModule(trapModule())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := rt.NewPool(mod, PoolConfig{Workers: 1})
+	ref, err := rt.NewInstance(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := ref.Invoke("run", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errHost := errors.New("unknown host failure")
+	var hostFails atomic.Bool
+	pool, err := rt.NewPool(mod, PoolConfig{Workers: 1, HostIO: func() error {
+		if hostFails.Load() {
+			return errHost
+		}
+		return nil
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 
-	// Two clean requests accumulate worker state: 1, then 2.
-	for want := uint64(1); want <= 2; want++ {
-		out, err := pool.Submit(0)
-		if err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-		if out[0] != want {
-			t.Fatalf("counter = %d, want %d", out[0], want)
-		}
-	}
-
-	// The poisoned request bumps the counter to 3 and traps.
+	// The poisoned request bumps the counter and traps, in one ECALL.
+	ecalls := rt.Enclave.Stats().ECalls
 	_, err = pool.Submit(1)
 	var trap *wasm.Trap
 	if !errors.As(err, &trap) {
 		t.Fatalf("poisoned Submit = %v, want a wasm trap", err)
 	}
+	if n := rt.Enclave.Stats().ECalls - ecalls; n != 1 {
+		t.Errorf("a failed request cost %d ECALLs, want 1 (the serve that reset it)", n)
+	}
 
-	// Repair reset the worker to the snapshot: the counter restarts at 1,
-	// not 4 — the trap's half-applied bump was scrubbed.
+	w := pool.takeWorker(t)
+	counter, err := w.In.Memory().ReadU32(0)
+	pool.release(w)
+	if err != nil || counter != 0 {
+		t.Errorf("worker counter after the trap = %d (%v), want 0 (golden)", counter, err)
+	}
 	out, err := pool.Submit(0)
 	if err != nil {
-		t.Fatalf("Submit after repair: %v", err)
+		t.Fatalf("Submit after the trap: %v", err)
 	}
-	if out[0] != 1 {
-		t.Errorf("counter after repair = %d, want 1 (snapshot state)", out[0])
+	if out[0] != fresh[0] {
+		t.Errorf("answer after the trap = %d, fresh instance = %d", out[0], fresh[0])
+	}
+
+	hostFails.Store(true)
+	ecalls = rt.Enclave.Stats().ECalls
+	if _, err := pool.Submit(0); !errors.Is(err, errHost) {
+		t.Fatalf("Submit with a failing host = %v, want %v", err, errHost)
+	}
+	if n := rt.Enclave.Stats().ECalls - ecalls; n != 1 {
+		t.Errorf("a request failed by the host cost %d ECALLs, want 1", n)
+	}
+	hostFails.Store(false)
+	if out, err := pool.Submit(0); err != nil || out[0] != fresh[0] {
+		t.Errorf("Submit after the host failure = %v, %v; want %d", out, err, fresh[0])
 	}
 
 	s := pool.Stats()
-	if s.Quarantined != 1 || s.Repaired != 1 {
-		t.Errorf("stats = %+v, want 1 quarantined, 1 repaired", s)
-	}
-	if s.Requests != 3 {
-		t.Errorf("Requests = %d, want 3 (the trap does not count)", s.Requests)
+	if s.Requests != 4 || s.WarmResets != s.Requests {
+		t.Errorf("stats = %+v, want 4 requests, one reset each", s)
 	}
 }
 
-// TestPoolRepairIsolatesWASIState: repair also replaces the worker's WASI
-// system, so descriptor state dirtied by a failed request cannot leak
-// into its successors.
-func TestPoolRepairIsolatesWASIState(t *testing.T) {
+// TestPoolFailedRequestResetsWASI: the reset after a failed request
+// covers the WASI descriptor table too — the worker keeps its System, and
+// the next request, seen through the guest, gets the table NewSystem
+// built (errno 0, fd 4), not the trapped request's leftovers.
+func TestPoolFailedRequestResetsWASI(t *testing.T) {
 	rt := poolRuntime(t, 1)
 	defer rt.Enclave.Destroy()
-	mod, err := rt.LoadModule(trapModule())
+	mod, err := rt.LoadModule(openerModule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,49 +307,37 @@ func TestPoolRepairIsolatesWASIState(t *testing.T) {
 	defer pool.Close()
 
 	w := pool.takeWorker(t)
-	sysBefore := w.Sys
+	sys := w.Sys
 	pool.release(w)
-
-	if _, err := pool.Submit(1); err == nil {
-		t.Fatal("poisoned Submit did not fail")
+	for i := 0; i < 3; i++ {
+		if _, err := pool.Submit(1); err == nil {
+			t.Fatal("poisoned Submit did not fail")
+		}
 	}
-
+	out, err := pool.Submit(0)
+	if err != nil || out[0] != 4 {
+		t.Fatalf("Submit after failed requests = %v, %v; want errno 0 / fd 4", out, err)
+	}
 	w = pool.takeWorker(t)
 	defer pool.release(w)
-	if w.Sys == sysBefore {
-		t.Error("repair kept the failed request's WASI system")
-	}
-	if got := w.In.HostCtx(); got != w.Sys {
-		t.Error("repaired instance's host context does not match its new system")
+	if w.Sys != sys || w.In.HostCtx() != sys {
+		t.Error("the worker's WASI system was replaced; the reset is in place")
 	}
 }
 
-// TestQuarantineClassification pins the failure taxonomy: guest traps and
-// unknown host errors poison a worker; a destroyed enclave and transient
-// host faults do not.
-func TestQuarantineClassification(t *testing.T) {
-	if quarantinable(sgx.ErrDestroyed) {
-		t.Error("destroyed enclave classified quarantinable; there is nothing to repair")
-	}
-	if quarantinable(chaos.Transient(errors.New("host stall"))) {
-		t.Error("transient host fault classified quarantinable; guest state is intact")
-	}
-	if !quarantinable(&wasm.Trap{Kind: wasm.TrapUnreachable}) {
-		t.Error("guest trap not classified quarantinable")
-	}
-	if !quarantinable(errors.New("unknown host failure")) {
-		t.Error("unknown error not classified quarantinable; must fail safe")
-	}
-}
-
-// TestPoolFidelity extends TestConcurrencyFidelity to the serving path:
-// a quarantine-free single-worker pool run must be bit-identical — SGX
-// counters and checksum — to the same workload driven sequentially on a
-// plain instance. The pool adds containment machinery, never cost or
-// divergence, when no fault fires.
+// TestPoolFidelity is the serving path's acceptance guard, through both
+// front doors (NewPool and Registry.Register): one worker on one TCS with
+// switchless dispatch off must be bit-identical to a sequential baseline
+// — same results, same ECALL/OCALL/fault/eviction counters on a workload
+// that actually pages, same trap kind on failure. The baseline mirrors a
+// worker's construction exactly: one load, one WASI clone, one
+// instantiation, one snapshot, then per request one hand-rolled ECALL
+// running {invoke; reset memory; reset the WASI table}, and one ECALL
+// returning the arena at the end, as Close does. A front door may add
+// capacity; it must never add or reorder enclave transitions.
 func TestPoolFidelity(t *testing.T) {
 	const requests = 2
-	workload := func(drive func(rt *Runtime, mod *Module) uint64) (stats [4]int64, checksum uint64) {
+	workload := func(module []byte, drive func(rt *Runtime, module []byte) (uint64, error)) (stats [4]int64, checksum uint64, err error) {
 		cfg := testConfig(func(c *Config) {
 			c.SGX.EPCSize = 128 << 10
 			c.SGX.EPCUsable = 64 << 10
@@ -331,77 +345,153 @@ func TestPoolFidelity(t *testing.T) {
 			c.SGX.TCSNum = 1
 			c.Switchless = SwitchlessOff
 		})
-		rt, err := NewRuntime(cfg)
-		if err != nil {
-			t.Fatalf("NewRuntime: %v", err)
+		rt, nerr := NewRuntime(cfg)
+		if nerr != nil {
+			t.Fatalf("NewRuntime: %v", nerr)
 		}
 		defer rt.Enclave.Destroy()
-		mod, err := rt.LoadModule(sweepModule(16<<10, 2))
+		checksum, err = drive(rt, module)
+		s := rt.Enclave.Stats()
+		return [4]int64{s.ECalls, s.OCalls, s.PageFaults, s.Evictions}, checksum, err
+	}
+
+	sequential := func(rt *Runtime, module []byte, args ...uint64) (uint64, error) {
+		mod, err := rt.LoadModule(module)
 		if err != nil {
 			t.Fatalf("LoadModule: %v", err)
 		}
-		checksum = drive(rt, mod)
-		s := rt.Enclave.Stats()
-		return [4]int64{s.ECalls, s.OCalls, s.PageFaults, s.Evictions}, checksum
-	}
-
-	seqStats, seqSum := workload(func(rt *Runtime, mod *Module) uint64 {
 		inst, err := rt.NewInstance(mod)
 		if err != nil {
 			t.Fatalf("NewInstance: %v", err)
 		}
+		snap := inst.In.Snapshot()
 		var sum uint64
 		for i := 0; i < requests; i++ {
-			out, err := inst.Invoke("run")
-			if err != nil {
-				t.Fatalf("Invoke: %v", err)
+			var out []uint64
+			serr := rt.Enclave.ECall("twine_serve", func() error {
+				var ierr error
+				out, ierr = inst.In.Invoke("run", args...)
+				if rerr := inst.In.ResetFromSnapshot(snap); rerr != nil {
+					return rerr
+				}
+				if rerr := inst.Sys.Reset(); ierr == nil {
+					ierr = rerr
+				}
+				return ierr
+			})
+			if serr != nil {
+				return 0, serr
 			}
 			sum = out[0]
 		}
-		// Closing the pool returns the worker's arena in one ECALL.
-		if err := rt.Enclave.ECall("twine_suspend", inst.Release); err != nil {
-			t.Fatalf("Release: %v", err)
-		}
-		return sum
-	})
-
-	poolStats, poolSum := workload(func(rt *Runtime, mod *Module) uint64 {
-		pool, err := rt.NewPool(mod, PoolConfig{Workers: 1})
-		if err != nil {
-			t.Fatalf("NewPool: %v", err)
-		}
-		defer pool.Close()
-		var sum uint64
-		for i := 0; i < requests; i++ {
-			out, err := pool.Submit()
-			if err != nil {
-				t.Fatalf("Submit: %v", err)
-			}
-			sum = out[0]
-		}
-		if s := pool.Stats(); s.Quarantined != 0 || s.Repaired != 0 {
-			t.Fatalf("fault-free run quarantined workers: %+v", s)
-		}
-		return sum
-	})
-
-	if seqStats != poolStats {
-		t.Errorf("fidelity broken: sequential %v, pool %v (ECalls, OCalls, faults, evictions)", seqStats, poolStats)
+		// Closing the front door returns the worker's arena in one ECALL.
+		return sum, rt.Enclave.ECall("twine_suspend", inst.Release)
 	}
-	if seqSum != poolSum {
-		t.Errorf("checksum diverged: sequential %#x, pool %#x", seqSum, poolSum)
+
+	// A front door opens one one-worker pool over module and returns its
+	// submit function, its pool counters and its close.
+	type door func(rt *Runtime, module []byte) (submit func(...uint64) ([]uint64, error), stats func() PoolStats, close func())
+	doors := []struct {
+		name string
+		open door
+	}{
+		{"NewPool", func(rt *Runtime, module []byte) (func(...uint64) ([]uint64, error), func() PoolStats, func()) {
+			mod, err := rt.LoadModule(module)
+			if err != nil {
+				t.Fatalf("LoadModule: %v", err)
+			}
+			pool, err := rt.NewPool(mod, PoolConfig{Workers: 1})
+			if err != nil {
+				t.Fatalf("NewPool: %v", err)
+			}
+			return pool.Submit, pool.Stats, func() { pool.Close() }
+		}},
+		{"Register", func(rt *Runtime, module []byte) (func(...uint64) ([]uint64, error), func() PoolStats, func()) {
+			reg := rt.NewRegistry(RegistryConfig{})
+			ten, err := reg.Register("solo", module, TenantConfig{})
+			if err != nil {
+				t.Fatalf("Register: %v", err)
+			}
+			submit := func(args ...uint64) ([]uint64, error) { return reg.Submit("solo", args...) }
+			return submit, func() PoolStats { return ten.Stats().Pool }, func() {
+				// A zero RegistryConfig never touches the swap tier, even
+				// with the EPC paging under it.
+				if s := reg.Stats(); s.Suspends != 0 || s.Resumes != 0 || s.Suspended != 0 {
+					t.Errorf("zero RegistryConfig suspended a worker: %+v", s)
+				}
+				reg.Close()
+			}
+		}},
+	}
+
+	seqStats, seqSum, seqErr := workload(sweepModule(16<<10, 2), func(rt *Runtime, module []byte) (uint64, error) {
+		return sequential(rt, module)
+	})
+	if seqErr != nil {
+		t.Fatalf("sequential sweep: %v", seqErr)
 	}
 	if seqStats[2] == 0 || seqStats[3] == 0 {
 		t.Fatal("workload did not page; fidelity test proves nothing")
 	}
+	trapKind := func(err error) wasm.TrapKind {
+		var tr *wasm.Trap
+		if !errors.As(err, &tr) {
+			t.Fatalf("trap workload returned %v, want *wasm.Trap", err)
+		}
+		return tr.Kind
+	}
+	_, _, err := workload(trapModule(), func(rt *Runtime, module []byte) (uint64, error) {
+		return sequential(rt, module, 1) // nonzero arg = trap
+	})
+	seqTrap := trapKind(err)
+
+	for _, d := range doors {
+		t.Run(d.name, func(t *testing.T) {
+			stats, sum, err := workload(sweepModule(16<<10, 2), func(rt *Runtime, module []byte) (uint64, error) {
+				submit, poolStats, closeDoor := d.open(rt, module)
+				defer closeDoor()
+				var sum uint64
+				for i := 0; i < requests; i++ {
+					out, err := submit()
+					if err != nil {
+						return 0, err
+					}
+					sum = out[0]
+				}
+				if s := poolStats(); s.Requests != requests || s.WarmResets != requests {
+					t.Errorf("front door run off the one serving path: %+v", s)
+				}
+				return sum, nil
+			})
+			if err != nil {
+				t.Fatalf("sweep: %v", err)
+			}
+			if stats != seqStats {
+				t.Errorf("fidelity broken: sequential %v, %s %v (ECalls, OCalls, faults, evictions)", seqStats, d.name, stats)
+			}
+			if sum != seqSum {
+				t.Errorf("checksum diverged: sequential %#x, %s %#x", seqSum, d.name, sum)
+			}
+			// Trap kinds match too: a guest trap surfaces through the
+			// front door as the same *wasm.Trap the sequential path sees.
+			_, _, err = workload(trapModule(), func(rt *Runtime, module []byte) (uint64, error) {
+				submit, _, closeDoor := d.open(rt, module)
+				defer closeDoor()
+				_, err := submit(1)
+				return 0, err
+			})
+			if k := trapKind(err); k != seqTrap {
+				t.Errorf("trap kind diverged: sequential %v, %s %v", seqTrap, d.name, k)
+			}
+		})
+	}
 }
 
-// logModule builds a guest that keeps one host file open per worker:
-// run() opens (creating) "log.txt" on its first call, remembers the fd in
-// memory, writes a 16-byte record through it and returns the failing
-// call's errno, 0 if none. From a worker's second request on, a request is
-// one host call (the record's write), and a failure of that call reaches
-// the guest as an errno.
+// logModule builds a guest that appends one 16-byte record to "log.txt"
+// per request: run() opens the file (creating it) with the append flag,
+// writes the record and returns the failing call's errno, 0 if none. It
+// leaves the descriptor open; the worker's reset closes it. A request is
+// three host calls: path_open's stat, the open and the record's write.
 func logModule() []byte {
 	const fdSlot, iov, nOut = 256, 128, 144
 	m := wasmgen.NewModule()
@@ -416,13 +506,12 @@ func logModule() []byte {
 	m.Data(96, []byte("sixteen-byte-rec"))
 	f := m.Func(wasmgen.Sig().Returns(wasmgen.I32), wasmgen.I32)
 	f.Block(wasmgen.BlockVoid)
-	f.I32Const(fdSlot).I32Load(0).BrIf(0) // already open
 	f.I32Const(3).I32Const(0).I32Const(64).I32Const(int32(len(path))).
 		I32Const(1).                                     // oflags: CREAT
 		I64Const((1 << 29) - 1).I64Const((1 << 29) - 1). // rights: all
-		I32Const(0).I32Const(fdSlot).Call(pathOpen).LocalTee(0)
+		I32Const(1).                                     // fdflags: APPEND
+		I32Const(fdSlot).Call(pathOpen).LocalTee(0)
 	f.I32Eqz().BrIf(0)
-	f.I32Const(fdSlot).I32Const(0).I32Store(0)
 	f.LocalGet(0).Return()
 	f.End()
 	f.I32Const(iov).I32Const(96).I32Store(0)
@@ -436,16 +525,16 @@ func logModule() []byte {
 
 // TestRuntimeChaosRetry drives HostRetryMax and HostRetryBackoff, the
 // fault-recovery plumbing of the WASI boundary, through the front door: a
-// host (chaos.WrapFS over Config.HostFS) on which every third operation
+// host (chaos.WrapFS over Config.HostFS) on which every fourth operation
 // fails transiently is invisible to the guest when the boundary may retry,
-// and without retries fails the request it hit without costing the pool a
-// worker.
+// and without retries fails exactly the requests whose own host calls the
+// plan hit, without costing the pool a worker.
 func TestRuntimeChaosRetry(t *testing.T) {
 	const requests = 12
 	glitch := chaos.Transient(errors.New("host glitch"))
 	open := func(retryMax, workers int) (*chaos.Injector, hostfs.FS, *Runtime, *Pool) {
 		t.Helper()
-		inj := chaos.New(chaos.Plan{EveryK: 3, Err: glitch})
+		inj := chaos.New(chaos.Plan{EveryK: 4, Err: glitch})
 		host := hostfs.NewMemFS()
 		rt, err := NewRuntime(testConfig(func(c *Config) {
 			c.FS = FSHost
@@ -488,50 +577,61 @@ func TestRuntimeChaosRetry(t *testing.T) {
 		}
 	}
 	faults, retry := inj.Stats().Faults, rt.HostRetryStats()
-	if faults < requests/3 {
-		t.Errorf("%d faults injected over %d requests; the workers' host calls do not reach the plan", faults, requests)
+	if faults < requests/2 {
+		t.Errorf("%d faults injected over %d requests of 3 host calls; the workers' host calls do not reach the plan", faults, requests)
 	}
 	if retry.Retries != faults || retry.Recovered != faults || retry.Exhausted != 0 {
 		t.Errorf("retry stats %+v, want every one of the %d faults retried once and recovered", retry, faults)
 	}
-	if ps := pool.Stats(); ps.Requests != requests || ps.Quarantined != 0 {
-		t.Errorf("pool stats %+v, want %d requests and no quarantine", ps, requests)
+	if ps := pool.Stats(); ps.Requests != requests || ps.WarmResets != requests {
+		t.Errorf("pool stats %+v, want %d requests, one reset each", ps, requests)
 	}
-	// Each worker appended its half of the records through its own descriptor.
-	if info, err := host.Stat("log.txt"); err != nil || info.Size != 16*requests/2 {
-		t.Errorf("log.txt on the host: %+v, %v; want %d bytes", info, err, 16*requests/2)
+	// Every request appended its record through a descriptor of its own.
+	if info, err := host.Stat("log.txt"); err != nil || info.Size != 16*requests {
+		t.Errorf("log.txt on the host: %+v, %v; want %d bytes", info, err, 16*requests)
 	}
 
-	// No retry budget. Once the worker holds its descriptor a request is one
-	// host call, so each fault fails exactly the request it hit, as the
-	// guest's EIO from fd_write, and the worker keeps serving: a transient
-	// fault left no guest state behind and there is nothing to repair.
+	// No retry budget. A request's host calls are ordinals o+1 (the stat,
+	// whose failure path_open treats as "not a directory" and moves past),
+	// o+2 (the open) and o+3 (the write, made only if the open worked). A
+	// fault on the open or the write fails exactly that request, as the
+	// guest's EIO, and the worker keeps serving: a transient fault left no
+	// guest state behind.
 	inj, _, rt, pool = open(0, 1)
-	for {
-		if out, err := pool.Submit(); err == nil && out[0] == 0 {
-			break
-		}
-	}
-	faults, failed := inj.Stats().Faults, int64(0)
+	var failed, statFaults int64
+	faults = inj.Stats().Faults
 	for i := 0; i < requests; i++ {
+		before := inj.Stats().Ops
 		out, err := pool.Submit()
 		if err != nil {
 			t.Fatalf("request %d with HostRetryMax 0: %v, want the fault as the guest's errno", i, err)
 		}
-		if out[0] != 0 {
-			if wasi.Errno(out[0]) != wasi.ErrnoIo {
-				t.Fatalf("request %d with HostRetryMax 0: errno %d, want EIO", i, out[0])
-			}
+		after := inj.Stats().Ops
+		planned := false
+		for op := before + 2; op <= after; op++ {
+			planned = planned || inj.Selected(op)
+		}
+		if inj.Selected(before + 1) {
+			statFaults++
+		}
+		switch {
+		case planned && wasi.Errno(out[0]) != wasi.ErrnoIo:
+			t.Errorf("request %d (host ops %d..%d, one selected) returned errno %d, want EIO", i, before+1, after, out[0])
+		case !planned && out[0] != 0:
+			t.Errorf("request %d (host ops %d..%d, none selected) returned errno %d, want 0", i, before+1, after, out[0])
+		}
+		if planned {
 			failed++
 		}
 	}
-	if faults = inj.Stats().Faults - faults; failed != faults || failed != requests/3 {
-		t.Errorf("%d of %d requests failed for %d injected faults, want %d of each", failed, requests, faults, requests/3)
+	faults = inj.Stats().Faults - faults
+	if failed == 0 || failed == requests || failed+statFaults != faults {
+		t.Errorf("%d of %d requests failed and %d stat faults were passed over, for %d injected faults; want a share of the requests failed and every fault accounted for", failed, requests, statFaults, faults)
 	}
 	if retry := rt.HostRetryStats(); retry.Retries != 0 {
 		t.Errorf("retry stats %+v with HostRetryMax 0", retry)
 	}
-	if ps := pool.Stats(); ps.Quarantined != 0 {
-		t.Errorf("%d workers quarantined over transient host faults", ps.Quarantined)
+	if ps := pool.Stats(); ps.Requests != requests || ps.WarmResets != requests {
+		t.Errorf("pool stats %+v, want %d requests, one reset each", ps, requests)
 	}
 }

@@ -201,10 +201,12 @@ func TestPoolWorkersIsolated(t *testing.T) {
 	}
 }
 
-// TestPoolStatefulWorkers documents the serving contract: workers are
-// long-lived, so per-worker state accumulates across requests; with one
-// worker the counter is strictly sequential.
-func TestPoolStatefulWorkers(t *testing.T) {
+// TestPoolGoldenAnswers pins the serving contract: a worker is reset to
+// the golden snapshot at the end of every request, so the default pool
+// answers every request like a fresh instance — the counter module
+// returns 1, 1, 1 on one worker, never 1, 2, 3 — and every served
+// request paid exactly one reset.
+func TestPoolGoldenAnswers(t *testing.T) {
 	rt := poolRuntime(t, 1)
 	defer rt.Enclave.Destroy()
 	mod, err := rt.LoadModule(counterModule())
@@ -221,9 +223,12 @@ func TestPoolStatefulWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
-		if out[0] != uint64(i) {
-			t.Errorf("submit %d returned %d", i, out[0])
+		if out[0] != 1 {
+			t.Errorf("submit %d returned %d, want 1: the worker kept the previous request's state", i, out[0])
 		}
+	}
+	if s := pool.Stats(); s.Requests != 3 || s.WarmResets != s.Requests {
+		t.Errorf("stats = %+v, want 3 requests and one reset each", s)
 	}
 }
 

@@ -28,18 +28,17 @@ import (
 //     that tenant's requests (ErrOverloaded) and nobody else's; one
 //     tenant's guest state is unreachable from another's workers.
 //
-// Tenants serve FreshState — every request sees the golden snapshot via
-// warm in-place reset — because cross-request isolation is the safe
-// default when request origins are mutually untrusting. It is also what
-// lets the swap tier keep nothing of a suspended worker: idle, it is its
-// golden snapshot.
+// A tenant's worker is reset to its golden snapshot after every request,
+// as every pool's is: request origins are mutually untrusting. It is also
+// what lets the swap tier keep nothing of a suspended worker: idle, it is
+// its golden snapshot.
 
 // ErrUnknownTenant is returned by Registry.Submit for a name no Register
 // call created.
 var ErrUnknownTenant = errors.New("twine: unknown tenant")
 
 // TenantConfig shapes one tenant's serving pool. The zero value is a
-// one-worker, FreshState tenant with an unbounded queue, entry "run".
+// one-worker tenant with an unbounded queue, entry "run".
 type TenantConfig struct {
 	// Workers is the tenant's worker count (default 1 — tenants share the
 	// enclave's TCS pool, so a tenant's workers bound its concurrency
@@ -56,9 +55,6 @@ type TenantConfig struct {
 	// (0 = unbounded). Per-tenant, so one tenant saturating its share
 	// never consumes another's admission capacity.
 	MaxQueue int
-	// ColdStart serves by per-request instantiation (the warm-free-list
-	// ablation; see PoolConfig.ColdStart).
-	ColdStart bool
 	// Stdout/Stderr receive the tenant's guest output (default discard).
 	Stdout io.Writer
 	Stderr io.Writer
@@ -224,23 +220,16 @@ func (r *Registry) Register(name string, wasmBytes []byte, cfg TenantConfig) (*T
 	if workers <= 0 {
 		workers = 1
 	}
-	pcfg := PoolConfig{
-		Workers:    workers,
-		Entry:      cfg.Entry,
-		Init:       cfg.Init,
-		HostIO:     cfg.HostIO,
-		MaxQueue:   cfg.MaxQueue,
-		FreshState: !cfg.ColdStart,
-		ColdStart:  cfg.ColdStart,
-		Stdout:     cfg.Stdout,
-		Stderr:     cfg.Stderr,
-	}
-	// Cold-start pools hold no warm workers — nothing for the swap tier
-	// to account for or suspend.
-	if r.swap != nil && !cfg.ColdStart {
-		pcfg.swap = r.swap
-	}
-	pool, err := r.rt.NewPool(mod, pcfg)
+	pool, err := r.rt.NewPool(mod, PoolConfig{
+		Workers:  workers,
+		Entry:    cfg.Entry,
+		Init:     cfg.Init,
+		HostIO:   cfg.HostIO,
+		MaxQueue: cfg.MaxQueue,
+		Stdout:   cfg.Stdout,
+		Stderr:   cfg.Stderr,
+		swap:     r.swap,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("twine: register %q: %w", name, err)
 	}

@@ -4,153 +4,8 @@ import (
 	"errors"
 	"testing"
 
-	"twine/internal/wasm"
 	"twine/wasmgen"
 )
-
-// TestTenantFidelity is the PR 8 acceptance guard: one tenant on one TCS
-// with switchless dispatch off must be bit-identical
-// to a sequential baseline — same results, same ECALL/OCALL/fault/
-// eviction counters on a workload that actually pages, same trap kinds on
-// failure. The baseline mirrors the tenant's construction exactly: one
-// WASI clone, one instantiation, one snapshot, then per request one
-// composite ECALL running {invoke; reset-from-snapshot} — what the
-// registry's default FreshState serving does — and one ECALL returning
-// the arena at the end, as Close does. The front door may add
-// capacity; it must never add or reorder enclave transitions.
-func TestTenantFidelity(t *testing.T) {
-	const requests = 2
-	workload := func(module []byte, drive func(rt *Runtime, module []byte) (uint64, error)) (stats [4]int64, checksum uint64, err error) {
-		cfg := testConfig(func(c *Config) {
-			c.SGX.EPCSize = 128 << 10
-			c.SGX.EPCUsable = 64 << 10
-			c.SGX.HeapSize = 8 << 20
-			c.SGX.TCSNum = 1
-			c.Switchless = SwitchlessOff
-		})
-		rt, nerr := NewRuntime(cfg)
-		if nerr != nil {
-			t.Fatalf("NewRuntime: %v", nerr)
-		}
-		defer rt.Enclave.Destroy()
-		checksum, err = drive(rt, module)
-		s := rt.Enclave.Stats()
-		return [4]int64{s.ECalls, s.OCalls, s.PageFaults, s.Evictions}, checksum, err
-	}
-
-	// Sequential baseline: one load, one instance, one snapshot, then the
-	// composite serve ECALL hand-rolled per request.
-	sequential := func(rt *Runtime, module []byte) (uint64, error) {
-		mod, err := rt.LoadModule(module)
-		if err != nil {
-			t.Fatalf("LoadModule: %v", err)
-		}
-		inst, err := rt.NewInstance(mod)
-		if err != nil {
-			t.Fatalf("NewInstance: %v", err)
-		}
-		snap := inst.In.Snapshot()
-		var sum uint64
-		for i := 0; i < requests; i++ {
-			var out []uint64
-			serr := rt.Enclave.ECall("twine_serve", func() error {
-				var ierr error
-				out, ierr = inst.In.Invoke("run")
-				if ierr != nil {
-					return ierr
-				}
-				return inst.In.ResetFromSnapshot(snap)
-			})
-			if serr != nil {
-				return 0, serr
-			}
-			sum = out[0]
-		}
-		// Closing the registry returns the worker's arena in one ECALL.
-		return sum, rt.Enclave.ECall("twine_suspend", inst.Release)
-	}
-
-	// The front door: a one-tenant registry in its default serving mode
-	// (one worker, FreshState). Register performs the same single load.
-	tenant := func(rt *Runtime, module []byte) (uint64, error) {
-		reg := rt.NewRegistry(RegistryConfig{})
-		defer reg.Close()
-		ten, err := reg.Register("solo", module, TenantConfig{})
-		if err != nil {
-			t.Fatalf("Register: %v", err)
-		}
-		var sum uint64
-		for i := 0; i < requests; i++ {
-			out, err := reg.Submit("solo")
-			if err != nil {
-				return 0, err
-			}
-			sum = out[0]
-		}
-		if s := ten.Stats(); s.Pool.WarmResets != requests || s.Pool.Quarantined != 0 {
-			t.Fatalf("tenant run off the warm path: %+v", s)
-		}
-		// A zero RegistryConfig never touches the swap tier, even with
-		// the EPC paging under it.
-		if s := reg.Stats(); s.Suspends != 0 || s.Resumes != 0 || s.Suspended != 0 {
-			t.Fatalf("zero RegistryConfig suspended a worker: %+v", s)
-		}
-		return sum, nil
-	}
-
-	seqStats, seqSum, seqErr := workload(sweepModule(16<<10, 2), sequential)
-	tenStats, tenSum, tenErr := workload(sweepModule(16<<10, 2), tenant)
-	if seqErr != nil || tenErr != nil {
-		t.Fatalf("sweep errored: sequential %v, tenant %v", seqErr, tenErr)
-	}
-	if seqStats != tenStats {
-		t.Errorf("fidelity broken: sequential %v, tenant %v (ECalls, OCalls, faults, evictions)", seqStats, tenStats)
-	}
-	if seqSum != tenSum {
-		t.Errorf("checksum diverged: sequential %#x, tenant %#x", seqSum, tenSum)
-	}
-	if seqStats[2] == 0 || seqStats[3] == 0 {
-		t.Fatal("workload did not page; fidelity test proves nothing")
-	}
-
-	// Trap kinds must match too: a guest trap surfaces through the front
-	// door as the same *wasm.Trap the sequential path sees.
-	trapDrive := func(drive func(rt *Runtime, module []byte) (uint64, error)) *wasm.Trap {
-		_, _, err := workload(trapModule(), drive)
-		var tr *wasm.Trap
-		if !errors.As(err, &tr) {
-			t.Fatalf("trap workload returned %v, want *wasm.Trap", err)
-		}
-		return tr
-	}
-	seqTrap := trapDrive(func(rt *Runtime, module []byte) (uint64, error) {
-		mod, err := rt.LoadModule(module)
-		if err != nil {
-			t.Fatalf("LoadModule: %v", err)
-		}
-		inst, err := rt.NewInstance(mod)
-		if err != nil {
-			t.Fatalf("NewInstance: %v", err)
-		}
-		serr := rt.Enclave.ECall("twine_serve", func() error {
-			_, ierr := inst.In.Invoke("run", 1) // nonzero arg = trap
-			return ierr
-		})
-		return 0, serr
-	})
-	tenTrap := trapDrive(func(rt *Runtime, module []byte) (uint64, error) {
-		reg := rt.NewRegistry(RegistryConfig{})
-		defer reg.Close()
-		if _, err := reg.Register("solo", module, TenantConfig{}); err != nil {
-			t.Fatalf("Register: %v", err)
-		}
-		_, err := reg.Submit("solo", 1)
-		return 0, err
-	})
-	if seqTrap.Kind != tenTrap.Kind {
-		t.Errorf("trap kind diverged: sequential %v, tenant %v", seqTrap.Kind, tenTrap.Kind)
-	}
-}
 
 // TestRegistrySharedCompiledCode (the tentpole's cache): two tenants
 // registering identical bytes share one *Module — one twine_load_module

@@ -312,10 +312,8 @@ type Instance struct {
 // execute again; its pages are reusable by future instantiations and its
 // EPC residency is exactly zero — the invariant the swap tier depends on
 // (a suspended instance must free real EPC headroom, and a leak here
-// silently shrinks effective EPC; release_test.go pins it). Release is
-// also what makes per-request cold instantiation (the warm-reset ablation
-// baseline) sustainable — without it every request would leak a full
-// guest arena. Idempotent.
+// silently shrinks effective EPC; release_test.go pins it). Pool.Close
+// releases every worker the same way. Idempotent.
 func (inst *Instance) Release() error {
 	if inst.allocOff < 0 {
 		return nil

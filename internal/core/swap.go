@@ -16,8 +16,8 @@ import (
 // controller: it counts resident warm workers across every enrolled
 // pool, and when the count exceeds MaxResident it suspends victims:
 // release the worker's arena. An idle registry worker is its tenant's
-// golden snapshot (FreshState), so there is no state to keep and nothing
-// leaves the enclave. Suspension is invisible to Submit: acquiring a
+// golden snapshot (every request ends with a reset), so there is no state
+// to keep and nothing leaves the enclave. Suspension is invisible to Submit: acquiring a
 // suspended worker transparently resumes it (Pool.resumeWorker).
 //
 // Victim selection is working-set-weighted, coldest-largest first: fewest
@@ -106,8 +106,8 @@ func (sg *swapGroup) shrinkLocked(ctx context.Context, target int) {
 }
 
 // evictOne suspends a single victim regardless of the bound — the
-// allocation-pressure path: a resume (or cold instantiation) that cannot
-// find enclave heap for an arena frees one instance's worth and retries.
+// allocation-pressure path: a resume that cannot find enclave heap for
+// an arena frees one instance's worth and retries.
 func (sg *swapGroup) evictOne(ctx context.Context) bool {
 	sg.mu.Lock()
 	defer sg.mu.Unlock()

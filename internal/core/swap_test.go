@@ -180,7 +180,7 @@ func TestSuspendResumeFidelity(t *testing.T) {
 // TestResumedWorkerIsGolden pins the rule of the swap tier: an idle
 // worker is its tenant's golden snapshot, so a suspend keeps nothing and
 // a resume instantiates that snapshot. A byte written into the idle
-// worker's memory — what a repair that failed would leave — does not
+// worker's memory — what a reset that failed would leave — does not
 // survive the cycle, nothing is sealed, and the cycle costs one ECALL per
 // suspend and per resume and no OCALL.
 func TestResumedWorkerIsGolden(t *testing.T) {

@@ -231,13 +231,11 @@ func (s *System) fdClose(in *wasm.Instance, a []uint64) Errno {
 	if errno != ErrnoSuccess {
 		return errno
 	}
-	if e.kind == kindFile && e.handle != nil {
-		if err := e.handle.Close(); err != nil {
-			delete(s.fds, int32(a[0]))
-			return mapError(err)
-		}
-	}
+	s.dirty = true
 	delete(s.fds, int32(a[0]))
+	if e.kind == kindFile && e.handle != nil {
+		return mapError(e.handle.Close())
+	}
 	return ErrnoSuccess
 }
 
@@ -286,6 +284,7 @@ func (s *System) fdFdstatSetFlags(in *wasm.Instance, a []uint64) Errno {
 		return errno
 	}
 	e.fdflags = uint16(a[1])
+	s.dirty = true
 	return ErrnoSuccess
 }
 
@@ -300,6 +299,7 @@ func (s *System) fdFdstatSetRights(in *wasm.Instance, a []uint64) Errno {
 		return ErrnoNotcapable
 	}
 	e.rights, e.inheriting = base, inheriting
+	s.dirty = true
 	return ErrnoSuccess
 }
 
@@ -687,6 +687,7 @@ func (s *System) fdReaddir(in *wasm.Instance, a []uint64) Errno {
 			return mapError(err)
 		}
 		e.readdirNames = names
+		s.dirty = true
 	}
 	mem := in.Memory()
 	bufPtr, bufLen := uint32(a[1]), uint32(a[2])
@@ -744,6 +745,7 @@ func (s *System) fdRenumber(in *wasm.Instance, a []uint64) Errno {
 	}
 	s.fds[to] = e
 	delete(s.fds, from)
+	s.dirty = true
 	return ErrnoSuccess
 }
 
@@ -890,12 +892,10 @@ func (s *System) pathOpen(in *wasm.Instance, a []uint64) Errno {
 		return ErrnoNotdir
 	}
 	if isDir {
-		fd := s.nextFD
-		s.nextFD++
-		s.fds[fd] = &fdEntry{
+		fd := s.install(&fdEntry{
 			kind: kindDir, path: path,
 			rights: rightsBase & rightsDir, inheriting: rightsInheriting,
-		}
+		})
 		if in.Memory().WriteU32(uint32(a[8]), uint32(fd)) != nil {
 			return ErrnoFault
 		}
@@ -922,13 +922,11 @@ func (s *System) pathOpen(in *wasm.Instance, a []uint64) Errno {
 	if err != nil {
 		return mapError(err)
 	}
-	fd := s.nextFD
-	s.nextFD++
-	s.fds[fd] = &fdEntry{
+	fd := s.install(&fdEntry{
 		kind: kindFile, handle: handle, path: path,
 		rights: rightsBase & rightsFile, inheriting: rightsInheriting,
 		fdflags: fdflags,
-	}
+	})
 	if in.Memory().WriteU32(uint32(a[8]), uint32(fd)) != nil {
 		return ErrnoFault
 	}
@@ -1088,6 +1086,7 @@ func writeEvent(mem *wasm.Memory, ptr uint32, userdata uint64, typ byte, nbytes 
 func (s *System) procExit(in *wasm.Instance, a []uint64) (Errno, error) {
 	s.exited = true
 	s.exitCode = uint32(a[0])
+	s.dirty = true
 	return ErrnoSuccess, wasm.ExitError{Code: uint32(a[0])}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"twine/internal/hostfs"
 	"twine/internal/ipfs"
@@ -164,6 +165,10 @@ type System struct {
 	exited   bool
 	exitCode uint32
 
+	// dirty is set by every call that changes the descriptor table or the
+	// exit state, so Reset of an untouched table is one compare.
+	dirty bool
+
 	// out is the stdio write in flight and outFn its bound run method:
 	// the host call crosses to the ring worker, so a per-call closure
 	// would be heap-allocated per iovec. A System serves one guest entry
@@ -213,21 +218,67 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = hostfs.NewRealClock()
 	}
-	s := &System{cfg: cfg, fds: make(map[int32]*fdEntry), nextFD: 3}
+	s := &System{cfg: cfg, fds: make(map[int32]*fdEntry)}
 	s.outFn = s.out.run
+	s.initTable()
+	return s, nil
+}
+
+// initTable installs the descriptor table NewSystem promises: stdio on
+// 0-2, then the preopens in sorted guest-path order with their initial
+// rights, and no exit recorded.
+func (s *System) initTable() {
+	clear(s.fds)
 	s.fds[0] = &fdEntry{kind: kindStdin, rights: RightFdRead}
 	s.fds[1] = &fdEntry{kind: kindStdout, rights: RightFdWrite}
 	s.fds[2] = &fdEntry{kind: kindStderr, rights: RightFdWrite}
-	for _, guest := range sortedKeys(cfg.Preopens) {
-		backendPath := cfg.Preopens[guest]
-		fd := s.nextFD
-		s.nextFD++
-		s.fds[fd] = &fdEntry{
-			kind: kindDir, path: backendPath, guest: guest, prestat: true,
+	s.nextFD = 3
+	for _, guest := range sortedKeys(s.cfg.Preopens) {
+		s.install(&fdEntry{
+			kind: kindDir, path: s.cfg.Preopens[guest], guest: guest, prestat: true,
 			rights: rightsDir | RightFdReaddir, inheriting: RightsAll,
+		})
+	}
+	s.exited, s.exitCode = false, 0
+	s.dirty = false
+}
+
+// install gives e the next descriptor number.
+func (s *System) install(e *fdEntry) int32 {
+	fd := s.nextFD
+	s.nextFD++
+	s.fds[fd] = e
+	s.dirty = true
+	return fd
+}
+
+// Reset returns the System to the table NewSystem built. Every handle the
+// guest left open is closed first, in descriptor order, so a protected
+// file's buffered writes are flushed here, inside the caller's ECALL.
+// Then stdio and the preopens are restored with their initial rights and
+// the exit state is cleared. The clock guards keep running, so guest time
+// never steps back across a reset. An untouched table costs one compare.
+// The table is pristine afterwards even when a close fails; the error is
+// the first failed close.
+func (s *System) Reset() error {
+	if !s.dirty {
+		return nil
+	}
+	var open []int32
+	for fd, e := range s.fds {
+		if e.kind == kindFile && e.handle != nil {
+			open = append(open, fd)
 		}
 	}
-	return s, nil
+	slices.Sort(open)
+	var err error
+	for _, fd := range open {
+		if cerr := s.fds[fd].handle.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}
+	s.initTable()
+	return err
 }
 
 func sortedKeys(m map[string]string) []string {
@@ -247,15 +298,6 @@ func sortedKeys(m map[string]string) []string {
 
 // Exited reports whether proc_exit ran, and with which code.
 func (s *System) Exited() (bool, uint32) { return s.exited, s.exitCode }
-
-// FdFingerprint summarises the descriptor-table shape: the number of open
-// descriptors and the next descriptor to be issued. The table starts at a
-// fixed fingerprint (3 stdio fds + the preopens, nextFD past them) and
-// nextFD is monotonic, so any open or close a guest performed — even a
-// balanced open-then-close pair — moves the fingerprint. The serving
-// pool's warm-reset path (PR 8) uses it as the cheap dirty check deciding
-// whether per-request isolation requires a fresh WASI clone.
-func (s *System) FdFingerprint() (open int, next int32) { return len(s.fds), s.nextFD }
 
 // forInstance resolves the System serving a call from in: the instance's
 // own System when one was bound through the wasm HostCtx, the registering

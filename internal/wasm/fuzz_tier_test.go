@@ -20,8 +20,7 @@ import (
 // walks that run to the end of memory, unsigned truncations,
 // serve-shaped byte folds that end in a host call), and runs it under all
 // four engines against a fake EPC pager — twice per engine, with a warm
-// ResetFromSnapshot in between, the way Registry.Submit serves a
-// FreshState tenant. Every
+// ResetFromSnapshot in between, the way every pool request ends. Every
 // observable of both calls must agree bit-for-bit with the interpreter:
 // result slots, trap kind AND message, final linear memory, globals, the
 // exact touch-hook call sequence, what the host function saw, and the
@@ -803,7 +802,7 @@ type tierOutcome struct {
 // runTierOnce executes the compiled module under one engine with a
 // fresh fake pager: a cold call, a warm ResetFromSnapshot to the
 // instantiation state, and a second call (which runs whether or not the
-// first trapped — reset is also the quarantine repair). mode: 0 = no
+// first trapped — a pool resets a failed request's worker too). mode: 0 = no
 // hook, 1 = plain hook (NoEPCTLB ablation), 2 = hook + generation word
 // (the production EPC-TLB shape).
 func runTierOnce(c *Compiled, eng Engine, mode byte, capPages int) ([2]tierOutcome, error) {

@@ -312,12 +312,6 @@ func (in *Instance) Ret1(v uint64) []uint64 {
 // HostCtx returns the opaque context configured at instantiation.
 func (in *Instance) HostCtx() any { return in.cfg.HostCtx }
 
-// SetHostCtx replaces the opaque host context. Worker repair uses it to
-// hand a reset instance a fresh WASI system: the old context may hold
-// descriptor state dirtied by the failed request. Must not race an
-// invocation in flight.
-func (in *Instance) SetHostCtx(ctx any) { in.cfg.HostCtx = ctx }
-
 // Module returns the underlying module.
 func (in *Instance) Module() *Module { return in.m }
 

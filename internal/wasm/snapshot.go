@@ -41,10 +41,9 @@ func (in *Instance) Snapshot() *Snapshot {
 
 // ResetFromSnapshot restores the instance's mutable state — linear
 // memory, globals and the indirect-call table — to snap, in place. It is
-// the repair half of worker quarantine (PR 6) and, since PR 8, the warm
-// path of the serving pool's free lists: a completed worker is stamped
-// back to the golden snapshot instead of being re-instantiated, so it
-// must be cheap. Resetting is exactly as strong as stamping out a new
+// the serving pool's per-request reset: every request's worker, failed or
+// not, is stamped back to the golden snapshot instead of being
+// re-instantiated, so it must be cheap. Resetting is exactly as strong as stamping out a new
 // worker (the snapshot is the same bytes) without re-allocating the
 // enclave arena, the value stack or the links. The memory buffer is
 // reused when capacity allows and the software EPC-TLB is dropped, so

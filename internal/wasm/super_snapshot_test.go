@@ -150,7 +150,7 @@ func TestSuperMidLoopSnapshotFidelity(t *testing.T) {
 		t.Errorf("superblock retired %d dispatches vs interp %d; expected a >2x drop", sr, base.retired)
 	}
 
-	// Repair path: reset a super instance to the interpreter's yield-2
+	// Reset path: reset a super instance to the interpreter's yield-2
 	// snapshot and finish; an interpreter instance reset the same way
 	// must land on the identical final state.
 	finish := func(eng Engine, snap *Snapshot) (uint64, []byte) {

@@ -477,7 +477,8 @@ func TestNarrowOpsParity(t *testing.T) {
 // superblock tier reaches them where a loop header may be patched (the
 // idiom checked fallback, or the register loop for a bailed region). Each
 // engine traps twice, with a warm ResetFromSnapshot in between: the
-// repair a quarantined worker gets, and the second trap must not move.
+// reset a pool worker gets after a failed request, and the second trap
+// must not move.
 func TestSuperTrapParityAllKinds(t *testing.T) {
 	// loopBody wraps a body in the canonical counted loop over local 0.
 	loopMod := func(n int32, mem bool, build func(f *wasmgen.Func, i uint32)) []byte {

@@ -29,15 +29,17 @@
 //	out, err := pool.Submit(args...)          // one request, any goroutine
 //	err = pool.Serve(n, argsFn, doneFn)       // a batch across all workers
 //
+// Every pool request ends with its worker reset to the golden snapshot —
+// guest memory, globals, table and WASI descriptor table — inside the
+// ECALL that served it, whether it returned or failed (a Wasm trap, a
+// failed host interaction), so no request sees another's state. State
+// that must outlive a request lives in an Instance or an EmbeddedDB.
 // Serving is fault-contained (PR 6): PoolConfig.MaxQueue bounds admission
-// (rejected work fails fast with ErrOverloaded), Pool.SubmitCtx's context
-// deadline bounds the wait for a worker and for a TCS, and a request that
-// corrupts its worker — a Wasm trap, a failed host interaction —
-// quarantines that worker and repairs it from the instantiation snapshot
-// before it serves again.
-// Transient host faults are retried at the WASI boundary
-// (Config.HostRetryMax) and never quarantine. The seeded fault-injection
-// harness behind the fault tests is exported as FaultPlan/FaultInjector.
+// (rejected work fails fast with ErrOverloaded) and Pool.SubmitCtx's
+// context deadline bounds the wait for a worker and for a TCS. Transient
+// host faults are retried at the WASI boundary (Config.HostRetryMax). The
+// seeded fault-injection harness behind the fault tests is exported as
+// FaultPlan/FaultInjector.
 //
 // Multi-tenant serving (PR 8) goes through a Registry: tenants register
 // named (module, config) pairs, compiled code is shared content-addressed
@@ -48,9 +50,9 @@
 //	a, err := reg.Register("tenant-a", wasmBytes, twine.TenantConfig{})
 //	out, err := reg.Submit("tenant-a", args...)  // or a.Submit(args...)
 //
-// Tenants serve FreshState by default: each request sees the golden
-// snapshot, restored by an in-place warm reset of the completed worker
-// (no re-instantiation on the hot path). Per-tenant queue shares
+// A tenant's pool serves under the same reset: each request sees the
+// tenant's golden snapshot, restored in place (no re-instantiation on the
+// hot path). Per-tenant queue shares
 // (TenantConfig.MaxQueue) make overload a private failure — a saturated
 // tenant's submits fail with ErrOverloaded while its neighbours keep
 // serving — and per-tenant latency quantiles land in RegistryStats.
@@ -117,10 +119,9 @@ type (
 	// MaxQueue caps waiting submits (PR 6); the caller's context bounds
 	// how long one waits (Pool.SubmitCtx).
 	PoolConfig = core.PoolConfig
-	// PoolStats counts completed requests, pool-level waits, the
-	// fault-containment activity (rejected/timed-out admissions,
-	// quarantined/repaired workers) and the serving mode attribution
-	// (warm in-place resets vs cold per-request instantiations, PR 8).
+	// PoolStats counts served requests and their resets, pool-level
+	// waits, rejected and timed-out admissions, and the swap tier's
+	// suspends and resumes.
 	PoolStats = core.PoolStats
 	// Registry is the multi-tenant serving front door (PR 8): a
 	// content-addressed compiled-module cache plus a named tenant table.
@@ -134,7 +135,7 @@ type (
 	// pool.
 	Tenant = core.Tenant
 	// TenantConfig shapes one tenant's pool; the zero value is a
-	// one-worker FreshState tenant (per-request isolation by warm reset).
+	// one-worker tenant with an unbounded queue.
 	TenantConfig = core.TenantConfig
 	// TenantStats is one tenant's accounting: pool counters plus latency
 	// quantiles.
@@ -237,8 +238,7 @@ var (
 func NewFaultInjector(p FaultPlan) *FaultInjector { return chaos.New(p) }
 
 // TransientFault marks err as transient — "the call never happened, no
-// side effect" — which makes it retryable at the WASI boundary and exempt
-// from worker quarantine.
+// side effect" — which makes it retryable at the WASI boundary.
 func TransientFault(err error) error { return chaos.Transient(err) }
 
 // IsTransientFault reports whether err is transient in the sense of
