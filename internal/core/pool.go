@@ -243,6 +243,15 @@ func (rt *Runtime) NewPool(mod *Module, cfg PoolConfig) (*Pool, error) {
 		})
 	}
 
+	// A pool that fails to build hands back every arena it took.
+	var built []*Instance
+	fail := func(err error) (*Pool, error) {
+		for _, inst := range built {
+			_ = rt.Enclave.ECall("twine_suspend", inst.Release)
+		}
+		return nil, err
+	}
+
 	// Worker 0: the expensive path, once.
 	sys0, err := p.newSys(0)
 	if err != nil {
@@ -252,6 +261,7 @@ func (rt *Runtime) NewPool(mod *Module, cfg PoolConfig) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
+	built = append(built, first)
 	if cfg.Init != "" {
 		// The golden state is Init's memory over the descriptor table
 		// NewSystem built: what Init left open is closed in its ECALL.
@@ -261,7 +271,7 @@ func (rt *Runtime) NewPool(mod *Module, cfg PoolConfig) (*Pool, error) {
 			}
 			return first.Sys.Reset()
 		}); err != nil {
-			return nil, fmt.Errorf("twine: pool init %q: %w", cfg.Init, err)
+			return fail(fmt.Errorf("twine: pool init %q: %w", cfg.Init, err))
 		}
 	}
 	p.snap = first.In.Snapshot()
@@ -271,12 +281,13 @@ func (rt *Runtime) NewPool(mod *Module, cfg PoolConfig) (*Pool, error) {
 	for i := 1; i < cfg.Workers; i++ {
 		sys, err := p.newSys(i)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		w, err := rt.newInstance(mod, sys, p.snap)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
+		built = append(built, w)
 		p.free = append(p.free, &worker{Instance: w, id: i, idleSince: time.Now()})
 	}
 	if p.swap != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -312,6 +313,39 @@ func TestPoolCloseReleasesArenas(t *testing.T) {
 	rt.Enclave.Destroy()
 	if err := last.Close(); err != nil {
 		t.Errorf("Close after Destroy = %v, want nil", err)
+	}
+}
+
+// TestNewPoolFailureReleasesArenas: a pool that fails to build, here
+// because Init names an export the module lacks, hands back the arenas
+// it had taken, so the allocator returns to its baseline; so does a
+// tenant whose Register fails the same way.
+func TestNewPoolFailureReleasesArenas(t *testing.T) {
+	rt := poolRuntime(t, 2)
+	defer rt.Enclave.Destroy()
+	mod, err := rt.LoadModule(pureModule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, baseline := rt.Enclave.Allocator().Stats()
+	for i := 0; i < 5; i++ {
+		if _, err := rt.NewPool(mod, PoolConfig{Workers: 2, Init: "missing"}); err == nil {
+			t.Fatalf("pool %d: NewPool with a missing Init export succeeded", i)
+		}
+	}
+	if _, _, got := rt.Enclave.Allocator().Stats(); got != baseline {
+		t.Fatalf("allocator in-use %d after 5 failed pools, want %d", got, baseline)
+	}
+	reg := rt.NewRegistry(RegistryConfig{})
+	defer reg.Close()
+	for i := 0; i < 5; i++ {
+		name := fmt.Sprintf("t%d", i)
+		if _, err := reg.Register(name, pureModule(), TenantConfig{Workers: 2, Init: "missing"}); err == nil {
+			t.Fatalf("Register %s with a missing Init export succeeded", name)
+		}
+	}
+	if _, _, got := rt.Enclave.Allocator().Stats(); got != baseline {
+		t.Fatalf("allocator in-use %d after 5 failed Registers, want %d", got, baseline)
 	}
 }
 

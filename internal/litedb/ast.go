@@ -90,6 +90,11 @@ type SelectStmt struct {
 	OrderBy  []OrderTerm
 	Limit    Expr
 	Offset   Expr
+
+	// reads is the set of columns the statement reads, computed when it
+	// first runs. Like the binding of its column references, it assumes
+	// the statement is not edited after it has run.
+	reads *colReads
 }
 
 // UpdateStmt is UPDATE.

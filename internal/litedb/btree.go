@@ -826,20 +826,14 @@ func (t *Tree) MaxRowid() (int64, error) {
 
 // maxRowidScan is the slow path when the rightmost leaf is empty.
 func (t *Tree) maxRowidScan() (int64, error) {
-	cur, err := t.Cursor()
-	if err != nil {
-		return 0, err
-	}
 	var max int64
-	for cur.Valid() {
-		if r := cur.Rowid(); r > max {
-			max = r
+	err := t.Scan(-1<<63, func(rowid int64, _ []byte) (bool, error) {
+		if rowid > max {
+			max = rowid
 		}
-		if err := cur.Next(); err != nil {
-			return 0, err
-		}
-	}
-	return max, nil
+		return true, nil
+	})
+	return max, err
 }
 
 // --- delete ---

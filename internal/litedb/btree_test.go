@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -204,27 +205,21 @@ func TestBtreeSplitsManyRows(t *testing.T) {
 	mustCommit(t, p)
 
 	// Full scan sees everything in order.
-	cur, err := tree.Cursor()
-	if err != nil {
-		t.Fatalf("Cursor: %v", err)
-	}
 	var count int64
 	last := int64(0)
-	for cur.Valid() {
-		r := cur.Rowid()
+	err = tree.Scan(-1<<63, func(r int64, pl []byte) (bool, error) {
 		if r <= last {
 			t.Fatalf("out of order: %d after %d", r, last)
-		}
-		pl, err := cur.Payload()
-		if err != nil {
-			t.Fatalf("Payload: %v", err)
 		}
 		if pl[0] != byte(r) || len(pl) != 200 {
 			t.Fatalf("row %d payload corrupt", r)
 		}
 		last = r
 		count++
-		cur.Next()
+		return true, nil
+	})
+	if err != nil {
+		t.Fatalf("Scan: %v", err)
 	}
 	if count != n {
 		t.Errorf("scanned %d rows, want %d", count, n)
@@ -266,13 +261,7 @@ func TestBtreeReplace(t *testing.T) {
 		t.Errorf("replaced value = %q, %v", got, ok)
 	}
 	// Still exactly one row.
-	cur, _ := tree.Cursor()
-	n := 0
-	for cur.Valid() {
-		n++
-		cur.Next()
-	}
-	if n != 1 {
+	if n := len(scanRowids(t, tree, -1<<63)); n != 1 {
 		t.Errorf("row count after replace = %d", n)
 	}
 }
@@ -295,12 +284,10 @@ func TestBtreeDelete(t *testing.T) {
 		t.Error("deleted a ghost row")
 	}
 	mustCommit(t, p)
-	cur, _ := tree.Cursor()
-	for cur.Valid() {
-		if cur.Rowid()%2 == 0 {
-			t.Fatalf("even rowid %d survived delete", cur.Rowid())
+	for _, r := range scanRowids(t, tree, -1<<63) {
+		if r%2 == 0 {
+			t.Fatalf("even rowid %d survived delete", r)
 		}
-		cur.Next()
 	}
 	for i := int64(1); i <= 500; i += 2 {
 		if _, ok, _ := tree.Get(i); !ok {
@@ -360,21 +347,30 @@ func TestBtreeCursorSeek(t *testing.T) {
 		tree.Insert(i, []byte{1})
 	}
 	mustCommit(t, p)
-	cur, err := tree.CursorGE(95)
+	if got := scanRowids(t, tree, 95); len(got) == 0 || got[0] != 100 {
+		t.Errorf("seek(95) landed on %v, want 100", got)
+	}
+	if got := scanRowids(t, tree, 100); len(got) == 0 || got[0] != 100 {
+		t.Errorf("seek(100) landed on %v", got)
+	}
+	if got := scanRowids(t, tree, 1001); len(got) != 0 {
+		t.Errorf("seek past end found %v", got)
+	}
+}
+
+// scanRowids returns the rowids of a table tree from start on, in scan
+// order.
+func scanRowids(t *testing.T, tree *Tree, start int64) []int64 {
+	t.Helper()
+	var out []int64
+	err := tree.Scan(start, func(r int64, _ []byte) (bool, error) {
+		out = append(out, r)
+		return true, nil
+	})
 	if err != nil {
-		t.Fatalf("CursorGE: %v", err)
+		t.Fatalf("Scan: %v", err)
 	}
-	if !cur.Valid() || cur.Rowid() != 100 {
-		t.Errorf("seek(95) landed on %d, want 100", cur.Rowid())
-	}
-	cur, _ = tree.CursorGE(100)
-	if cur.Rowid() != 100 {
-		t.Errorf("seek(100) landed on %d", cur.Rowid())
-	}
-	cur, _ = tree.CursorGE(1001)
-	if cur.Valid() {
-		t.Error("seek past end still valid")
-	}
+	return out
 }
 
 func TestIndexTree(t *testing.T) {
@@ -514,17 +510,12 @@ func matchesModel(tree *Tree, model map[int64][]byte) bool {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	cur, err := tree.Cursor()
-	if err != nil {
-		return false
-	}
-	for _, k := range keys {
-		if !cur.Valid() || cur.Rowid() != k {
-			return false
-		}
-		cur.Next()
-	}
-	return !cur.Valid()
+	var got []int64
+	err := tree.Scan(-1<<63, func(r int64, _ []byte) (bool, error) {
+		got = append(got, r)
+		return true, nil
+	})
+	return err == nil && slices.Equal(got, keys)
 }
 
 // auditTree runs PRAGMA integrity_check's walk over a pager that holds one
@@ -775,6 +766,23 @@ func TestRecordPropertyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRecordRejectsHugeSerialType: a serial type whose body size does not
+// fit an int is a corrupt record, reported as an error by both decoders,
+// not a slice-bounds panic.
+func TestRecordRejectsHugeSerialType(t *testing.T) {
+	hdr := binary.AppendUvarint(nil, ^uint64(0)-1)
+	rec := append([]byte{byte(len(hdr) + 1)}, hdr...)
+	if _, err := DecodeRecord(rec); err == nil {
+		t.Error("DecodeRecord accepted a serial type of 2^64-2")
+	}
+	ts := &TableSchema{Cols: []ColumnDef{{Name: "a"}}, RowidPK: -1}
+	for _, need := range [][]bool{nil, {false}} {
+		if err := ts.decodeRow(make([]Value, 1), 1, rec, need); err == nil {
+			t.Errorf("decodeRow(need %v) accepted a serial type of 2^64-2", need)
+		}
 	}
 }
 

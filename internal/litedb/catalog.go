@@ -133,25 +133,17 @@ func (db *DB) loadCatalog() error {
 	db.dropParsed()
 	db.tables = make(map[string]*TableSchema)
 	db.indexes = make(map[string]*IndexSchema)
-	cur, err := db.catalog.Cursor()
-	if err != nil {
-		return err
-	}
 	type pendingIdx struct {
 		idx *IndexSchema
 	}
 	var pending []pendingIdx
-	for cur.Valid() {
-		payload, err := cur.Payload()
-		if err != nil {
-			return err
-		}
+	err := db.catalog.Scan(-1<<63, func(rowid int64, payload []byte) (bool, error) {
 		row, err := DecodeRecord(payload)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if len(row) < 5 {
-			return fmt.Errorf("%w: catalog row too short", ErrCorrupt)
+			return false, fmt.Errorf("%w: catalog row too short", ErrCorrupt)
 		}
 		kind, name, tbl := row[0].Text(), row[1].Text(), row[2].Text()
 		root := uint32(row[3].Int())
@@ -159,9 +151,9 @@ func (db *DB) loadCatalog() error {
 		case "table":
 			cols, err := decodeTableDef(row[4].Text())
 			if err != nil {
-				return err
+				return false, err
 			}
-			ts := &TableSchema{Name: name, Cols: cols, Root: root, RowidPK: -1, catRowid: cur.Rowid()}
+			ts := &TableSchema{Name: name, Cols: cols, Root: root, RowidPK: -1, catRowid: rowid}
 			for i, c := range cols {
 				if c.PrimaryKey && c.Affinity == Integer {
 					ts.RowidPK = i
@@ -171,16 +163,17 @@ func (db *DB) loadCatalog() error {
 		case "index":
 			cols, unique, err := decodeIndexDef(row[4].Text())
 			if err != nil {
-				return err
+				return false, err
 			}
-			idx := &IndexSchema{Name: name, Table: tbl, Cols: cols, Unique: unique, Root: root, catRowid: cur.Rowid()}
+			idx := &IndexSchema{Name: name, Table: tbl, Cols: cols, Unique: unique, Root: root, catRowid: rowid}
 			pending = append(pending, pendingIdx{idx})
 		default:
-			return fmt.Errorf("%w: unknown catalog kind %q", ErrCorrupt, kind)
+			return false, fmt.Errorf("%w: unknown catalog kind %q", ErrCorrupt, kind)
 		}
-		if err := cur.Next(); err != nil {
-			return err
-		}
+		return true, nil
+	})
+	if err != nil {
+		return err
 	}
 	for _, p := range pending {
 		ts, ok := db.tables[strings.ToLower(p.idx.Table)]

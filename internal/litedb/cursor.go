@@ -1,9 +1,76 @@
 package litedb
 
-// Cursor iterates a tree in key order. It stores (page, index) rather than
-// pinning pages, so it stays valid across cache evictions; mutating the
-// tree while a cursor is open invalidates it (the executor materialises
-// target rowids before UPDATE/DELETE for this reason).
+// Two ways to walk a tree in key order.
+//
+// Table trees are walked by Scan, which holds each leaf under one pin for
+// as long as its rows are visited: a row costs one PageStore access, the
+// leaf's Pager.Get for its first row and a Pager.touch for each other. The
+// pin is released when the walk moves on or stops, so the walk must not
+// mutate the tree (the executor materialises target rowids before
+// UPDATE/DELETE for this reason).
+//
+// Index trees are walked by a Cursor, which stores (page, index) rather
+// than pinning pages, so it stays valid across cache evictions; mutating
+// the tree while a cursor is open invalidates it.
+
+// Scan calls fn with every row of a table tree whose rowid is >= start,
+// in rowid order, until fn returns false or an error, which Scan returns.
+// payload aliases the page, or for an overflowing row a buffer the next
+// row reuses: it is valid only until fn returns.
+func (t *Tree) Scan(start int64, fn func(rowid int64, payload []byte) (bool, error)) error {
+	pgNo := t.root
+	var pg *Page
+	for {
+		p, err := t.pg.Get(pgNo)
+		if err != nil {
+			return err
+		}
+		if isLeaf(p.data) {
+			pg = p
+			break
+		}
+		_, child := t.interiorFind(p.data, start, nil)
+		t.pg.Unpin(p)
+		pgNo = child
+	}
+	idx, _ := t.leafFind(pg.data, start, nil)
+	var ovf []byte
+	fresh := true // the Get that pinned the leaf paid for its first row
+	for {
+		for n := cellCount(pg.data); idx < n; idx++ {
+			if !fresh {
+				t.pg.touch(pg)
+			}
+			fresh = false
+			rowid, total, inline, head, _ := parseTableLeafCell(cellBytes(pg.data, idx))
+			payload := inline
+			if total > maxLocal {
+				var err error
+				if ovf, err = t.readOverflow(append(ovf[:0], inline...), head); err != nil {
+					t.pg.Unpin(pg)
+					return err
+				}
+				payload = ovf
+			}
+			if more, err := fn(rowid, payload); err != nil || !more {
+				t.pg.Unpin(pg)
+				return err
+			}
+		}
+		next := rightPtr(pg.data)
+		t.pg.Unpin(pg)
+		if next == 0 {
+			return nil
+		}
+		var err error
+		if pg, err = t.pg.Get(next); err != nil {
+			return err
+		}
+		idx, fresh = 0, true
+	}
+}
+
+// Cursor iterates an index tree in key order.
 type Cursor struct {
 	t     *Tree
 	pgNo  uint32
@@ -27,35 +94,17 @@ func (t *Tree) Cursor() (*Cursor, error) {
 			c.valid = true
 			return c, c.skipEmpty()
 		}
-		var child uint32
-		if cellCount(pg.data) == 0 {
-			child = rightPtr(pg.data)
-		} else {
-			cb := cellBytes(pg.data, 0)
-			if t.isIndex {
-				child, _, _ = parseIndexInteriorCell(cb)
-			} else {
-				child, _, _ = parseTableInteriorCell(cb)
-			}
+		child := rightPtr(pg.data)
+		if cellCount(pg.data) > 0 {
+			child, _, _ = parseIndexInteriorCell(cellBytes(pg.data, 0))
 		}
 		t.pg.Unpin(pg)
 		pgNo = child
 	}
 }
 
-// CursorGE returns a cursor at the first entry with rowid >= target
-// (table trees).
-func (t *Tree) CursorGE(rowid int64) (*Cursor, error) {
-	return t.seek(rowid, nil)
-}
-
-// CursorKeyGE returns a cursor at the first entry with key >= target
-// (index trees).
+// CursorKeyGE returns a cursor at the first entry with key >= target.
 func (t *Tree) CursorKeyGE(key []byte) (*Cursor, error) {
-	return t.seek(0, key)
-}
-
-func (t *Tree) seek(rowid int64, key []byte) (*Cursor, error) {
 	c := &Cursor{t: t}
 	pgNo := t.root
 	for {
@@ -64,14 +113,14 @@ func (t *Tree) seek(rowid int64, key []byte) (*Cursor, error) {
 			return nil, err
 		}
 		if isLeaf(pg.data) {
-			idx, _ := t.leafFind(pg.data, rowid, key)
+			idx, _ := t.leafFind(pg.data, 0, key)
 			t.pg.Unpin(pg)
 			c.pgNo = pgNo
 			c.idx = idx
 			c.valid = true
 			return c, c.skipEmpty()
 		}
-		_, child := t.interiorFind(pg.data, rowid, key)
+		_, child := t.interiorFind(pg.data, 0, key)
 		t.pg.Unpin(pg)
 		pgNo = child
 	}
@@ -111,32 +160,6 @@ func (c *Cursor) Next() error {
 	}
 	c.idx++
 	return c.skipEmpty()
-}
-
-// Rowid returns the current table-tree rowid.
-func (c *Cursor) Rowid() int64 {
-	pg, err := c.t.pg.Get(c.pgNo)
-	if err != nil {
-		return 0
-	}
-	defer c.t.pg.Unpin(pg)
-	r, _, _, _, _ := parseTableLeafCell(cellBytes(pg.data, c.idx))
-	return r
-}
-
-// Payload returns a copy of the current table-tree payload.
-func (c *Cursor) Payload() ([]byte, error) {
-	pg, err := c.t.pg.Get(c.pgNo)
-	if err != nil {
-		return nil, err
-	}
-	_, total, inline, ovf, _ := parseTableLeafCell(cellBytes(pg.data, c.idx))
-	out := append([]byte(nil), inline...)
-	c.t.pg.Unpin(pg)
-	if total > maxLocal {
-		return c.t.readOverflow(out, ovf)
-	}
-	return out, nil
 }
 
 // Key returns a copy of the current index-tree key.

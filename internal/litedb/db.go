@@ -367,25 +367,15 @@ func (db *DB) createIndexOn(name string, ts *TableSchema, cols []string, unique 
 		idx.ColIdxs = append(idx.ColIdxs, ci)
 	}
 	// Populate from existing rows.
-	tcur, err := db.treeOf(ts).Cursor()
+	row := make([]Value, len(ts.Cols))
+	err = db.treeOf(ts).Scan(-1<<63, func(rowid int64, payload []byte) (bool, error) {
+		if err := ts.decodeRow(row, rowid, payload, nil); err != nil {
+			return false, err
+		}
+		return true, tree.InsertKey(idx.indexKey(row, rowid))
+	})
 	if err != nil {
 		return err
-	}
-	for tcur.Valid() {
-		payload, err := tcur.Payload()
-		if err != nil {
-			return err
-		}
-		row, err := ts.decodeRow(tcur.Rowid(), payload)
-		if err != nil {
-			return err
-		}
-		if err := tree.InsertKey(idx.indexKey(row, tcur.Rowid())); err != nil {
-			return err
-		}
-		if err := tcur.Next(); err != nil {
-			return err
-		}
 	}
 	rowid, err := db.catalogInsert("index", name, ts.Name, tree.Root(), encodeIndexDef(cols, unique))
 	if err != nil {
@@ -524,16 +514,13 @@ func (db *DB) execAnalyze() error {
 		if ts == stats {
 			continue
 		}
-		cur, err := db.treeOf(ts).Cursor()
+		var n int64
+		err := db.treeOf(ts).Scan(-1<<63, func(int64, []byte) (bool, error) {
+			n++
+			return true, nil
+		})
 		if err != nil {
 			return err
-		}
-		var n int64
-		for cur.Valid() {
-			n++
-			if err := cur.Next(); err != nil {
-				return err
-			}
 		}
 		rowid, err := db.nextRowid(stats)
 		if err != nil {
@@ -550,17 +537,11 @@ func (db *DB) execAnalyze() error {
 // compacted — documented deviation from SQLite.
 func (db *DB) execVacuum() error {
 	for _, ts := range db.tables {
-		cur, err := db.treeOf(ts).Cursor()
+		err := db.treeOf(ts).Scan(-1<<63, func(int64, []byte) (bool, error) {
+			return true, nil
+		})
 		if err != nil {
 			return err
-		}
-		for cur.Valid() {
-			if _, err := cur.Payload(); err != nil {
-				return err
-			}
-			if err := cur.Next(); err != nil {
-				return err
-			}
 		}
 		for _, idx := range ts.Indexes {
 			icur, err := db.idxTreeOf(idx).Cursor()

@@ -1,7 +1,10 @@
 package litedb
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -31,25 +34,62 @@ func (ts *TableSchema) encodeRow(vals []Value) []byte {
 	return EncodeRecord(nil, vals)
 }
 
-// decodeRow parses a stored row, padding columns added by ALTER TABLE and
-// substituting the rowid for its aliasing column.
-func (ts *TableSchema) decodeRow(rowid int64, payload []byte) ([]Value, error) {
-	row, err := DecodeRecord(payload)
-	if err != nil {
-		return nil, err
+// decodeRow decodes the stored row rec into row, which has one slot per
+// column of the table. With need nil every column is decoded; otherwise
+// only the columns i < len(need) with need[i] set are, and the other slots
+// keep what they held. Columns added by ALTER TABLE after the row was
+// stored take their default, and the rowid-aliasing column the rowid. No
+// value aliases rec (text and blobs are copied), so rec may be page
+// memory and row may be reused for the next row.
+func (ts *TableSchema) decodeRow(row []Value, rowid int64, rec []byte, need []bool) error {
+	last := len(row)
+	if need != nil {
+		last = len(need)
 	}
-	for len(row) < len(ts.Cols) {
-		c := ts.Cols[len(row)]
-		if c.Default != nil {
-			row = append(row, *c.Default)
+	hl, n := binary.Uvarint(rec)
+	if n <= 0 || hl > uint64(len(rec)) || hl < uint64(n) {
+		return fmt.Errorf("%w: bad record header", ErrCorrupt)
+	}
+	hdr, body := rec[n:hl], rec[hl:]
+	i := 0
+	for ; i < last && len(hdr) > 0; i++ {
+		st, sn := binary.Uvarint(hdr)
+		if sn <= 0 {
+			return fmt.Errorf("%w: bad serial type", ErrCorrupt)
+		}
+		hdr = hdr[sn:]
+		if need != nil && !need[i] {
+			size, ok := serialSize(st)
+			if !ok || size > uint64(len(body)) {
+				return fmt.Errorf("%w: bad record body", ErrCorrupt)
+			}
+			body = body[size:]
+			continue
+		}
+		v, size, err := decodeSerial(st, body)
+		if err != nil {
+			return err
+		}
+		if v.typ == Blob {
+			v.b = bytes.Clone(v.b)
+		}
+		row[i] = v
+		body = body[size:]
+	}
+	for ; i < last; i++ {
+		if need != nil && !need[i] {
+			continue
+		}
+		if d := ts.Cols[i].Default; d != nil {
+			row[i] = *d
 		} else {
-			row = append(row, NullVal())
+			row[i] = NullVal()
 		}
 	}
 	if ts.RowidPK >= 0 {
 		row[ts.RowidPK] = IntVal(rowid)
 	}
-	return row, nil
+	return nil
 }
 
 // indexKey builds the index entry for a row: indexed values plus rowid.
@@ -167,8 +207,8 @@ func (db *DB) deleteRowByID(ts *TableSchema, rowid int64) error {
 	if err != nil || !ok {
 		return err
 	}
-	row, err := ts.decodeRow(rowid, payload)
-	if err != nil {
+	row := make([]Value, len(ts.Cols))
+	if err := ts.decodeRow(row, rowid, payload, nil); err != nil {
 		return err
 	}
 	for _, idx := range ts.Indexes {
@@ -212,6 +252,9 @@ type accessPath struct {
 	lo, hi   Expr // rowid range bounds (nil = open)
 	loStrict bool
 	hiStrict bool
+	// loCond and hiCond index the conjuncts that set lo and hi (-1: none,
+	// or a BETWEEN, which always keeps its per-row check).
+	loCond, hiCond int
 }
 
 // splitConjuncts flattens an AND tree.
@@ -229,48 +272,12 @@ func splitConjuncts(e Expr, out []Expr) []Expr {
 // maxSrcOf returns the highest source index referenced (-1 for none).
 func maxSrcOf(e Expr) int {
 	max := -1
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case *ColRef:
-			if x.bound && x.src > max {
-				max = x.src
-			}
-		case *Unary:
-			walk(x.X)
-		case *Binary:
-			walk(x.L)
-			walk(x.R)
-		case *Like:
-			walk(x.X)
-			walk(x.Pattern)
-		case *InList:
-			walk(x.X)
-			for _, it := range x.List {
-				walk(it)
-			}
-		case *Between:
-			walk(x.X)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *IsNull:
-			walk(x.X)
-		case *Call:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *CaseExpr:
-			walk(x.Operand)
-			for _, w := range x.Whens {
-				walk(w.Cond)
-				walk(w.Res)
-			}
-			walk(x.Else)
-		case *Cast:
-			walk(x.X)
+	walkExpr(e, func(e Expr) bool {
+		if cr, ok := e.(*ColRef); ok && cr.bound && cr.src > max {
+			max = cr.src
 		}
-	}
-	walk(e)
+		return true
+	})
 	return max
 }
 
@@ -291,14 +298,16 @@ func colOf(e Expr, src int) (int, bool) {
 
 // planAccess picks an access path for source level from its conjuncts.
 func planAccess(ts *TableSchema, level int, conds []Expr) accessPath {
-	path := accessPath{kind: pathFull}
-	for _, c := range conds {
+	path := accessPath{kind: pathFull, loCond: -1, hiCond: -1}
+	for k, c := range conds {
 		b, ok := c.(*Binary)
 		if !ok {
 			if bt, ok := c.(*Between); ok && isRowidRef(bt.X, level) && !bt.Not &&
 				maxSrcOf(bt.Lo) < level && maxSrcOf(bt.Hi) < level {
 				path.kind = pathRowidRange
 				path.lo, path.hi = bt.Lo, bt.Hi
+				path.loStrict, path.hiStrict = false, false
+				path.loCond, path.hiCond = -1, -1
 				return path
 			}
 			continue
@@ -330,12 +339,12 @@ func planAccess(ts *TableSchema, level int, conds []Expr) accessPath {
 			case ">", ">=":
 				if path.kind == pathFull || path.kind == pathRowidRange {
 					path.kind = pathRowidRange
-					path.lo, path.loStrict = r, op == ">"
+					path.lo, path.loStrict, path.loCond = r, op == ">", k
 				}
 			case "<", "<=":
 				if path.kind == pathFull || path.kind == pathRowidRange {
 					path.kind = pathRowidRange
-					path.hi, path.hiStrict = r, op == "<"
+					path.hi, path.hiStrict, path.hiCond = r, op == "<", k
 				}
 			}
 			continue
@@ -360,18 +369,28 @@ func planAccess(ts *TableSchema, level int, conds []Expr) accessPath {
 
 // scanSource enumerates one FROM source under its access path, filtering
 // with its conjuncts, and calls emit with (rowid, row) bound into ctx.
-func (db *DB) scanSource(ts *TableSchema, level int, conds []Expr, ctx *evalCtx, emit func() error) error {
+// Every row is decoded into the same buffer, ctx.rows[level], and only
+// the columns need marks (all when need is nil, see decodeRow).
+func (db *DB) scanSource(ts *TableSchema, level int, conds []Expr, need []bool, ctx *evalCtx, emit func() error) error {
 	path := planAccess(ts, level, conds)
 	tree := db.treeOf(ts)
+	row := ctx.rows[level]
+	if len(row) != len(ts.Cols) {
+		row = make([]Value, len(ts.Cols))
+		ctx.rows[level] = row
+	}
+	// The conjuncts a rowid range enforces exactly are not checked again.
+	skipLo, skipHi := -1, -1
 
 	try := func(rowid int64, payload []byte) error {
-		row, err := ts.decodeRow(rowid, payload)
-		if err != nil {
+		if err := ts.decodeRow(row, rowid, payload, need); err != nil {
 			return err
 		}
-		ctx.rows[level] = row
 		ctx.rowids[level] = rowid
-		for _, c := range conds {
+		for k, c := range conds {
+			if k == skipLo || k == skipHi {
+				continue
+			}
 			v, err := eval(c, ctx)
 			if err != nil {
 				return err
@@ -381,6 +400,15 @@ func (db *DB) scanSource(ts *TableSchema, level int, conds []Expr, ctx *evalCtx,
 			}
 		}
 		return emit()
+	}
+	// get visits the row with rowid id, if there is one.
+	get := func(id int64) error {
+		return tree.Scan(id, func(rowid int64, payload []byte) (bool, error) {
+			if rowid != id {
+				return false, nil
+			}
+			return false, try(rowid, payload)
+		})
 	}
 
 	switch path.kind {
@@ -392,65 +420,45 @@ func (db *DB) scanSource(ts *TableSchema, level int, conds []Expr, ctx *evalCtx,
 		if v.IsNull() {
 			return nil
 		}
-		payload, ok, err := tree.Get(v.Int())
-		if err != nil || !ok {
-			return err
-		}
-		return try(v.Int(), payload)
+		return get(v.Int())
 
 	case pathRowidRange:
 		// Explicit INTEGER PRIMARY KEY values may be zero or negative, so
 		// an open lower bound starts at the smallest representable rowid,
 		// not at the first automatic one.
-		start := int64(-1 << 63)
+		start, end := int64(math.MinInt64), int64(math.MaxInt64)
 		if path.lo != nil {
 			v, err := eval(path.lo, ctx)
 			if err != nil {
 				return err
 			}
-			if v.IsNull() {
+			lo, exact, ok := rangeStart(v, path.loStrict)
+			if !ok {
 				return nil
 			}
-			start = v.Int()
-			if path.loStrict {
-				start++
+			if start = lo; exact {
+				skipLo = path.loCond
 			}
 		}
-		var end int64 = 1<<63 - 1
 		if path.hi != nil {
 			v, err := eval(path.hi, ctx)
 			if err != nil {
 				return err
 			}
-			if v.IsNull() {
+			hi, exact, ok := rangeEnd(v, path.hiStrict)
+			if !ok {
 				return nil
 			}
-			end = v.Int()
-			if path.hiStrict {
-				end--
+			if end = hi; exact {
+				skipHi = path.hiCond
 			}
 		}
-		cur, err := tree.CursorGE(start)
-		if err != nil {
-			return err
-		}
-		for cur.Valid() {
-			rowid := cur.Rowid()
+		return tree.Scan(start, func(rowid int64, payload []byte) (bool, error) {
 			if rowid > end {
-				return nil
+				return false, nil
 			}
-			payload, err := cur.Payload()
-			if err != nil {
-				return err
-			}
-			if err := try(rowid, payload); err != nil {
-				return err
-			}
-			if err := cur.Next(); err != nil {
-				return err
-			}
-		}
-		return nil
+			return true, try(rowid, payload)
+		})
 
 	case pathIndexEq:
 		v, err := eval(path.eq, ctx)
@@ -477,15 +485,8 @@ func (db *DB) scanSource(ts *TableSchema, level int, conds []Expr, ctx *evalCtx,
 			if len(kvals) < 2 || Compare(kvals[0], v) != 0 {
 				return nil // past the matching prefix
 			}
-			rowid := kvals[len(kvals)-1].Int()
-			payload, ok, err := tree.Get(rowid)
-			if err != nil {
+			if err := get(kvals[len(kvals)-1].Int()); err != nil {
 				return err
-			}
-			if ok {
-				if err := try(rowid, payload); err != nil {
-					return err
-				}
 			}
 			if err := cur.Next(); err != nil {
 				return err
@@ -494,23 +495,61 @@ func (db *DB) scanSource(ts *TableSchema, level int, conds []Expr, ctx *evalCtx,
 		return nil
 
 	default: // full scan
-		cur, err := tree.Cursor()
-		if err != nil {
-			return err
+		return tree.Scan(math.MinInt64, func(rowid int64, payload []byte) (bool, error) {
+			return true, try(rowid, payload)
+		})
+	}
+}
+
+// rangeStart returns the first rowid a scan for "rowid >= v" (> when
+// strict) must visit, whether every rowid from there on passes that
+// comparison, so that it need not be checked per row, and false when no
+// rowid can pass. Only an INTEGER bound is exact. A REAL one starts at or
+// below the first rowid that passes; a TEXT or BLOB one, which every
+// integer sorts below, passes none.
+func rangeStart(v Value, strict bool) (start int64, exact, ok bool) {
+	switch v.Type() {
+	case Integer:
+		if !strict {
+			return v.i, true, true
 		}
-		for cur.Valid() {
-			payload, err := cur.Payload()
-			if err != nil {
-				return err
-			}
-			if err := try(cur.Rowid(), payload); err != nil {
-				return err
-			}
-			if err := cur.Next(); err != nil {
-				return err
-			}
+		if v.i == math.MaxInt64 {
+			return 0, false, false
 		}
-		return nil
+		return v.i + 1, true, true
+	case Real:
+		// Beyond ±2^52 (and for NaN) an int64 does not compare with the
+		// bound exactly; the per-row check decides from the first rowid.
+		if math.Abs(v.f) < 1<<52 {
+			return int64(math.Floor(v.f)), false, true
+		}
+		return math.MinInt64, false, true
+	default: // NULL, TEXT, BLOB
+		return 0, false, false
+	}
+}
+
+// rangeEnd is rangeStart for "rowid <= v" (< when strict): the last rowid
+// the scan must visit.
+func rangeEnd(v Value, strict bool) (end int64, exact, ok bool) {
+	switch v.Type() {
+	case Integer:
+		if !strict {
+			return v.i, true, true
+		}
+		if v.i == math.MinInt64 {
+			return 0, false, false
+		}
+		return v.i - 1, true, true
+	case Real:
+		if math.Abs(v.f) < 1<<52 {
+			return int64(math.Ceil(v.f)), false, true
+		}
+		return math.MaxInt64, false, true
+	case Null:
+		return 0, false, false
+	default: // every integer sorts below TEXT and BLOB
+		return math.MaxInt64, false, true
 	}
 }
 
@@ -550,6 +589,69 @@ type selectPlan struct {
 	accs      []*aggAcc
 	orderEx   []Expr
 	orderDesc []bool
+	reads     *colReads
+}
+
+// colReads records which stored columns a SELECT reads from each FROM
+// source: need[s] marks source s's columns, up to the last one read, and
+// is what scanSource decodes. It is computed when the statement is first
+// prepared and kept on it, so a statement the handle's parse cache holds
+// computes it once. ncols is each source's column count at that time; an
+// ALTER TABLE ADD COLUMN under a statement a caller holds changes it, and
+// the set is computed again.
+type colReads struct {
+	ncols []int
+	need  [][]bool
+}
+
+// readColumns computes pl's colReads: every column its result, WHERE, ON,
+// GROUP BY, HAVING, ORDER BY, LIMIT and OFFSET expressions, aggregate
+// arguments included, reference. The rowid and its alias are not stored
+// columns.
+func (pl *selectPlan) readColumns() *colReads {
+	r := &colReads{ncols: make([]int, len(pl.schemas)), need: make([][]bool, len(pl.schemas))}
+	for i, ts := range pl.schemas {
+		r.ncols[i] = len(ts.Cols)
+		r.need[i] = make([]bool, len(ts.Cols))
+	}
+	st := pl.st
+	exprs := []Expr{st.Where, st.Having, st.Limit, st.Offset}
+	exprs = append(exprs, pl.resExprs...)
+	exprs = append(exprs, st.GroupBy...)
+	exprs = append(exprs, pl.orderEx...)
+	for _, ref := range st.From {
+		exprs = append(exprs, ref.On)
+	}
+	for _, e := range exprs {
+		walkExpr(e, func(e Expr) bool {
+			if cr, ok := e.(*ColRef); ok && cr.bound && cr.col >= 0 &&
+				cr.src < len(r.need) && cr.col < len(r.need[cr.src]) {
+				r.need[cr.src][cr.col] = true
+			}
+			return true
+		})
+	}
+	for i, need := range r.need {
+		last := len(need)
+		for last > 0 && !need[last-1] {
+			last--
+		}
+		r.need[i] = need[:last]
+	}
+	return r
+}
+
+// fits reports whether r was computed for tables of these shapes.
+func (r *colReads) fits(schemas []*TableSchema) bool {
+	if r == nil || len(r.ncols) != len(schemas) {
+		return false
+	}
+	for i, ts := range schemas {
+		if r.ncols[i] != len(ts.Cols) {
+			return false
+		}
+	}
+	return true
 }
 
 func (db *DB) prepareSelect(st *SelectStmt) (*selectPlan, error) {
@@ -670,6 +772,11 @@ func (db *DB) prepareSelect(st *SelectStmt) (*selectPlan, error) {
 	aggScan := append(append([]Expr{}, pl.resExprs...), st.Having)
 	aggScan = append(aggScan, pl.orderEx...)
 	pl.accs = collectAggregates(aggScan)
+
+	if !st.reads.fits(pl.schemas) {
+		st.reads = pl.readColumns()
+	}
+	pl.reads = st.reads
 	return pl, nil
 }
 
@@ -746,8 +853,13 @@ func (db *DB) execSelect(st *SelectStmt, args []Value) (*Rows, error) {
 			}
 			g, ok := groups[key]
 			if !ok {
+				// The group keeps its first row; the scan reuses the
+				// buffers ctx.rows points at.
 				g = newGroup()
-				g.rows = append([][]Value{}, ctx.rows...)
+				g.rows = make([][]Value, len(ctx.rows))
+				for i, r := range ctx.rows {
+					g.rows[i] = append([]Value(nil), r...)
+				}
 				g.rowids = append([]int64{}, ctx.rowids...)
 				groups[key] = g
 				order = append(order, key)
@@ -870,7 +982,7 @@ func (db *DB) joinLoop(pl *selectPlan, ctx *evalCtx, level int, emit func() erro
 	if level == len(pl.schemas) {
 		return emit()
 	}
-	return db.scanSource(pl.schemas[level], level, pl.conds[level], ctx, func() error {
+	return db.scanSource(pl.schemas[level], level, pl.conds[level], pl.reads.need[level], ctx, func() error {
 		return db.joinLoop(pl, ctx, level+1, emit)
 	})
 }
@@ -1001,7 +1113,7 @@ func (db *DB) execUpdate(st *UpdateStmt, args []Value) (int64, error) {
 		row   []Value
 	}
 	var targets2 []target
-	err = db.scanSource(ts, 0, conds, ctx, func() error {
+	err = db.scanSource(ts, 0, conds, nil, ctx, func() error {
 		row := append([]Value{}, ctx.rows[0]...)
 		targets2 = append(targets2, target{ctx.rowids[0], row})
 		return nil
@@ -1053,7 +1165,7 @@ func (db *DB) execDelete(st *DeleteStmt, args []Value) (int64, error) {
 	ctx := &evalCtx{rows: make([][]Value, 1), rowids: make([]int64, 1), args: args, rng: db.rng}
 	conds := splitConjuncts(st.Where, nil)
 	var rowids []int64
-	err = db.scanSource(ts, 0, conds, ctx, func() error {
+	err = db.scanSource(ts, 0, conds, nil, ctx, func() error {
 		rowids = append(rowids, ctx.rowids[0])
 		return nil
 	})

@@ -824,52 +824,57 @@ func (a *aggAcc) result() Value {
 // call and returning the accumulator prototypes.
 func collectAggregates(exprs []Expr) []*aggAcc {
 	var accs []*aggAcc
-	var walk func(e Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case *Call:
-			if callIsAggregate(x) {
-				x.aggIdx = len(accs)
-				accs = append(accs, &aggAcc{call: x})
-				return // aggregate args are evaluated per-row by step
-			}
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *Unary:
-			walk(x.X)
-		case *Binary:
-			walk(x.L)
-			walk(x.R)
-		case *Like:
-			walk(x.X)
-			walk(x.Pattern)
-		case *InList:
-			walk(x.X)
-			for _, it := range x.List {
-				walk(it)
-			}
-		case *Between:
-			walk(x.X)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *IsNull:
-			walk(x.X)
-		case *CaseExpr:
-			walk(x.Operand)
-			for _, w := range x.Whens {
-				walk(w.Cond)
-				walk(w.Res)
-			}
-			walk(x.Else)
-		case *Cast:
-			walk(x.X)
-		}
-	}
 	for _, e := range exprs {
-		if e != nil {
-			walk(e)
-		}
+		walkExpr(e, func(e Expr) bool {
+			if c, ok := e.(*Call); ok && callIsAggregate(c) {
+				c.aggIdx = len(accs)
+				accs = append(accs, &aggAcc{call: c})
+				return false // aggregate args are evaluated per-row by step
+			}
+			return true
+		})
 	}
 	return accs
+}
+
+// walkExpr calls fn on e and, while fn returns true, on each of e's
+// subexpressions, depth first.
+func walkExpr(e Expr, fn func(Expr) bool) {
+	if e == nil || !fn(e) {
+		return
+	}
+	switch x := e.(type) {
+	case *Unary:
+		walkExpr(x.X, fn)
+	case *Binary:
+		walkExpr(x.L, fn)
+		walkExpr(x.R, fn)
+	case *Like:
+		walkExpr(x.X, fn)
+		walkExpr(x.Pattern, fn)
+	case *InList:
+		walkExpr(x.X, fn)
+		for _, it := range x.List {
+			walkExpr(it, fn)
+		}
+	case *Between:
+		walkExpr(x.X, fn)
+		walkExpr(x.Lo, fn)
+		walkExpr(x.Hi, fn)
+	case *IsNull:
+		walkExpr(x.X, fn)
+	case *Call:
+		for _, a := range x.Args {
+			walkExpr(a, fn)
+		}
+	case *CaseExpr:
+		walkExpr(x.Operand, fn)
+		for _, w := range x.Whens {
+			walkExpr(w.Cond, fn)
+			walkExpr(w.Res, fn)
+		}
+		walkExpr(x.Else, fn)
+	case *Cast:
+		walkExpr(x.X, fn)
+	}
 }

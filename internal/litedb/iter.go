@@ -189,8 +189,9 @@ func (it *RowIter) Row() []Value { return it.cur }
 // Err returns the error that terminated the stream, if any.
 func (it *RowIter) Err() error { return it.err }
 
-// Close unwinds the producer and waits for it to exit; the DB handle is
-// free for the next statement once Close returns. Safe after exhaustion.
+// Close unwinds the producer and waits for it to exit, which releases the
+// leaf page a parked producer's scan holds pinned; the DB handle is free
+// for the next statement once Close returns. Safe after exhaustion.
 func (it *RowIter) Close() error {
 	if it.buffered == nil && !it.done {
 		it.done = true

@@ -2,7 +2,6 @@ package litedb
 
 import (
 	"cmp"
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -109,7 +108,9 @@ type Page struct {
 	data  []byte
 	dirty bool
 	pins  int
-	elem  *list.Element
+	// prev and next link an unpinned page into its pager's LRU; both are
+	// nil while the page is pinned.
+	prev, next *Page
 }
 
 // No returns the page number (1-based).
@@ -129,8 +130,12 @@ type Pager struct {
 	store PageStore
 
 	cache map[uint32]*Page
-	lru   *list.List // clean, unpinned pages (eviction candidates)
-	free  []int      // free cache slots
+	// lru is the sentinel of a circular list of the unpinned pages (the
+	// eviction candidates), most recently unpinned at lru.next. Linking
+	// the pages themselves makes a pin and an unpin allocate nothing.
+	lru    Page
+	pinned int   // cached pages with pins > 0
+	free   []int // free cache slots
 	// dirty lists every page whose dirty bit went from false to true since
 	// the last flush, so a flush costs what was dirtied, not what is
 	// cached. An entry that has lost its bit since (spilled by evictOne,
@@ -171,9 +176,10 @@ func OpenPager(vfs VFS, name string, opt PagerOptions) (*Pager, error) {
 	}
 	p := &Pager{
 		vfs: vfs, name: name, file: f, opt: opt, store: opt.Store,
-		cache: make(map[uint32]*Page), lru: list.New(),
+		cache:     make(map[uint32]*Page),
 		journaled: make(map[uint32][]byte),
 	}
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
 	for i := opt.CachePages - 1; i >= 0; i-- {
 		p.free = append(p.free, i)
 	}
@@ -272,22 +278,34 @@ func (p *Pager) allocSlotFor(no uint32) (*Page, error) {
 	p.free = p.free[:len(p.free)-1]
 	pg := &Page{no: no, slot: slot, data: p.store.Page(slot), pins: 1}
 	p.cache[no] = pg
+	p.pinned++
 	return pg, nil
 }
 
+// lruPush links the just-unpinned pg at the front of the LRU.
+func (p *Pager) lruPush(pg *Page) {
+	pg.prev, pg.next = &p.lru, p.lru.next
+	p.lru.next.prev = pg
+	p.lru.next = pg
+}
+
+// lruRemove unlinks pg from the LRU.
+func (p *Pager) lruRemove(pg *Page) {
+	pg.prev.next, pg.next.prev = pg.next, pg.prev
+	pg.prev, pg.next = nil, nil
+}
+
 func (p *Pager) evictOne() error {
-	// Prefer a clean unpinned page.
-	for e := p.lru.Back(); e != nil; e = e.Prev() {
-		pg := e.Value.(*Page)
-		if pg.pins == 0 && !pg.dirty {
+	// Prefer a clean unpinned page, least recently unpinned first.
+	for pg := p.lru.prev; pg != &p.lru; pg = pg.prev {
+		if !pg.dirty {
 			p.dropPage(pg)
 			return nil
 		}
 	}
 	// Spill a dirty unpinned page (it is already journaled).
-	for e := p.lru.Back(); e != nil; e = e.Prev() {
-		pg := e.Value.(*Page)
-		if pg.pins == 0 && pg.dirty {
+	for pg := p.lru.prev; pg != &p.lru; pg = pg.prev {
+		if pg.dirty {
 			if err := p.writePage(pg); err != nil {
 				return err
 			}
@@ -303,9 +321,10 @@ func (p *Pager) evictOne() error {
 // to hold another page.
 func (p *Pager) dropPage(pg *Page) {
 	pg.dirty = false
-	if pg.elem != nil {
-		p.lru.Remove(pg.elem)
-		pg.elem = nil
+	if pg.pins > 0 {
+		p.pinned--
+	} else {
+		p.lruRemove(pg)
 	}
 	delete(p.cache, pg.no)
 	p.free = append(p.free, pg.slot)
@@ -317,9 +336,9 @@ func (p *Pager) Get(no uint32) (*Page, error) {
 		return nil, fmt.Errorf("%w: page %d of %d", ErrPageBounds, no, p.nPages)
 	}
 	if pg, ok := p.cache[no]; ok {
-		if pg.elem != nil {
-			p.lru.Remove(pg.elem)
-			pg.elem = nil
+		if pg.pins == 0 {
+			p.lruRemove(pg)
+			p.pinned++
 		}
 		pg.pins++
 		// Re-acquire through the store so sandboxed variants charge the
@@ -348,6 +367,11 @@ func (p *Pager) Get(no uint32) (*Page, error) {
 	return pg, nil
 }
 
+// touch re-acquires a pinned page's image through the store: the one
+// store access, and so the one sandbox bounds check and EPC touch, that
+// reading a row out of a page held across rows costs.
+func (p *Pager) touch(pg *Page) { pg.data = p.store.Page(pg.slot) }
+
 // Refresh revalidates the cache after another pager may have committed
 // to the same file: the file says which byte spans may have changed (see
 // Refresher), exactly the cached pages inside them are dropped, and the
@@ -357,7 +381,7 @@ func (p *Pager) Get(no uint32) (*Page, error) {
 // transaction with no page pinned. On error every page is dropped, so
 // nothing stale is served and a later Refresh starts over.
 func (p *Pager) Refresh() error {
-	if p.inTxn || len(p.dirty) > 0 || p.lru.Len() != len(p.cache) {
+	if p.inTxn || len(p.dirty) > 0 || p.pinned > 0 {
 		return fmt.Errorf("%w: refresh with a transaction open or a page pinned", ErrTxn)
 	}
 	r, ok := p.file.(Refresher)
@@ -407,8 +431,9 @@ func (p *Pager) unpinInternal(pg *Page) {
 		panic("litedb: unpin of unpinned page")
 	}
 	pg.pins--
-	if pg.pins == 0 && pg.elem == nil {
-		pg.elem = p.lru.PushFront(pg)
+	if pg.pins == 0 {
+		p.pinned--
+		p.lruPush(pg)
 	}
 }
 
@@ -778,8 +803,7 @@ func (p *Pager) Rollback() error {
 			if err != nil {
 				return err
 			}
-			pg.pins--
-			pg.elem = p.lru.PushFront(pg)
+			p.unpinInternal(pg)
 		}
 		pg.data = p.store.Page(pg.slot)
 		copy(pg.data, rec[4:])

@@ -12,7 +12,9 @@ import (
 // bounds-checked access (and, when the linear memory carries an enclave
 // touch hook, the EPC residency cost). This is how the reproduction
 // imposes the "SQLite compiled to Wasm" memory tax on the same code paths
-// (see the package comment in value.go).
+// (see the package comment in value.go). A page acquisition is one
+// Pager.Get, or one row read by a table scan (Pager.touch): a scan holds
+// its leaf pinned and pays one access per row it reads out of it.
 type PageStore interface {
 	// Page returns the buffer backing cache slot i, charging one access.
 	Page(slot int) []byte

@@ -5,7 +5,10 @@ import "testing"
 // TestRowidRangeScanIncludesZero is a regression test: an upper-bounded
 // range scan over an explicit INTEGER PRIMARY KEY must include rows whose
 // key is zero or negative (the open lower bound used to start at rowid 1,
-// the first automatic rowid).
+// the first automatic rowid). The same scan must admit every row a bound
+// of another type admits: a REAL bound is not truncated to an integer
+// one, every integer sorts below a TEXT bound, and a BETWEEN is not
+// narrowed by the strictness of an earlier bound on the same key.
 func TestRowidRangeScanIncludesZero(t *testing.T) {
 	db := openTestDB(t)
 	mustExec(t, db, `CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`)
@@ -22,6 +25,12 @@ func TestRowidRangeScanIncludesZero(t *testing.T) {
 		{`SELECT COUNT(*) FROM kv WHERE k >= -2`, 10},
 		{`SELECT COUNT(*) FROM kv WHERE k > -3`, 10},
 		{`SELECT COUNT(*) FROM kv WHERE k BETWEEN -2 AND 0`, 3},
+		{`SELECT COUNT(*) FROM kv WHERE k < 5.5`, 8},
+		{`SELECT COUNT(*) FROM kv WHERE k > -1.5`, 9},
+		{`SELECT COUNT(*) FROM kv WHERE k < 'abc'`, 10},
+		{`SELECT COUNT(*) FROM kv WHERE k >= 'abc'`, 0},
+		{`SELECT COUNT(*) FROM kv WHERE k < 100 AND k BETWEEN 1 AND 5`, 5},
+		{`SELECT COUNT(*) FROM kv WHERE k > 9223372036854775807`, 0},
 	}
 	for _, c := range cases {
 		rows := mustQuery(t, db, c.q)

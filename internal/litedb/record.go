@@ -109,7 +109,7 @@ func uvarintLen(v uint64) int {
 // DecodeRecord parses a serialised row. Text and blob values alias buf.
 func DecodeRecord(buf []byte) ([]Value, error) {
 	hl, n := binary.Uvarint(buf)
-	if n <= 0 || hl > uint64(len(buf)) {
+	if n <= 0 || hl > uint64(len(buf)) || hl < uint64(n) {
 		return nil, fmt.Errorf("litedb: corrupt record header")
 	}
 	hdr := buf[n:hl]
@@ -131,7 +131,35 @@ func DecodeRecord(buf []byte) ([]Value, error) {
 	return row, nil
 }
 
+// intSizes is the body size of integer serial types 1..6.
+var intSizes = [7]int{0, 1, 2, 3, 4, 6, 8}
+
+// serialSize returns the body size of serial type st, and false for a
+// type no record holds.
+func serialSize(st uint64) (uint64, bool) {
+	switch {
+	case st == 0 || st == 8 || st == 9:
+		return 0, true
+	case st >= 1 && st <= 6:
+		return uint64(intSizes[st]), true
+	case st == 7:
+		return 8, true
+	case st >= 12:
+		return (st - 12) / 2, true // (st-13)/2 for odd (TEXT) st
+	default:
+		return 0, false
+	}
+}
+
 func decodeSerial(st uint64, body []byte) (Value, int, error) {
+	usize, ok := serialSize(st)
+	if !ok {
+		return Value{}, 0, fmt.Errorf("litedb: unknown serial type %d", st)
+	}
+	if usize > uint64(len(body)) {
+		return Value{}, 0, fmt.Errorf("litedb: truncated record body")
+	}
+	size := int(usize)
 	switch {
 	case st == 0:
 		return NullVal(), 0, nil
@@ -139,11 +167,7 @@ func decodeSerial(st uint64, body []byte) (Value, int, error) {
 		return IntVal(0), 0, nil
 	case st == 9:
 		return IntVal(1), 0, nil
-	case st >= 1 && st <= 6:
-		size := []int{0, 1, 2, 3, 4, 6, 8}[st]
-		if len(body) < size {
-			return Value{}, 0, fmt.Errorf("litedb: truncated integer body")
-		}
+	case st <= 6:
 		var v int64
 		for i := 0; i < size; i++ {
 			v = v<<8 | int64(body[i])
@@ -153,24 +177,11 @@ func decodeSerial(st uint64, body []byte) (Value, int, error) {
 		v = v << shift >> shift
 		return IntVal(v), size, nil
 	case st == 7:
-		if len(body) < 8 {
-			return Value{}, 0, fmt.Errorf("litedb: truncated real body")
-		}
 		return RealVal(math.Float64frombits(binary.BigEndian.Uint64(body))), 8, nil
-	case st >= 12 && st%2 == 0:
-		size := int(st-12) / 2
-		if len(body) < size {
-			return Value{}, 0, fmt.Errorf("litedb: truncated blob body")
-		}
+	case st%2 == 0:
 		return BlobVal(body[:size:size]), size, nil
-	case st >= 13:
-		size := int(st-13) / 2
-		if len(body) < size {
-			return Value{}, 0, fmt.Errorf("litedb: truncated text body")
-		}
-		return TextVal(string(body[:size])), size, nil
 	default:
-		return Value{}, 0, fmt.Errorf("litedb: unknown serial type %d", st)
+		return TextVal(string(body[:size])), size, nil
 	}
 }
 

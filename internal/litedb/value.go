@@ -8,7 +8,11 @@
 //
 // Differences from SQLite that matter for interpreting benchmark results:
 // execution is a cursor tree walk rather than a VDBE, and B-tree deletion
-// is lazy (pages are freed when empty rather than rebalanced). One more
+// is lazy (pages are freed when empty rather than rebalanced). Table scans
+// are shaped like SQLite's, though: a scan holds each leaf pinned while it
+// reads the leaf's rows, a SELECT decodes only the columns it references
+// into one row buffer reused from row to row, and a rowid conjunct that
+// the range scan enforces exactly is not evaluated again per row. One more
 // lives here. The journal runs in SQLite's TRUNCATE mode, not its default
 // DELETE mode: one journal file per open
 // database, written from offset 0 by every transaction, truncated to zero
