@@ -467,3 +467,55 @@ func TestResetRestoresFdflags(t *testing.T) {
 		t.Errorf("next request's fd_fdstat_get = errno %d, flags %d; want 0 and 0 (the flags leaked)", got[1]>>16, got[1]&0xffff)
 	}
 }
+
+// growModule has memory (1, 4) and run(x): grow by one page, store x at
+// 65536 (the grown page's first word) if x != 0, return load(65536).
+func growModule() []byte {
+	m := wasmgen.NewModule()
+	m.Memory(1, 4)
+	f := m.Func(wasmgen.Sig(wasmgen.I32).Returns(wasmgen.I32))
+	f.I32Const(1).MemoryGrow().Drop()
+	f.LocalGet(0).If(wasmgen.BlockVoid)
+	f.I32Const(65536).LocalGet(0).I32Store(0)
+	f.End()
+	f.I32Const(65536).I32Load(0)
+	f.End()
+	m.Export("run", f)
+	m.ExportMemory("memory")
+	return m.Bytes()
+}
+
+// TestPoolGrowDoesNotLeakAcrossRequests: request A grows memory and writes
+// the new page; request B, on the same worker after its reset, grows
+// memory and writes nothing. B must read the spec's zeroed page, not A's
+// word — through a pool and through a registry tenant.
+func TestPoolGrowDoesNotLeakAcrossRequests(t *testing.T) {
+	rt := poolRuntime(t, 1)
+	defer rt.Enclave.Destroy()
+	t.Run("pool", func(t *testing.T) {
+		mod, err := rt.LoadModule(growModule())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := rt.NewPool(mod, PoolConfig{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Close()
+		for i, x := range []uint64{0xdead, 0, 0xbeef, 0} {
+			out, err := pool.Submit(x)
+			if err != nil {
+				t.Fatalf("request %d: %v", i, err)
+			}
+			if out[0] != x {
+				t.Fatalf("request %d: run(%#x) read %#x from the grown page, want %#x", i, x, out[0], x)
+			}
+		}
+	})
+	t.Run("registry", func(t *testing.T) {
+		got := tenantAnswers(t, rt, growModule(), []uint64{0xdead}, []uint64{0})
+		if got[0] != 0xdead || got[1] != 0 {
+			t.Fatalf("answers = %#x, want [0xdead 0]", got)
+		}
+	})
+}

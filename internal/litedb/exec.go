@@ -885,6 +885,9 @@ func (db *DB) execSelect(st *SelectStmt, args []Value) (*Rows, error) {
 			for i, a := range g.accs {
 				ctx.aggVals[i] = a.result()
 			}
+			// A group without rows is the empty table's one group: its
+			// bare columns, the rowid too, read NULL as in SQLite.
+			ctx.noRow = g.rows == nil
 			if g.rows != nil {
 				copy(ctx.rows, g.rows)
 				copy(ctx.rowids, g.rowids)
@@ -909,7 +912,7 @@ func (db *DB) execSelect(st *SelectStmt, args []Value) (*Rows, error) {
 				return nil, err
 			}
 		}
-		ctx.aggMode = false
+		ctx.aggMode, ctx.noRow = false, false
 	} else {
 		if len(pl.schemas) == 0 {
 			// SELECT without FROM.

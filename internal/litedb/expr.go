@@ -14,6 +14,7 @@ type evalCtx struct {
 	args    []Value
 	aggVals []Value // aggregate results during finalisation
 	aggMode bool
+	noRow   bool // an aggregate over zero rows: a bare rowid reads NULL
 	rng     *rand.Rand
 }
 
@@ -150,6 +151,9 @@ func eval(e Expr, ctx *evalCtx) (Value, error) {
 			return Value{}, errEval("unbound column %s", colRefName(x))
 		}
 		if x.col == -1 {
+			if ctx.noRow {
+				return NullVal(), nil
+			}
 			return IntVal(ctx.rowids[x.src]), nil
 		}
 		row := ctx.rows[x.src]

@@ -53,6 +53,39 @@ func TestScanAllocsIndependentOfRows(t *testing.T) {
 	}
 }
 
+// TestAggregateOverNoRowsBareRowidIsNull: an aggregate over zero rows has
+// one group and no row in it, so a bare column reads NULL — the rowid and
+// its INTEGER PRIMARY KEY alias too, not the last rowid the scan tried.
+func TestAggregateOverNoRowsBareRowidIsNull(t *testing.T) {
+	db, err := Open(NewMemVFS(), "t.db", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExecTB(t, db, `CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)`)
+	for k := -5; k < 20; k++ {
+		mustExecTB(t, db, `INSERT INTO kv (k, v) VALUES (?, ?)`, IntVal(int64(k)), TextVal(fmt.Sprint("v", k)))
+	}
+	for _, q := range []string{
+		`SELECT k, COUNT(*) FROM kv WHERE v = 'nope'`,
+		`SELECT rowid, COUNT(*) FROM kv WHERE v = 'nope'`,
+		`SELECT k, COUNT(*) FROM kv WHERE k > 100`,
+	} {
+		row, err := db.QueryRow(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if !row[0].IsNull() || row[1].Int() != 0 {
+			t.Errorf("%s = %v, want [NULL 0]", q, row)
+		}
+	}
+	// With rows, the bare rowid is the group's first row's.
+	row, err := db.QueryRow(`SELECT k, COUNT(*) FROM kv WHERE v = 'v7'`)
+	if err != nil || row[0].Int() != 7 || row[1].Int() != 1 {
+		t.Errorf("bare k over one row = %v, %v; want [7 1]", row, err)
+	}
+}
+
 // TestScanPageAccesses pins the page cost of a table scan: one store
 // access per row read out of a leaf, plus one per leaf and interior page
 // visited. A sandboxed store charges its bounds check and EPC touch per
@@ -523,7 +556,7 @@ func genAggs(rng *rand.Rand) ([]string, []aggEval) {
 	var items []string
 	var evals []aggEval
 	for n := 1 + rng.Intn(3); n > 0; n-- {
-		ci := 1 + rng.Intn(len(modelCols)-1) // bare k reads the last rowid tried
+		ci := rng.Intn(len(modelCols))
 		kind := rng.Intn(6)
 		if len(items) == 0 {
 			kind = rng.Intn(5) // a bare column alone is no aggregate query

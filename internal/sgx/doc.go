@@ -116,7 +116,10 @@
 // TestEnclaveHostCostFollowsWrites, TestLaunchSweepCounts. HeapSystem
 // still zeroes every page it commits (§IV-C's EAUG cost). Slices from
 // Memory.Slice and Reserved.Bytes alias the mapping: they are valid only
-// while the enclave is reachable and not destroyed.
+// while the enclave is reachable and not destroyed. A guest's linear
+// memory is not a Go value either: internal/wasm reserves each one as a
+// mapping of its own limit, the range the enclave allocator reserves for
+// it here, and the host backs only the pages the guest wrote.
 //
 // # Fault containment (PR 6)
 //

@@ -16,11 +16,13 @@ import (
 //	[reservedSize, len(data))      enclave heap
 //
 // The arena is the residency model's address space far more than a store:
-// guest memory, page caches and protected-FS nodes are Go values that
-// charge their accesses here through Touch, and the bytes it holds are the
-// allocator's block headers, loaded code and what callers Write. So it is
-// reserved, not touched, and an enclave costs the host what it wrote (see
-// "The simulator's own cost of an enclave" in doc.go).
+// a guest's linear memory is a reservation of its own (wasm.Memory, also
+// outside the Go heap), and the page caches and protected-FS nodes outside
+// guest memory are Go values; all of them charge their accesses here
+// through Touch, and the bytes the arena holds are the allocator's block
+// headers, loaded code and what callers Write. So it is reserved, not
+// touched, and an enclave costs the host what it wrote (see "The
+// simulator's own cost of an enclave" in doc.go).
 //
 // Every access must pass through Touch (directly or via the Read/Write
 // helpers) so the EPC residency model can charge paging costs. Page

@@ -3,6 +3,7 @@ package wasi
 import (
 	"crypto/rand"
 	"encoding/binary"
+	"errors"
 	"time"
 
 	"twine/internal/hostfs"
@@ -885,8 +886,13 @@ func (s *System) pathOpen(in *wasm.Instance, a []uint64) Errno {
 		return ErrnoNotcapable
 	}
 
-	// Directory open?
+	// Directory open? A path that does not exist falls through to the
+	// open (O_CREAT); any other host error is the guest's answer, never
+	// read as "not a directory".
 	info, statErr := s.cfg.FS.Stat(path, true)
+	if statErr != nil && !errors.Is(statErr, hostfs.ErrNotExist) {
+		return mapError(statErr)
+	}
 	isDir := statErr == nil && info.IsDir()
 	if oflags&oflagDirectory != 0 && statErr == nil && !isDir {
 		return ErrnoNotdir

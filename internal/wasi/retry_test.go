@@ -133,3 +133,62 @@ func TestCloneSharesFaultPlanAndCounters(t *testing.T) {
 		t.Errorf("shared injector saw %d ops, want 3", ops)
 	}
 }
+
+// TestPathOpenHostFaultIsErrno: path_open's directory probe is a host
+// Stat, and a failed Stat is the guest's errno, never read as "not a
+// directory". Only "does not exist" falls through to the open, so O_CREAT
+// keeps creating. Each case faults one host operation of the call: the
+// stat is ordinal 1 and the open ordinal 2.
+func TestPathOpenHostFaultIsErrno(t *testing.T) {
+	glitch := errors.New("host glitch")
+	cases := []struct {
+		name   string
+		path   string
+		oflags uint32
+		fault  chaos.Plan
+		want   Errno
+	}{
+		{"directory, stat faulted", "d", 0, chaos.Plan{At: 1, Err: glitch}, ErrnoIo},
+		{"directory, stat denied", "d", 0, chaos.Plan{At: 1, Err: hostfs.ErrPermission}, ErrnoAcces},
+		{"file, stat faulted", "f", 0, chaos.Plan{At: 1, Err: glitch}, ErrnoIo},
+		{"file, O_DIRECTORY, stat faulted", "f", oflagDirectory, chaos.Plan{At: 1, Err: glitch}, ErrnoIo},
+		{"file, open faulted", "f", 0, chaos.Plan{At: 2, Err: glitch}, ErrnoIo},
+		{"missing, O_CREAT", "new", oflagCreat, chaos.Plan{}, ErrnoSuccess},
+		{"missing, O_CREAT, open faulted", "new", oflagCreat, chaos.Plan{At: 2, Err: glitch}, ErrnoIo},
+		{"missing", "new", 0, chaos.Plan{}, ErrnoNoent},
+		{"directory", "d", 0, chaos.Plan{}, ErrnoSuccess},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			host := hostfs.NewMemFS()
+			if err := host.Mkdir("d"); err != nil {
+				t.Fatal(err)
+			}
+			f, err := host.OpenFile("f", hostfs.OCreate|hostfs.OWrite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			inj := chaos.New(c.fault)
+			s := newSystem(t, NewHostBackend(chaos.WrapFS(host, inj), nil))
+			in := newGuest(t)
+			writeGuestString(t, in, 1024, c.path)
+			const sentinel = 0xffffffff
+			in.Memory().WriteU32(2048, sentinel)
+			got := s.pathOpen(in, []uint64{
+				3, 0, 1024, uint64(len(c.path)), uint64(c.oflags),
+				uint64(RightsAll), uint64(RightsAll), 0, 2048,
+			})
+			if got != c.want {
+				t.Fatalf("path_open(%q) = errno %d, want %d", c.path, got, c.want)
+			}
+			fd, _ := in.Memory().ReadU32(2048)
+			if (fd != sentinel) != (c.want == ErrnoSuccess) {
+				t.Errorf("path_open(%q) with errno %d wrote fd %d", c.path, got, fd)
+			}
+			if st := inj.Stats(); st.Faults != 0 && st.Ops != c.fault.At {
+				t.Errorf("host operations = %d, want the call to stop at the faulted one (%d)", st.Ops, c.fault.At)
+			}
+		})
+	}
+}

@@ -38,6 +38,33 @@
 //     the memory accesses themselves, so the touch sequence an
 //     instruction stream produces is engine-independent.
 //
+// # The host's cost of a linear memory
+//
+// A guest's linear memory costs the host the pages the guest wrote, and
+// none of it counts as Go heap: the rule the enclave arena follows
+// (internal/sgx, "The simulator's own cost of an enclave"). NewMemory
+// reserves the memory's limit (maxPages × 64 KiB, the size the enclave
+// allocator reserves for it) once as a private anonymous mapping
+// (linear_unix.go); the host backs a page on its first write, and a
+// finalizer unmaps the reservation when the Memory is collected. Grow and a reset only reslice
+// within it, so the bytes never move: a host view stays valid across
+// memory.grow, and a view is valid while the Memory is reachable. A reset
+// zeroes what a smaller snapshot drops, so a later grow exposes zeroes and
+// a reset instance is bit-identical to a fresh one
+// (TestGrowAfterResetReadsZero, TestLinearMemoryOffHeap,
+// TestHostViewSurvivesGC, TestInstanceChurnReleasesReservations).
+//
+// Two builds keep the reservation on the Go heap (linear_other.go): the
+// race build, because Go's race detector instruments only Go's own heap
+// and data, so `go test -race` keeps checking every guest access; and
+// targets without anonymous mappings (!unix). There the reservation is a
+// make([]byte) of the same size, counted as heap from the start.
+//
+// A memory without a declared maximum (and without an engine cap)
+// reserves the spec's 4 GiB: address space on 64-bit unix, a 4 GiB Go
+// allocation on the heap builds, and an error where int cannot hold it
+// (32-bit targets). No module in the repository lacks a maximum.
+//
 // # Register-IR invariants (PR 4)
 //
 // The register tier adds translation-time optimisation, under rules that

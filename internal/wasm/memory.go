@@ -3,6 +3,8 @@ package wasm
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -29,8 +31,18 @@ type tlbEntry struct {
 	gen uint64
 }
 
-// Memory is a linear memory instance.
+// Memory is a linear memory instance. NewMemory reserves its limit
+// (maxPages × 64 KiB) once, outside the Go heap where the build allows
+// (linear_unix.go): the host backs only the pages that were written, and
+// none of it counts as Go heap. Grow and a reset reslice within the
+// reservation and never move the bytes. The reservation is released when
+// the Memory is collected, so a view handed out by Bytes (or taken by a
+// host function through Range) is valid while the Memory is reachable.
+// A Memory is never copied by value.
 type Memory struct {
+	// data's length is the current size and its capacity the reservation.
+	// Bytes in [len, cap) are zero: Grow exposes them as the spec's zeroed
+	// new pages, and restore zeroes what a reset drops.
 	data     []byte
 	limits   Limits
 	maxPages uint32
@@ -47,7 +59,10 @@ type Memory struct {
 // NewMemory creates a memory honouring both the module limits and an
 // engine-level cap (capPages; 0 means "module limits only"). A module
 // minimum above the cap fails, which is exactly how the paper's PolyBench
-// memory-shrinking experiment provokes allocation failure (§V-B).
+// memory-shrinking experiment provokes allocation failure (§V-B). The
+// limit is reserved up front: a memory without a declared maximum or cap
+// reserves 4 GiB, which fails where int cannot hold it (see "The host's
+// cost of a linear memory" in doc.go).
 func NewMemory(l Limits, capPages uint32) (*Memory, error) {
 	max := uint32(MaxPages)
 	if l.HasMax {
@@ -59,11 +74,20 @@ func NewMemory(l Limits, capPages uint32) (*Memory, error) {
 	if l.Min > max {
 		return nil, fmt.Errorf("wasm: memory min %d pages exceeds available %d pages", l.Min, max)
 	}
-	return &Memory{
-		data:     make([]byte, int(l.Min)*PageSize),
+	if uint64(max)*PageSize > math.MaxInt {
+		return nil, fmt.Errorf("wasm: memory limit of %d pages does not fit the address space", max)
+	}
+	data, err := mapLinear(int(max) * PageSize)
+	if err != nil {
+		return nil, fmt.Errorf("wasm: reserve %d pages of linear memory: %w", max, err)
+	}
+	m := &Memory{
+		data:     data[:int(l.Min)*PageSize],
 		limits:   l,
 		maxPages: max,
-	}, nil
+	}
+	runtime.SetFinalizer(m, func(m *Memory) { unmapLinear(m.data) })
+	return m, nil
 }
 
 // SetTouch installs the access hook. Every access calls the hook; use
@@ -141,37 +165,26 @@ func (m *Memory) Pages() uint32 { return uint32(len(m.data) / PageSize) }
 func (m *Memory) Len() int { return len(m.data) }
 
 // Grow adds delta pages, returning the previous page count or -1 when the
-// limit would be exceeded. Growth reuses spare slice capacity when
-// possible: the region between len and cap was zeroed by the original
-// allocation and is never written (every access is bounds-checked against
-// len), so re-slicing exposes the zero bytes the spec requires without a
-// copy. When a reallocation is unavoidable, capacity is over-provisioned
-// (doubling, capped at maxPages) so repeated one-page grows amortise.
-// The EPC-TLB stays valid across growth: guest page numbers and their
-// arena mapping are unchanged, and new pages were never cached.
+// limit would be exceeded. It only reslices within the reservation: the
+// bytes past the current length are zero (see Memory.data), so the new
+// pages read as the spec's zeroes without a copy, and the old bytes never
+// move, so a view the host holds stays valid. The EPC-TLB stays valid
+// across growth: guest page numbers and their arena mapping are
+// unchanged, and new pages were never cached.
 func (m *Memory) Grow(delta uint32) int32 {
 	cur := m.Pages()
 	if uint64(cur)+uint64(delta) > uint64(m.maxPages) {
 		return -1
 	}
-	need := (int(cur) + int(delta)) * PageSize
-	if need <= cap(m.data) {
-		m.data = m.data[:need]
-		return int32(cur)
-	}
-	newCap := 2 * need
-	if max := int(m.maxPages) * PageSize; newCap > max {
-		newCap = max
-	}
-	grown := make([]byte, need, newCap)
-	copy(grown, m.data)
-	m.data = grown
+	m.data = m.data[:(int(cur)+int(delta))*PageSize]
 	return int32(cur)
 }
 
 // restore replaces the memory contents with a snapshot copy. The byte
-// length must be page-aligned and within the instance's limits; spare
-// capacity is reused so repeated pool instantiations do not reallocate.
+// length must be page-aligned and within the instance's limits. The bytes
+// a smaller snapshot drops are zeroed before the reslice, so a later Grow
+// exposes zeroes, never the previous request's writes; nothing moves and
+// nothing is allocated.
 func (m *Memory) restore(b []byte) error {
 	if len(b)%PageSize != 0 {
 		return fmt.Errorf("wasm: snapshot memory size %d is not page aligned", len(b))
@@ -179,11 +192,10 @@ func (m *Memory) restore(b []byte) error {
 	if pages := uint32(len(b) / PageSize); pages > m.maxPages {
 		return fmt.Errorf("wasm: snapshot memory %d pages exceeds limit %d", pages, m.maxPages)
 	}
-	if cap(m.data) >= len(b) {
-		m.data = m.data[:len(b)]
-	} else {
-		m.data = make([]byte, len(b))
+	if len(b) < len(m.data) {
+		clear(m.data[len(b):])
 	}
+	m.data = m.data[:len(b)]
 	copy(m.data, b)
 	m.tlb = [tlbSlots]tlbEntry{}
 	return nil
@@ -203,7 +215,10 @@ func (m *Memory) Range(off, n uint32) error {
 }
 
 // Bytes returns a view of guest memory after bounds-checking and touching.
-// The view is invalidated by memory.grow.
+// The view aliases the reservation: memory.grow does not move it, and it
+// is valid while the memory is reachable, so a caller that drops its last
+// reference to m (or to the instance) keeps m alive with runtime.KeepAlive
+// until it is done with the view.
 func (m *Memory) Bytes(off, n uint32) ([]byte, error) {
 	if err := m.Range(off, n); err != nil {
 		return nil, err
@@ -217,7 +232,9 @@ func (m *Memory) ReadU32(off uint32) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(b), nil
+	v := binary.LittleEndian.Uint32(b)
+	runtime.KeepAlive(m)
+	return v, nil
 }
 
 // WriteU32 stores a little-endian u32 into guest memory.
@@ -227,6 +244,7 @@ func (m *Memory) WriteU32(off uint32, v uint32) error {
 		return err
 	}
 	binary.LittleEndian.PutUint32(b, v)
+	runtime.KeepAlive(m)
 	return nil
 }
 
@@ -236,7 +254,9 @@ func (m *Memory) ReadU64(off uint32) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	v := binary.LittleEndian.Uint64(b)
+	runtime.KeepAlive(m)
+	return v, nil
 }
 
 // WriteU64 stores a little-endian u64 into guest memory.
@@ -246,6 +266,7 @@ func (m *Memory) WriteU64(off uint32, v uint64) error {
 		return err
 	}
 	binary.LittleEndian.PutUint64(b, v)
+	runtime.KeepAlive(m)
 	return nil
 }
 
@@ -256,6 +277,7 @@ func (m *Memory) WriteU16(off uint32, v uint16) error {
 		return err
 	}
 	binary.LittleEndian.PutUint16(b, v)
+	runtime.KeepAlive(m)
 	return nil
 }
 
@@ -266,6 +288,7 @@ func (m *Memory) WriteByteAt(off uint32, v byte) error {
 		return err
 	}
 	b[0] = v
+	runtime.KeepAlive(m)
 	return nil
 }
 
@@ -275,5 +298,7 @@ func (m *Memory) ReadString(off, n uint32) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return string(b), nil
+	s := string(b)
+	runtime.KeepAlive(m)
+	return s, nil
 }

@@ -45,17 +45,19 @@ func (in *Instance) Snapshot() *Snapshot {
 // not, is stamped back to the golden snapshot instead of being
 // re-instantiated, so it must be cheap. Resetting is exactly as strong as stamping out a new
 // worker (the snapshot is the same bytes) without re-allocating the
-// enclave arena, the value stack or the links. The memory buffer is
-// reused when capacity allows and the software EPC-TLB is dropped, so
-// stale hot-page entries cannot survive the reset; a reset instance is
-// bit-identical to a fresh InstantiateFromSnapshot of the same snapshot,
-// including the sequence of EPC touch calls its next invocation performs
-// (the property the serve/reset cycle tests pin). On the hot path —
-// an instance whose buffers were sized by a prior instantiation of the
-// same snapshot — the reset performs no allocation: memory, globals and
-// table reuse their capacity, and the immutable per-module global types
-// are not copied at all. The instance must be quiescent (no invocation
-// in flight).
+// enclave arena, the value stack or the links. The memory's reservation
+// is reused: the bytes a request grew past the snapshot are zeroed, the
+// snapshot is copied over the rest, and the software EPC-TLB is dropped,
+// so neither a grown page's contents nor a stale hot-page entry survives
+// the reset. A reset instance is bit-identical to a fresh
+// InstantiateFromSnapshot of the same snapshot, down to what a later
+// memory.grow exposes and the sequence of EPC touch calls its next
+// invocation performs (the properties the serve/reset cycle tests and
+// TestGrowAfterResetReadsZero pin). On the hot path — an instance whose
+// globals and table were sized by a prior instantiation of the same
+// snapshot — the reset performs no allocation, and the immutable
+// per-module global types are not copied at all. The instance must be
+// quiescent (no invocation in flight).
 func (in *Instance) ResetFromSnapshot(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("%w: reset from nil snapshot", ErrValidation)
